@@ -132,7 +132,7 @@ def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:
         if a == b:
             return Fraction(1)
         if a == b + n:
-            return Fraction((-1) ** k)
+            return Fraction(sign_power(k))
         return Fraction(0)
     if not b <= a < b + n:
         return Fraction(0)
@@ -140,7 +140,7 @@ def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:
     rest = [x for x in sched if x != a]
     if residue(b, n) in {residue(x, n) for x in rest}:
         return Fraction(0)
-    sign = (-1) ** len(pi.dual().s_set(b, a))
+    sign = sign_power(len(pi.dual().s_set(b, a)))
     return sign * cyclic_submatrix(m, rest + [b]).det()
 
 
@@ -170,7 +170,7 @@ def build_frieze_twist(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
     n = pi.period
     k = pi.balls
     product = twist(m, pi).transpose() * m
-    wrap_sign = (-1) ** (k - 1)
+    wrap_sign = sign_power(k - 1)
     cols = []
     for b in range(1, n + 1):
         col = []
@@ -181,7 +181,7 @@ def build_frieze_twist(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
             else:
                 v = product[ra - 1, b - 1]
                 col.append(v if ra >= b else wrap_sign * v)
-        col.append(Fraction((-1) ** k) if pi(b) == b else Fraction(0))
+        col.append(Fraction(sign_power(k)) if pi(b) == b else Fraction(0))
         cols.append(col)
     return PeriodicFrieze(pi.dual(), cols)
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .juggling import JugglingFunction
-from .matrices import Matrix, as_rational, rational_to_json
+from .matrices import Matrix, as_rational, rational_to_json, sign_power
 
 
 class PeriodicFrieze:
@@ -76,8 +77,7 @@ class PeriodicFrieze:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PeriodicFrieze":
-        throws = [int(t) for t in obj["siteswap"]]
-        shape = JugglingFunction(i + t for i, t in enumerate(throws, start=1))
+        shape = JugglingFunction.from_throws(obj["siteswap"])
         n = shape.period
         try:
             cols = [obj["columns"][str(b)] for b in range(1, n + 1)]
@@ -116,7 +116,7 @@ class FriezeReport:
 
 def boundary_sign(pi: JugglingFunction, b: int) -> int:
     """Sign forced at the boundary position (pi(b), b)."""
-    return (-1) ** len(pi.s_set(b, pi(b)))
+    return sign_power(len(pi.s_set(b, pi(b))))
 
 
 def is_prefrieze(c: PeriodicFrieze) -> bool:
@@ -202,17 +202,44 @@ def dual_frieze(c: PeriodicFrieze) -> PeriodicFrieze:
     """The dual array of near-diagonal minors; an involution on friezes.
 
     Entry (a, b) of the dual is the minor of c on rows [b+1, a] and
-    columns [b, a-1].  A loop of the shape contributes the extra slot
+    columns [b, a-1].  For fixed b these are the leading principal
+    minors D_t, t = a - b, of the matrix H with H[i][j] = C[b+1+i, b+j],
+    which is lower Hessenberg because C vanishes above its diagonal.
+    Expanding D_t along its last row gives, with D_0 = 1,
+
+        D_t = sum_{j<t} (-1)**(t-1-j) C[b+t, b+j]
+                        * prod_{m=j+1}^{t-1} C[b+m, b+m] * D_j,
+
+    so a column costs O(n**2) operations and no division.  The columns
+    of the dual, signed, are the solutions of the recurrence C x = 0
+    (see recurrence.solution_matrix).  The diagonal product keeps the
+    minors exact on arrays whose diagonal is not all 1.  D_t is
+    homogeneous of degree t in the entries, so the recurrence runs on
+    the integers L*C, L the lcm of all denominators, and D_t is that
+    result over L**t.  A loop of the shape contributes the extra slot
     value (-1)**balls at (b+n, b), which the minors cannot see.
     """
     pi = c.shape
     n = pi.period
-    k = pi.balls
-    loop_slot = Fraction((-1) ** k)
+    scale = lcm(*(x.denominator for col in c.columns for x in col))
+    window = [[x.numerator * (scale // x.denominator) for x in col]
+              for col in c.columns]
+    loop_slot = Fraction(sign_power(pi.balls))
     cols = []
     for b in range(1, n + 1):
-        col = [c.minor(range(b + 1, a + 1), range(b, a))
-               for a in range(b, b + n)]
+        # near[j][d] is the scaled entry C[b+j+d, b+j]
+        near = window[b - 1:] + window[:b - 1]
+        minors = [1]
+        for t in range(1, n):
+            total = 0
+            weight = 1  # (-1)**(t-1-j) * prod_{m=j+1}^{t-1} C[b+m, b+m]
+            for j in range(t - 1, -1, -1):
+                x = near[j][t - j]
+                if x:
+                    total += weight * x * minors[j]
+                weight = -weight * near[j][0]
+            minors.append(total)
+        col = [Fraction(d, scale ** t) for t, d in enumerate(minors)]
         col.append(loop_slot if pi(b) == b else Fraction(0))
         cols.append(col)
     return PeriodicFrieze(pi.dual(), cols)
@@ -237,7 +264,7 @@ def is_positive(c: PeriodicFrieze) -> bool:
         for a in range(b, pi(b) + 1):
             if pi.inverse(a) >= b and a != b:
                 continue
-            if (-1) ** len(pi.s_set(b, a)) * c.entry(a, b) <= 0:
+            if sign_power(len(pi.s_set(b, a))) * c.entry(a, b) <= 0:
                 return False
     return True
 

@@ -28,10 +28,17 @@ def residue(a: int, n: int) -> int:
     return (a - 1) % n + 1
 
 
+def as_int(x) -> int:
+    """An exact integer from JSON: an int, never a bool or a float."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise TypeError(f"not an integer: {x!r}")
+
+
 class JugglingFunction:
     """An n-periodic bijection of Z, stored by its values on [1, n]."""
 
-    __slots__ = ("period", "values", "_inverse")
+    __slots__ = ("period", "values", "_inverse", "_dual")
 
     def __init__(self, values: Iterable[int]):
         vals = tuple(int(v) for v in values)
@@ -51,6 +58,7 @@ class JugglingFunction:
         self.period = n
         self.values = vals
         self._inverse = tuple(inverse)
+        self._dual = None
 
     @classmethod
     def uniform(cls, period: int, balls: int) -> "JugglingFunction":
@@ -58,6 +66,11 @@ class JugglingFunction:
         if not 0 <= balls <= period:
             raise SiteswapError("ball count must lie in [0, period]")
         return cls(i + balls for i in range(1, period + 1))
+
+    @classmethod
+    def from_throws(cls, throws: Iterable) -> "JugglingFunction":
+        """The function i -> i + throws[i-1]; each throw must be an int."""
+        return cls(i + as_int(t) for i, t in enumerate(throws, start=1))
 
     def __call__(self, a: int) -> int:
         i = residue(a, self.period)
@@ -76,13 +89,19 @@ class JugglingFunction:
         return sum(self.throws) // self.period
 
     def dual(self) -> "JugglingFunction":
-        """The dual function a -> pi^{-1}(a) + n.
+        """The dual function a -> pi^{-1}(a) + n, built once per object.
+
+        The dual is an involution, so the dual's own dual is this object.
 
         >>> format_siteswap(parse_siteswap("53635514").dual())
         '23345357'
         """
-        n = self.period
-        return JugglingFunction(self.inverse(a) + n for a in range(1, n + 1))
+        if self._dual is None:
+            n = self.period
+            dual = JugglingFunction(self.inverse(a) + n for a in range(1, n + 1))
+            dual._dual = self
+            self._dual = dual
+        return self._dual
 
     def s_set(self, a: int, b: int) -> tuple[int, ...]:
         """Sorted set of moments i with a < i whose ball lands before b."""
@@ -132,17 +151,17 @@ class JugglingFunction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "JugglingFunction":
-        throws = [int(t) for t in obj["throws"]]
-        if int(obj["period"]) != len(throws):
+        throws = obj["throws"]
+        if as_int(obj["period"]) != len(throws):
             raise SiteswapError("period does not match the number of throws")
-        return cls(i + t for i, t in enumerate(throws, start=1))
+        return cls.from_throws(throws)
 
 
 def parse_siteswap(text: str) -> JugglingFunction:
     """Parse a siteswap pattern.
 
     A contiguous digit string means one throw per digit; throws above 9
-    need the comma-separated form.
+    need the comma-separated form.  Only ASCII digits are throws.
 
     >>> parse_siteswap("53635514").values
     (6, 5, 9, 7, 10, 11, 8, 12)
@@ -154,17 +173,19 @@ def parse_siteswap(text: str) -> JugglingFunction:
         raise SiteswapError("empty pattern")
     if "," in text:
         parts = [p.strip() for p in text.split(",")]
-        try:
-            throws = [int(p) for p in parts]
-        except ValueError:
-            raise SiteswapError(f"bad throw list {text!r}") from None
-    elif text.isdigit():
+        if not all(_is_ascii_digits(p) for p in parts):
+            raise SiteswapError(f"bad throw list {text!r}")
+        throws = [int(p) for p in parts]
+    elif _is_ascii_digits(text):
         throws = [int(ch) for ch in text]
     else:
         raise SiteswapError(f"bad pattern {text!r}")
-    if any(t < 0 for t in throws):
-        raise SiteswapError("negative throw height")
-    return JugglingFunction(i + t for i, t in enumerate(throws, start=1))
+    return JugglingFunction.from_throws(throws)
+
+
+def _is_ascii_digits(text: str) -> bool:
+    # str.isdigit alone also accepts superscripts and other scripts' digits
+    return text.isascii() and text.isdigit()
 
 
 def format_siteswap(pi: JugglingFunction) -> str:

@@ -1,8 +1,11 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are immutable grids of fractions.Fraction.  Determinants run
-fraction-free (Bareiss) after clearing denominators, so every value is
-exact; there is no floating point anywhere in this package.
+Matrices are immutable grids of fractions.Fraction.  Determinants and
+reduced row echelon forms both run fraction-free on integer rows: each
+row is first scaled by the lcm of its denominators, Bareiss elimination
+(det) and fraction-free Gauss-Jordan (rref) then divide exactly, and
+fractions are built only for the result.  Every value is exact; there is
+no floating point anywhere in this package.
 """
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
-from .juggling import residue
+from .juggling import as_int, residue
 
 Rational = Fraction
 
@@ -22,14 +25,33 @@ def sign_power(exponent: int) -> int:
 
 
 def as_rational(x) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact rational."""
+    """Coerce an int, Fraction, or "p/q" string to an exact rational.
+
+    Booleans and floats are not exact scalars, and a zero denominator
+    is a ValueError like any other malformed string.
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not an exact scalar: {x!r}")
+
+
+def _integer_rows(entries) -> tuple[list[list[int]], int]:
+    """Each row scaled by the lcm of its denominators, as ints, and the
+    product of those scale factors."""
+    rows = []
+    scale = 1
+    for row in entries:
+        m = lcm(*(x.denominator for x in row))
+        scale *= m
+        rows.append([x.numerator * (m // x.denominator) for x in row])
+    return rows, scale
 
 
 def rational_to_json(x: Fraction):
@@ -115,12 +137,7 @@ class Matrix:
             return Fraction(1)
         # Clear denominators row by row, then run fraction-free Bareiss
         # on the integer matrix.  Division below is exact by construction.
-        scale = 1
-        rows = []
-        for row in self.entries:
-            m = lcm(*(x.denominator for x in row))
-            scale *= m
-            rows.append([int(x * m) for x in row])
+        rows, scale = _integer_rows(self.entries)
         sign = 1
         prev = 1
         for c in range(n - 1):
@@ -139,26 +156,38 @@ class Matrix:
         return Fraction(sign * rows[n - 1][n - 1], scale)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot columns."""
-        rows = [list(r) for r in self.entries]
+        """Reduced row echelon form and the pivot columns.
+
+        Fraction-free Gauss-Jordan on integer rows: each step replaces
+        every other row by (pv*row - f*pivot_row) // prev, an exact
+        division (every entry is then a minor of the integer matrix).
+        Afterwards every pivot equals the last pivot d, so the reduced
+        form is the integer matrix divided by d.
+        """
+        rows, _ = _integer_rows(self.entries)
         pivots = []
+        prev = 1
         r = 0
         for c in range(self.ncols):
             if r == len(rows):
                 break
-            p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+            p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
             if p is None:
                 continue
             rows[r], rows[p] = rows[p], rows[r]
-            pv = rows[r][c]
-            rows[r] = [x / pv for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            top = rows[r]
+            pv = top[c]
+            for i, row in enumerate(rows):
+                if i != r:
+                    f = row[c]
+                    rows[i] = [(pv * x - f * y) // prev
+                               for x, y in zip(row, top)]
+            prev = pv
             pivots.append(c)
             r += 1
-        return Matrix(rows, cols=self.ncols), tuple(pivots)
+        return (Matrix([[Fraction(x, prev) for x in row] for row in rows],
+                       cols=self.ncols),
+                tuple(pivots))
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -207,8 +236,9 @@ class Matrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Matrix":
-        m = cls(obj["entries"], cols=int(obj["cols"]))
-        if m.nrows != int(obj["rows"]) or m.ncols != int(obj["cols"]):
+        cols = as_int(obj["cols"])
+        m = cls(obj["entries"], cols=cols)
+        if m.nrows != as_int(obj["rows"]) or m.ncols != cols:
             raise ValueError("matrix shape does not match its entries")
         return m
 

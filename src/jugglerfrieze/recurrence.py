@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .juggling import JugglingFunction, residue
+from .juggling import JugglingFunction, as_int, residue
 from .matrices import Matrix, as_rational, rational_to_json, sign_power
 from .frieze import PeriodicFrieze, dual_frieze, is_frieze, is_prefrieze
 
@@ -57,9 +57,10 @@ class SolutionWindow:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SolutionWindow":
-        n = int(obj["period"])
+        n = as_int(obj["period"])
         cols = [obj["columns"][str(b)] for b in range(1, n + 1)]
-        return cls(n, int(obj["sign_exponent"]), tuple(tuple(c) for c in cols))
+        return cls(n, as_int(obj["sign_exponent"]),
+                   tuple(tuple(c) for c in cols))
 
 
 def superperiodic_extension(v: Sequence, k: int, a: int) -> Fraction:
@@ -101,7 +102,7 @@ def solution_matrix(c: PeriodicFrieze) -> SolutionWindow:
         if pi(b) == b:
             cols.append((Fraction(0),) * n)
         else:
-            cols.append(tuple((-1) ** (a + b) * dual.entry(a, b)
+            cols.append(tuple(sign_power(a + b) * dual.entry(a, b)
                               for a in range(b, b + n)))
     return SolutionWindow(n, n - pi.balls - 1, tuple(cols))
 
@@ -118,9 +119,9 @@ def tiling(c: PeriodicFrieze) -> SolutionWindow:
     for b in range(1, n + 1):
         col = []
         for a in range(b, b + n):
-            v = (-1) ** (a + b) * c.entry(a, b)
+            v = sign_power(a + b) * c.entry(a, b)
             if a == b:
-                v += (-1) ** (a + b + s) * c.entry(b + n, b)
+                v += sign_power(a + b + s) * c.entry(b + n, b)
             col.append(v)
         cols.append(tuple(col))
     # shifting a by n inside the defining sum flips the parity by n - s
@@ -138,7 +139,7 @@ def verify_superperiodic_kernel(c: PeriodicFrieze) -> bool:
     for b in range(1, n + 1):
         if pi(b) == b:
             continue
-        window = [(-1) ** (a + b) * c.minor(range(b + 1, a + 1), range(b, a))
+        window = [sign_power(a + b) * c.minor(range(b + 1, a + 1), range(b, a))
                   for a in range(b, b + n)]
 
         def x(a, _w=window, _b=b):

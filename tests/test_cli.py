@@ -54,6 +54,14 @@ def test_siteswap_invalid_exits_2(capsys):
     assert run(capsys, "siteswap", "53535")[0] == 2
 
 
+def test_siteswap_non_ascii_digits_exit_2(capsys):
+    # str.isdigit accepts superscripts and other scripts' digits
+    for pattern in ("\u00b2", "3\u00b2", "\u0663", "3,\u00b2"):
+        assert main(["siteswap", pattern]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_check_pass_fail_malformed(capsys, files, tmp_path):
     code, out = run(capsys, "check", files["frieze"])
     assert code == 0
@@ -200,3 +208,44 @@ def test_check_accepts_rational_entries(capsys, tmp_path):
     p.write_text(json.dumps(doc))
     code, out = run(capsys, "check", str(p))
     assert code == 0 and json.loads(out)["is_frieze"]
+
+
+def _bad_input_exits_2(capsys, tmp_path, doc, *argv):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    for args in argv:
+        assert main([args[0], str(p)] + list(args[1:])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_zero_denominator_entries_exit_2(capsys, tmp_path):
+    doc = fx.JUG_FRIEZE.to_json()
+    doc["columns"]["1"][3] = "1/0"
+    _bad_input_exits_2(capsys, tmp_path, doc, ("check",), ("render",),
+                       ("solve",), ("transform", "--op", "dual"))
+    doc = fx.UNIMOD_4x8.to_json()
+    doc["entries"][0][0] = "1/0"
+    _bad_input_exits_2(capsys, tmp_path, doc,
+                       ("construct", "--siteswap", "23345357"),
+                       ("transform", "--op", "complement"))
+
+
+def test_boolean_entries_exit_2(capsys, tmp_path):
+    doc = fx.IDENTITY_FRIEZE_3.to_json()
+    doc["columns"]["1"][0] = True
+    _bad_input_exits_2(capsys, tmp_path, doc, ("check",), ("render",))
+    doc = fx.UNIMOD_4x8.to_json()
+    doc["entries"][1][2] = False
+    _bad_input_exits_2(capsys, tmp_path, doc,
+                       ("construct", "--siteswap", "23345357"))
+
+
+def test_float_throws_and_sizes_exit_2(capsys, tmp_path):
+    doc = {"siteswap": [2.7, 2.2],
+           "columns": {"1": [1, 1, 1], "2": [1, 1, 1]}}
+    _bad_input_exits_2(capsys, tmp_path, doc, ("check",), ("render",))
+    doc = fx.UNIMOD_4x8.to_json()
+    doc["cols"] = 8.0
+    _bad_input_exits_2(capsys, tmp_path, doc,
+                       ("construct", "--siteswap", "23345357"))

@@ -29,7 +29,7 @@ def test_parse_rejects_residue_collision():
 
 
 def test_parse_rejects_empty_and_garbage():
-    for bad in ("", "  ", "3x4", "3,,4"):
+    for bad in ("", "  ", "3x4", "3,,4", "\u00b2", "3,\u00b2", "-1,2", "+1,1"):
         with pytest.raises(SiteswapError):
             parse_siteswap(bad)
 
