@@ -7,7 +7,7 @@ associated linear recurrences with superperiodic solutions.
 
 from .juggling import (JugglingFunction, SiteswapError, parse_siteswap,
                        format_siteswap, residue)
-from .matrices import Matrix, Rational, cyclic_submatrix
+from .matrices import Matrix, cyclic_submatrix
 from .frieze import (PeriodicFrieze, FriezeReport, is_prefrieze, check_frieze,
                      is_frieze, dual_frieze, is_sl_frieze, is_positive,
                      frieze_from_quiddity, enumerate_sl2_positive)
@@ -16,13 +16,12 @@ from .construct import (UnimodularCertificate, is_consecutively_unimodular,
                         positive_complement, frieze_entry, build_frieze_det,
                         build_frieze_twist, frieze_to_matrix)
 from .recurrence import (SolutionWindow, superperiodic_extension, residual,
-                         solution_matrix, tiling, verify_superperiodic_kernel,
-                         kernel_correspondence)
+                         solution_matrix)
 
 __all__ = [
     "JugglingFunction", "SiteswapError", "parse_siteswap", "format_siteswap",
     "residue",
-    "Matrix", "Rational", "cyclic_submatrix",
+    "Matrix", "cyclic_submatrix",
     "PeriodicFrieze", "FriezeReport", "is_prefrieze", "check_frieze",
     "is_frieze", "dual_frieze", "is_sl_frieze", "is_positive",
     "frieze_from_quiddity", "enumerate_sl2_positive",
@@ -31,8 +30,7 @@ __all__ = [
     "frieze_entry", "build_frieze_det", "build_frieze_twist",
     "frieze_to_matrix",
     "SolutionWindow", "superperiodic_extension", "residual",
-    "solution_matrix", "tiling", "verify_superperiodic_kernel",
-    "kernel_correspondence",
+    "solution_matrix",
 ]
 
 __version__ = "0.1.0"

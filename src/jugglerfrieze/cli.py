@@ -25,26 +25,15 @@ class InputError(Exception):
     pass
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, cls, kind: str):
+    """cls.from_json of the JSON file at path; InputError names the kind."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return cls.from_json(json.load(fh))
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-
-
-def _load_matrix(path: str) -> Matrix:
-    try:
-        return Matrix.from_json(_load_json(path))
     except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"bad matrix file {path}: {exc}") from None
-
-
-def _load_frieze(path: str) -> PeriodicFrieze:
-    try:
-        return PeriodicFrieze.from_json(_load_json(path))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"bad frieze file {path}: {exc}") from None
+        raise InputError(f"bad {kind} file {path}: {exc}") from None
 
 
 def _parse_pattern(text: str) -> JugglingFunction:
@@ -81,7 +70,7 @@ def cmd_siteswap(args) -> int:
 
 
 def cmd_check(args) -> int:
-    c = _load_frieze(args.frieze)
+    c = _load(args.frieze, PeriodicFrieze, "frieze")
     report = check_frieze(c)
     payload = report.to_json()
     payload["positive"] = is_positive(c)
@@ -90,7 +79,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    m = _load_matrix(args.matrix)
+    m = _load(args.matrix, Matrix, "matrix")
     pi = _parse_pattern(args.siteswap)
     try:
         build = build_frieze_det if args.method == "det" else build_frieze_twist
@@ -108,27 +97,24 @@ def cmd_construct(args) -> int:
 
 def cmd_transform(args) -> int:
     try:
-        if args.op in ("twist", "inverse-twist", "complement"):
-            m = _load_matrix(args.input)
+        if args.op in ("dual", "invert-F"):
+            c = _load(args.input, PeriodicFrieze, "frieze")
+            out = dual_frieze(c) if args.op == "dual" else frieze_to_matrix(c)
+        else:
+            m = _load(args.input, Matrix, "matrix")
             if args.op == "complement":
                 out = positive_complement(m)
             else:
                 pi = _parse_pattern(args.siteswap or "")
                 out = (twist if args.op == "twist" else inverse_twist)(m, pi)
-            _emit(out.to_json(), args.output)
-        elif args.op == "dual":
-            c = _load_frieze(args.input)
-            _emit(dual_frieze(c).to_json(), args.output)
-        elif args.op == "invert-F":
-            c = _load_frieze(args.input)
-            _emit(frieze_to_matrix(c).to_json(), args.output)
     except ValueError as exc:
         raise InputError(str(exc)) from None
+    _emit(out.to_json(), args.output)
     return 0
 
 
 def cmd_solve(args) -> int:
-    c = _load_frieze(args.frieze)
+    c = _load(args.frieze, PeriodicFrieze, "frieze")
     try:
         window = solution_matrix(c)
     except ValueError as exc:
@@ -157,8 +143,7 @@ def render_frieze(c: PeriodicFrieze, periods: int = 1) -> str:
         for d in range(0, top + 1):
             a = b + d
             marker = ("G" if a == b else "") + ("B" if a == pi(b) else "")
-            free = pi.inverse(a) < b < a < pi(b)
-            if marker or free:
+            if marker or pi.inside_cone(a, b):
                 cells[(d, 2 * b + d)] = marker + str(c.entry(a, b))
     width = max(len(t) for t in cells.values()) + 1
     slots = range(2, 2 * periods * n + depth + 1)
@@ -172,7 +157,7 @@ def render_frieze(c: PeriodicFrieze, periods: int = 1) -> str:
 def cmd_render(args) -> int:
     if args.periods < 1:
         raise InputError("--periods must be positive")
-    c = _load_frieze(args.frieze)
+    c = _load(args.frieze, PeriodicFrieze, "frieze")
     print(render_frieze(c, args.periods))
     return 0
 

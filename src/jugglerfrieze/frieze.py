@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .juggling import JugglingFunction
+from .juggling import JugglingFunction, residue
 from .matrices import Matrix, as_rational, rational_to_json, sign_power
 
 
@@ -32,13 +32,10 @@ class PeriodicFrieze:
 
     def entry(self, a: int, b: int) -> Fraction:
         n = self.shape.period
-        shift = (b - 1) // n
-        a -= shift * n
-        b -= shift * n
         d = a - b
         if d < 0 or d > n:
             return Fraction(0)
-        return self.columns[b - 1][d]
+        return self.columns[residue(b, n) - 1][d]
 
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
         return Matrix([[self.entry(a, b) for b in cols] for a in rows],
@@ -67,23 +64,32 @@ class PeriodicFrieze:
                 f"columns={self.columns!r})")
 
     def to_json(self) -> dict:
-        return {
-            "siteswap": list(self.shape.throws),
-            "columns": {
-                str(b): [rational_to_json(x) for x in self.columns[b - 1]]
-                for b in range(1, self.shape.period + 1)
-            },
-        }
+        return {"siteswap": list(self.shape.throws),
+                "columns": columns_to_json(self.columns)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PeriodicFrieze":
         shape = JugglingFunction.from_throws(obj["siteswap"])
-        n = shape.period
-        try:
-            cols = [obj["columns"][str(b)] for b in range(1, n + 1)]
-        except KeyError as missing:
-            raise ValueError(f"missing column {missing}") from None
-        return cls(shape, cols)
+        return cls(shape, columns_from_json(obj["columns"], shape.period))
+
+
+def columns_to_json(columns: Sequence[Sequence[Fraction]]) -> dict:
+    """Columns 1..n as the JSON object {"1": [...], ..., "n": [...]}."""
+    return {str(b): [rational_to_json(x) for x in col]
+            for b, col in enumerate(columns, start=1)}
+
+
+def columns_from_json(obj: dict, n: int) -> list:
+    """The columns of a JSON object keyed exactly "1".."n", n >= 1."""
+    if n < 1:
+        raise ValueError(f"period must be at least 1, not {n}")
+    keys = [str(b) for b in range(1, n + 1)]
+    if set(obj) != set(keys):
+        raise ValueError(f'column keys must be exactly "1".."{n}"')
+    cols = [obj[key] for key in keys]
+    if not all(isinstance(col, list) for col in cols):
+        raise TypeError("each column must be a JSON list")
+    return cols
 
 
 @dataclass
@@ -132,30 +138,31 @@ def is_prefrieze(c: PeriodicFrieze) -> bool:
             elif a == pi(b):
                 if x != boundary_sign(pi, b):
                     return False
-            elif a > pi(b) or pi.inverse(a) > b:
+            elif not pi.inside_cone(a, b):
                 if x != 0:
                     return False
     return True
 
 
+def _interval_minor(c: PeriodicFrieze, rows: range, cols: range,
+                    lo: int, hi: int) -> Fraction:
+    """The minor of c on rows without the dual's s-set on (lo, hi) and
+    columns without that set's image under the dual."""
+    dual = c.shape.dual()
+    skip = set(dual.s_set(lo, hi))
+    skip_img = {dual(i) for i in skip}
+    return c.minor([x for x in rows if x not in skip],
+                   [x for x in cols if x not in skip_img])
+
+
 def frieze_minor(c: PeriodicFrieze, a: int, b: int) -> Fraction:
     """The unit-determinant condition attached to the interval [a, b]."""
-    dual = c.shape.dual()
-    i_set = set(dual.s_set(a - 1, b + 1))
-    i_img = {dual(i) for i in i_set}
-    rows = [x for x in range(a, b + 1) if x not in i_set]
-    cols = [x for x in range(a, b + 1) if x not in i_img]
-    return c.minor(rows, cols)
+    return _interval_minor(c, range(a, b + 1), range(a, b + 1), a - 1, b + 1)
 
 
 def tameness_minor(c: PeriodicFrieze, a: int, b: int) -> Fraction:
     """The vanishing condition attached to the interval [a, b]."""
-    dual = c.shape.dual()
-    j_set = set(dual.s_set(a, b))
-    j_img = {dual(j) for j in j_set}
-    rows = [x for x in range(a + 1, b + 1) if x not in j_set]
-    cols = [x for x in range(a, b) if x not in j_img]
-    return c.minor(rows, cols)
+    return _interval_minor(c, range(a + 1, b + 1), range(a, b), a, b)
 
 
 def is_tameness_pair(pi: JugglingFunction, a: int, b: int) -> bool:
@@ -262,7 +269,7 @@ def is_positive(c: PeriodicFrieze) -> bool:
     pi = c.shape
     for b in range(1, pi.period + 1):
         for a in range(b, pi(b) + 1):
-            if pi.inverse(a) >= b and a != b:
+            if a != b and not pi.inside_cone(a, b):
                 continue
             if sign_power(len(pi.s_set(b, a))) * c.entry(a, b) <= 0:
                 return False
@@ -276,42 +283,51 @@ def frieze_from_quiddity(quiddity: Sequence[int]) -> PeriodicFrieze:
     n = len(quiddity)
     if n < 3:
         raise ValueError("quiddity needs period at least 3")
-    rows = _propagate_quiddity([int(q) for q in quiddity], n - 2)
-    if rows is None:
+    strip = _cyclic_strip([int(q) for q in quiddity], n - 2)
+    if strip is None:
         raise ValueError("quiddity row does not generate an integral frieze")
-    return _strip_to_frieze(rows, n)
+    return strip
 
 
-def _propagate_quiddity(quiddity: list[int], h: int) -> list[list[int]] | None:
-    """Rows 0..h of the strip, or None when a diamond fails."""
-    n = len(quiddity)
-    rows = [[1] * n, list(quiddity)]
-    if h == 1:
-        return rows[:2] if all(q == 1 for q in quiddity) else None
-    for d in range(2, h + 1):
-        prev, prev2 = rows[d - 1], rows[d - 2]
-        row = []
-        for b in range(n):
-            num = prev[b] * prev[(b + 1) % n] - 1
-            den = prev2[(b + 1) % n]
-            if num % den:
-                return None
-            v = num // den
-            if d < h and v < 1:
-                return None
-            if d == h and v != 1:
-                return None
-            row.append(v)
-        rows.append(row)
-    return rows
+def _diamond_step(rows: list[list[int]], q: int) -> bool:
+    """Append q to the quiddity row rows[1] and, to each row d >= 2 of
+    the strip, the one entry it fixes by the diamond rule
 
+        C[d][i] = (C[d-1][i] * C[d-1][i+1] - 1) / C[d-2][i+1].
 
-def _strip_to_frieze(rows: list[list[int]], n: int) -> PeriodicFrieze:
+    rows[0] holds the 1s, one more than rows[1]; each row is one entry
+    shorter than the row above it.  False when a new entry is not an
+    integer, lies below 1 in rows 1..h-1, or is not 1 in the last row.
+    """
     h = len(rows) - 1
-    shape = JugglingFunction.uniform(n, h)
+    rows[0].append(1)
+    rows[1].append(q)
+    v = q
+    for d in range(1, h + 1):
+        if d > 1:
+            above = rows[d - 1]
+            if len(above) < 2:
+                break
+            v, rem = divmod(above[-2] * above[-1] - 1, rows[d - 2][-2])
+            if rem:
+                return False
+            rows[d].append(v)
+        if (v != 1) if d == h else (v < 1):
+            return False
+    return True
+
+
+def _cyclic_strip(quiddity: list[int], h: int) -> PeriodicFrieze | None:
+    """The classical strip of height h = n - 2 with this quiddity row,
+    or None when the diamond rule fails around the period."""
+    n = len(quiddity)
+    rows = [[1]] + [[] for _ in range(h)]
+    # h - 1 wrapped values fill the last row's n-th entry
+    if not all(_diamond_step(rows, q) for q in quiddity + quiddity[:h - 1]):
+        return None
     cols = [[rows[d][b] for d in range(h + 1)] + [0] * (n - h)
             for b in range(n)]
-    return PeriodicFrieze(shape, cols)
+    return PeriodicFrieze(JugglingFunction.uniform(n, h), cols)
 
 
 def enumerate_sl2_positive(height: int, entry_bound: int) -> list[PeriodicFrieze]:
@@ -326,43 +342,20 @@ def enumerate_sl2_positive(height: int, entry_bound: int) -> list[PeriodicFrieze
         raise ValueError("entry bound must be at least 1")
     n = height + 2
     found = []
+    # the strip over the quiddity prefix rows[1], grown depth first
+    rows = [[1]] + [[] for _ in range(height)]
 
-    def partial_ok(prefix: list[int]) -> bool:
-        j = len(prefix)
-        rows = [[1] * j, prefix]
-        for d in range(2, height + 1):
-            width = j - d + 1
-            if width <= 0:
-                break
-            prev, prev2 = rows[d - 1], rows[d - 2]
-            row = []
-            for b in range(width):
-                num = prev[b] * prev[b + 1] - 1
-                den = prev2[b + 1]
-                if num % den:
-                    return False
-                v = num // den
-                if v < 1 and d < height:
-                    return False
-                if d == height and v != 1:
-                    return False
-                row.append(v)
-            rows.append(row)
-        return True
-
-    def extend(prefix: list[int]) -> None:
-        if len(prefix) == n:
-            rows = _propagate_quiddity(prefix, height)
-            if rows is not None:
-                f = _strip_to_frieze(rows, n)
-                if is_frieze(f):
-                    found.append(f)
+    def extend(j: int) -> None:
+        if j == n:
+            f = _cyclic_strip(rows[1], height)
+            if f is not None and is_frieze(f):
+                found.append(f)
             return
         for v in range(1, entry_bound + 1):
-            prefix.append(v)
-            if partial_ok(prefix):
-                extend(prefix)
-            prefix.pop()
+            if _diamond_step(rows, v):
+                extend(j + 1)
+            for d, row in enumerate(rows):
+                del row[max(j + 1 - d, 0):]
 
-    extend([])
+    extend(0)
     return found

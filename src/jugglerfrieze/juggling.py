@@ -103,6 +103,17 @@ class JugglingFunction:
             self._dual = dual
         return self._dual
 
+    def inside_cone(self, a: int, b: int) -> bool:
+        """Whether (a, b) lies strictly inside column b's cone: b < a <
+        pi(b), and the ball landing at a was thrown before b.  These are
+        the frieze entries that the shape leaves free.
+
+        >>> pi = parse_siteswap("53635514")
+        >>> [a for a in range(1, 9) if pi.inside_cone(a, 1)]
+        [2, 3, 4]
+        """
+        return self.inverse(a) < b < a < self(b)
+
     def s_set(self, a: int, b: int) -> tuple[int, ...]:
         """Sorted set of moments i with a < i whose ball lands before b."""
         return tuple(i for i in range(a + 1, b) if self(i) < b)

@@ -16,8 +16,6 @@ from typing import Iterable, Sequence
 
 from .juggling import as_int, residue
 
-Rational = Fraction
-
 
 def sign_power(exponent: int) -> int:
     """(-1) ** exponent, exact for negative exponents too."""
@@ -90,9 +88,6 @@ class Matrix:
     def __getitem__(self, key) -> Fraction:
         i, j = key
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)

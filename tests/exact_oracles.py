@@ -3,10 +3,17 @@
 The package eliminates fraction-free on integer rows and takes the dual
 through a Hessenberg recurrence.  The oracles here do the same jobs the
 plain way, in fractions.Fraction, so the tests can compare the two.
+The recurrence oracles restate what a frieze is through the solutions
+of C x = 0: the tiling of a dual, the superperiodic kernel criterion and
+the kernel correspondence with the matrix.
 """
+import random
 from fractions import Fraction
 
-from jugglerfrieze import PeriodicFrieze
+from jugglerfrieze import (Matrix, JugglingFunction, PeriodicFrieze,
+                           SolutionWindow, build_frieze_det, is_prefrieze,
+                           residual, superperiodic_extension)
+from jugglerfrieze.matrices import sign_power
 
 
 def gauss_jordan(rows, ncols):
@@ -72,3 +79,73 @@ def minor_dual(c: PeriodicFrieze) -> PeriodicFrieze:
         col.append(loop_slot if pi(b) == b else Fraction(0))
         cols.append(col)
     return PeriodicFrieze(pi.dual(), cols)
+
+
+def tiling(c: PeriodicFrieze) -> SolutionWindow:
+    """Spread the columns of c superperiodically with alternating signs.
+
+    For the dual of a frieze this reproduces the solution matrix; loop
+    slots cancel their diagonal 1 pairwise.
+    """
+    n = c.shape.period
+    s = n - c.shape.balls - 1
+    cols = []
+    for b in range(1, n + 1):
+        col = []
+        for a in range(b, b + n):
+            v = sign_power(a + b) * c.entry(a, b)
+            if a == b:
+                v += sign_power(a + b + s) * c.entry(b + n, b)
+            col.append(v)
+        cols.append(tuple(col))
+    # shifting a by n inside the defining sum flips the parity by n - s
+    return SolutionWindow(n, n - s, tuple(cols))
+
+
+def verify_superperiodic_kernel(c: PeriodicFrieze) -> bool:
+    """Whether the dual-diagonal candidates, extended superperiodically,
+    genuinely solve C x = 0; equivalent to c being a frieze."""
+    if not is_prefrieze(c):
+        return False
+    pi = c.shape
+    n = pi.period
+    sign = n - pi.balls - 1
+    for b in range(1, n + 1):
+        if pi(b) == b:
+            continue
+        window = [sign_power(a + b) * c.minor(range(b + 1, a + 1), range(b, a))
+                  for a in range(b, b + n)]
+
+        def x(a, _w=window, _b=b):
+            m, d = divmod(a - _b, n)
+            return _w[d] * sign_power(sign * m)
+
+        if any(residual(c, x, a) != 0 for a in range(b - n, b + 2 * n + 1)):
+            return False
+    return True
+
+
+def kernel_correspondence(m: Matrix, pi: JugglingFunction, rng=None) -> bool:
+    """Vectors killed by the matrix are exactly the vectors whose
+    superperiodic extension is killed by its frieze, and the kernel has
+    the expected dimension."""
+    rng = rng or random.Random(0)
+    k, n = m.nrows, m.ncols
+    f = build_frieze_det(m, pi)
+    kernel = m.kernel_basis()
+    if kernel.nrows != n - k or m.rank() != k:
+        return False
+    check_range = range(1, 2 * n + 1)
+    for v in kernel.entries:
+        ext = lambda b, _v=v: superperiodic_extension(_v, k, b)
+        if any(residual(f, ext, a) != 0 for a in check_range):
+            return False
+    for _ in range(4):
+        v = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
+        in_kernel = all(sum(a * b for a, b in zip(row, v)) == 0
+                        for row in m.entries)
+        ext = lambda b, _v=v: superperiodic_extension(_v, k, b)
+        solves = all(residual(f, ext, a) == 0 for a in check_range)
+        if in_kernel != solves:
+            return False
+    return True

@@ -8,8 +8,10 @@ import random
 
 from jugglerfrieze import (Matrix, build_frieze_det, build_frieze_twist,
                            dual_frieze, frieze_entry, inverse_twist,
-                           kernel_correspondence, positive_complement,
-                           residual, solution_matrix, tiling, twist)
+                           positive_complement, residual, solution_matrix,
+                           twist)
+
+from exact_oracles import kernel_correspondence, tiling
 
 from samplers import (UNIMODULAR_POOL, random_determinant_one,
                       random_full_rank, random_juggling, random_unimodular)

@@ -249,3 +249,13 @@ def test_float_throws_and_sizes_exit_2(capsys, tmp_path):
     doc["cols"] = 8.0
     _bad_input_exits_2(capsys, tmp_path, doc,
                        ("construct", "--siteswap", "23345357"))
+
+
+def test_column_keys_other_than_one_to_n_exit_2(capsys, tmp_path):
+    doc = fx.IDENTITY_FRIEZE_3.to_json()
+    doc["columns"]["9"] = ["junk"]
+    _bad_input_exits_2(capsys, tmp_path, doc, ("check",), ("render",),
+                       ("solve",), ("transform", "--op", "dual"))
+    doc = fx.IDENTITY_FRIEZE_3.to_json()
+    del doc["columns"]["3"]
+    _bad_input_exits_2(capsys, tmp_path, doc, ("check",), ("solve",))

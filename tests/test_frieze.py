@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from jugglerfrieze import (JugglingFunction, PeriodicFrieze,
@@ -7,6 +9,7 @@ from jugglerfrieze import (JugglingFunction, PeriodicFrieze,
 from jugglerfrieze.frieze import frieze_minor, tameness_minor, is_tameness_pair
 
 import fixture_data as fx
+from exact_oracles import verify_superperiodic_kernel
 
 
 def perturbed(frieze, b, d, delta=1):
@@ -189,3 +192,75 @@ def test_rational_frieze_and_json():
     doc = c.to_json()
     assert doc["columns"]["2"][1] == "2/3"
     assert PeriodicFrieze.from_json(doc) == c
+
+
+def test_json_rejects_column_keys_other_than_one_to_n():
+    doc = fx.JUG_FRIEZE.to_json()
+    doc["columns"]["9"] = ["junk"]
+    with pytest.raises(ValueError):
+        PeriodicFrieze.from_json(doc)
+    doc = fx.JUG_FRIEZE.to_json()
+    del doc["columns"]["8"]
+    with pytest.raises(ValueError):
+        PeriodicFrieze.from_json(doc)
+    doc = fx.IDENTITY_FRIEZE_3.to_json()
+    doc["columns"]["2"] = "1000"
+    with pytest.raises(TypeError):
+        PeriodicFrieze.from_json(doc)
+
+
+def test_frieze_from_quiddity_rejects_non_positive_rows():
+    # the diamond rule closes up on these at height 2, with negative entries
+    for q in ([-1, -2, -1, -2], [-2, -1, -2, -1]):
+        with pytest.raises(ValueError):
+            frieze_from_quiddity(q)
+
+
+def _continuant_strips(h, bound):
+    """Quiddity rows in [1, bound]^n, n = h + 2, whose rows d = 1..h-1 are
+    positive and whose row h is all 1, row d at b being the continuant
+    K(q_b, ..., q_{b+d-1}) with K_t = q K_{t-1} - K_{t-2}."""
+    n = h + 2
+    found = set()
+    for q in itertools.product(range(1, bound + 1), repeat=n):
+        ok = True
+        for b in range(n):
+            k_prev, k = 1, q[b]
+            for d in range(1, h + 1):
+                if (k != 1) if d == h else (k < 1):
+                    ok = False
+                    break
+                k_prev, k = k, q[(b + d) % n] * k - k_prev
+            if not ok:
+                break
+        if ok:
+            found.add(q)
+    return found
+
+
+@pytest.mark.parametrize("h, bound",
+                         [(1, 1), (2, 2), (3, 3), (4, 3), (4, 6), (5, 3)])
+def test_enumerate_matches_continuant_brute_force(h, bound):
+    rows = {tuple(int(col[1]) for col in c.columns)
+            for c in enumerate_sl2_positive(h, bound)}
+    assert rows == _continuant_strips(h, bound)
+
+
+@pytest.mark.parametrize("name", ["SL3_H5", "JUG_FRIEZE", "JUG_FRIEZE_DUAL",
+                                  "SL2_H6", "IDENTITY_FRIEZE_3"])
+def test_single_entry_perturbations_are_rejected(name):
+    # entries the shape leaves free keep the prefrieze, so only the unit
+    # and vanishing minors can catch them
+    c = getattr(fx, name)
+    n = c.shape.period
+    for b in range(1, n + 1):
+        for d in range(n + 1):
+            for delta in (1, -1):
+                bad = perturbed(c, b, d, delta)
+                if is_prefrieze(bad):
+                    # is_frieze(bad) is then check_frieze(bad).ok
+                    report = check_frieze(bad)
+                    assert report.frieze_failures or report.tame_failures
+                else:
+                    assert not is_frieze(bad)
+                assert not verify_superperiodic_kernel(bad)

@@ -5,7 +5,8 @@ import pytest
 from jugglerfrieze import (Matrix, PeriodicFrieze,
                            build_frieze_det, dual_frieze, is_frieze,
                            SolutionWindow, superperiodic_extension, residual,
-                           solution_matrix, tiling, verify_superperiodic_kernel,
+                           solution_matrix)
+from exact_oracles import (tiling, verify_superperiodic_kernel,
                            kernel_correspondence)
 
 import fixture_data as fx
@@ -177,3 +178,18 @@ def test_shifted_solution_vanishing_bands():
             for b in range(a - n, a + n):
                 if a < b < pi(a) or pi.inverse(b) < a < b:
                     assert sol.entry(a + n, b) == 0
+
+
+def test_window_json_rejects_bad_columns():
+    doc = solution_matrix(fx.JUG_FRIEZE).to_json()
+    del doc["columns"]["2"]
+    with pytest.raises(ValueError):
+        SolutionWindow.from_json(doc)
+    doc = solution_matrix(fx.JUG_FRIEZE).to_json()
+    doc["columns"]["9"] = doc["columns"]["1"]
+    with pytest.raises(ValueError):
+        SolutionWindow.from_json(doc)
+    for period in (0, -1):
+        with pytest.raises(ValueError):
+            SolutionWindow.from_json(
+                {"period": period, "sign_exponent": 0, "columns": {}})
