@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .juggling import JugglingFunction, residue
 from .matrices import Matrix, cyclic_submatrix, sign_power
-from .frieze import PeriodicFrieze
+from .frieze import PeriodicFrieze, entry_sign
 
 
 @dataclass
@@ -34,13 +34,12 @@ class UnimodularCertificate:
 
 
 def is_consecutively_unimodular(m: Matrix) -> bool:
-    """Every k cyclically consecutive columns have determinant 1."""
+    """Every k cyclically consecutive columns have determinant 1: the
+    unimodularity of the uniform shape a -> a + k (a 0x0 matrix passes)."""
     k, n = m.nrows, m.ncols
     if k > n:
         raise ValueError("more rows than columns")
-    return all(
-        cyclic_submatrix(m, range(a, a + k)).det() == 1
-        for a in range(1, n + 1))
+    return n == 0 or is_pi_unimodular(m, JugglingFunction.uniform(n, k)).ok
 
 
 def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
@@ -52,10 +51,8 @@ def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
             f"matrix is {m.nrows}x{m.ncols}, shape needs {k}x{n}")
     cert = UnimodularCertificate(
         kind="consecutive" if pi.is_uniform() else "positroid")
-    for a in range(1, n + 1):
-        sched = pi.landing_schedule(a)
-        cols = tuple(sorted(residue(b, n) for b in sched))
-        cert.checked_minors.append((cols, cyclic_submatrix(m, sched).det()))
+    for cols in pi.necklace():
+        cert.checked_minors.append((cols, cyclic_submatrix(m, cols).det()))
     for a in range(1, n + 1):
         sched = set(pi.landing_schedule(a))
         for b in range(a, a + n):
@@ -76,16 +73,14 @@ def twist(m: Matrix, pi: JugglingFunction) -> Matrix:
     if m.nrows != k or m.ncols != n:
         raise ValueError("matrix shape does not match the juggling function")
     cols = []
-    for a in range(1, n + 1):
-        sched = pi.landing_schedule(a)
-        sub = cyclic_submatrix(m, sched)
+    for a, order in enumerate(pi.necklace(), start=1):
+        sub = cyclic_submatrix(m, order)
         if sub.det() != 1:
             raise ValueError(f"landing-schedule minor at {a} is not 1")
         if pi(a) == a:
             cols.append([Fraction(0)] * k)
             continue
-        order = sorted(residue(b, n) for b in sched)
-        rhs = [int(r == residue(a, n)) for r in order]
+        rhs = [int(r == a) for r in order]
         cols.append(list(sub.transpose().solve(rhs)))
     return Matrix.from_columns(cols)
 
@@ -95,25 +90,22 @@ def positive_complement(m: Matrix) -> Matrix:
     complementary column sets.
 
     Built from a kernel basis by negating the odd-numbered columns and
-    rescaling one row; the defining identity is then verified on every
-    column subset and a failure raises rather than returning silently.
+    rescaling one row to match one complementary minor; the identity is
+    then verified on every column subset, and a failure raises.  For
+    k = n the complement has no rows and one minor, 1, so det m must be 1.
     """
     k, n = m.nrows, m.ncols
-    if m.rank() != k:
-        raise ValueError("matrix does not have full row rank")
     basis = m.kernel_basis()
+    if basis.nrows != n - k:
+        raise ValueError("matrix does not have full row rank")
     flipped = Matrix([[(-x if j % 2 == 0 else x) for j, x in enumerate(row)]
                       for row in basis.entries], cols=n)
     minors = m.maximal_minors()
-    if k == n:
-        if minors[tuple(range(1, n + 1))] != 1:
-            raise ValueError("square matrix must have determinant 1")
-        return flipped
-    comp_minors = flipped.maximal_minors()
     full = tuple(range(1, n + 1))
     pivot = next(cols for cols, d in minors.items() if d != 0)
-    co_pivot = tuple(j for j in full if j not in pivot)
-    comp = flipped.scale_row(0, minors[pivot] / comp_minors[co_pivot])
+    co_pivot = [j - 1 for j in full if j not in pivot]
+    co_minor = flipped.submatrix(range(n - k), co_pivot).det()
+    comp = flipped.scale_row(0, minors[pivot] / co_minor)
     comp_minors = comp.maximal_minors()
     for cols, d in minors.items():
         co = tuple(j for j in full if j not in cols)
@@ -127,12 +119,11 @@ def positive_complement(m: Matrix) -> Matrix:
 def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:
     """Entry (a, b) of the frieze of m, for arbitrary integers a, b."""
     n = pi.period
-    k = pi.balls
     if pi(a) == a:
         if a == b:
             return Fraction(1)
         if a == b + n:
-            return Fraction(sign_power(k))
+            return Fraction(entry_sign(pi.dual(), a, b))
         return Fraction(0)
     if not b <= a < b + n:
         return Fraction(0)
@@ -140,8 +131,7 @@ def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:
     rest = [x for x in sched if x != a]
     if residue(b, n) in {residue(x, n) for x in rest}:
         return Fraction(0)
-    sign = sign_power(len(pi.dual().s_set(b, a)))
-    return sign * cyclic_submatrix(m, rest + [b]).det()
+    return entry_sign(pi.dual(), a, b) * cyclic_submatrix(m, rest + [b]).det()
 
 
 def _require_unimodular(m: Matrix, pi: JugglingFunction) -> None:
@@ -181,7 +171,8 @@ def build_frieze_twist(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
             else:
                 v = product[ra - 1, b - 1]
                 col.append(v if ra >= b else wrap_sign * v)
-        col.append(Fraction(sign_power(k)) if pi(b) == b else Fraction(0))
+        col.append(Fraction(entry_sign(pi.dual(), b + n, b)) if pi(b) == b
+                   else Fraction(0))
         cols.append(col)
     return PeriodicFrieze(pi.dual(), cols)
 
@@ -226,7 +217,6 @@ def frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
     if d == 0:
         raise ValueError("normalization minor vanishes")
     result = candidate.scale_row(0, 1 / d)
-    _require_unimodular(result, pi)
     if build_frieze_det(result, pi) != c:
         raise ValueError("inversion failed to reproduce the frieze")
     return result

@@ -80,9 +80,7 @@ def columns_to_json(columns: Sequence[Sequence[Fraction]]) -> dict:
 
 
 def columns_from_json(obj: dict, n: int) -> list:
-    """The columns of a JSON object keyed exactly "1".."n", n >= 1."""
-    if n < 1:
-        raise ValueError(f"period must be at least 1, not {n}")
+    """The columns of a JSON object keyed exactly "1".."n"."""
     keys = [str(b) for b in range(1, n + 1)]
     if set(obj) != set(keys):
         raise ValueError(f'column keys must be exactly "1".."{n}"')
@@ -120,9 +118,9 @@ class FriezeReport:
         }
 
 
-def boundary_sign(pi: JugglingFunction, b: int) -> int:
-    """Sign forced at the boundary position (pi(b), b)."""
-    return sign_power(len(pi.s_set(b, pi(b))))
+def entry_sign(pi: JugglingFunction, a: int, b: int) -> int:
+    """The sign twist (-1)**|S(b, a)| of entry (a, b) of a pi-frieze."""
+    return sign_power(len(pi.s_set(b, a)))
 
 
 def is_prefrieze(c: PeriodicFrieze) -> bool:
@@ -136,7 +134,7 @@ def is_prefrieze(c: PeriodicFrieze) -> bool:
                 if x != 1:
                     return False
             elif a == pi(b):
-                if x != boundary_sign(pi, b):
+                if x != entry_sign(pi, a, b):
                     return False
             elif not pi.inside_cone(a, b):
                 if x != 0:
@@ -223,15 +221,16 @@ def dual_frieze(c: PeriodicFrieze) -> PeriodicFrieze:
     minors exact on arrays whose diagonal is not all 1.  D_t is
     homogeneous of degree t in the entries, so the recurrence runs on
     the integers L*C, L the lcm of all denominators, and D_t is that
-    result over L**t.  A loop of the shape contributes the extra slot
-    value (-1)**balls at (b+n, b), which the minors cannot see.
+    result over L**t.  The minors cannot see slot (b+n, b): it is 0
+    unless b is a loop of the shape, and then b is a coloop of the dual
+    and the slot holds the dual's boundary sign there, (-1)**k for the
+    k balls of the shape.
     """
     pi = c.shape
     n = pi.period
     scale = lcm(*(x.denominator for col in c.columns for x in col))
     window = [[x.numerator * (scale // x.denominator) for x in col]
               for col in c.columns]
-    loop_slot = Fraction(sign_power(pi.balls))
     cols = []
     for b in range(1, n + 1):
         # near[j][d] is the scaled entry C[b+j+d, b+j]
@@ -247,7 +246,8 @@ def dual_frieze(c: PeriodicFrieze) -> PeriodicFrieze:
                 weight = -weight * near[j][0]
             minors.append(total)
         col = [Fraction(d, scale ** t) for t, d in enumerate(minors)]
-        col.append(loop_slot if pi(b) == b else Fraction(0))
+        col.append(Fraction(entry_sign(pi.dual(), b + n, b)) if pi(b) == b
+                   else Fraction(0))
         cols.append(col)
     return PeriodicFrieze(pi.dual(), cols)
 
@@ -271,7 +271,7 @@ def is_positive(c: PeriodicFrieze) -> bool:
         for a in range(b, pi(b) + 1):
             if a != b and not pi.inside_cone(a, b):
                 continue
-            if sign_power(len(pi.s_set(b, a))) * c.entry(a, b) <= 0:
+            if entry_sign(pi, a, b) * c.entry(a, b) <= 0:
                 return False
     return True
 

@@ -232,7 +232,11 @@ class Matrix:
     @classmethod
     def from_json(cls, obj: dict) -> "Matrix":
         cols = as_int(obj["cols"])
-        m = cls(obj["entries"], cols=cols)
+        entries = obj["entries"]
+        if not (isinstance(entries, list)
+                and all(isinstance(row, list) for row in entries)):
+            raise TypeError("entries must be a JSON list of JSON lists")
+        m = cls(entries, cols=cols)
         if m.nrows != as_int(obj["rows"]) or m.ncols != cols:
             raise ValueError("matrix shape does not match its entries")
         return m

@@ -28,6 +28,8 @@ class SolutionWindow:
     columns: tuple  # columns[b-1][a-b] holds entry (a, b), b <= a < b+n
 
     def __post_init__(self):
+        if self.period < 1:
+            raise ValueError(f"period must be at least 1, not {self.period}")
         object.__setattr__(self, "sign_exponent", self.sign_exponent % 2)
         cols = tuple(tuple(as_rational(x) for x in col) for col in self.columns)
         if len(cols) != self.period or any(len(c) != self.period for c in cols):

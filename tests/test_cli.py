@@ -259,3 +259,11 @@ def test_column_keys_other_than_one_to_n_exit_2(capsys, tmp_path):
     doc = fx.IDENTITY_FRIEZE_3.to_json()
     del doc["columns"]["3"]
     _bad_input_exits_2(capsys, tmp_path, doc, ("check",), ("solve",))
+
+
+def test_matrix_entries_not_a_list_of_lists_exit_2(capsys, tmp_path):
+    for entries in (["001"], "001"):
+        doc = {"rows": 1, "cols": 3, "entries": entries}
+        _bad_input_exits_2(capsys, tmp_path, doc,
+                           ("construct", "--siteswap", "003"),
+                           ("transform", "--op", "complement"))

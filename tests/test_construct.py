@@ -11,6 +11,7 @@ from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            frieze_to_matrix, is_frieze, dual_frieze)
 
 import fixture_data as fx
+from exact_oracles import gauss_jordan
 from samplers import random_determinant_one
 
 
@@ -27,6 +28,39 @@ def test_consecutively_unimodular():
     assert not is_consecutively_unimodular(with_entry(fx.CONSEC_3x8, 0, 1, 12))
     with pytest.raises(ValueError):
         is_consecutively_unimodular(fx.CONSEC_3x8.transpose())
+
+
+def _windows_have_det_one(m):
+    # the literal rule: each cyclic window of k columns, taken in
+    # ascending column order, has determinant 1
+    k, n = m.nrows, m.ncols
+    for a in range(n):
+        cols = sorted((a + i) % n for i in range(k))
+        rows = [[row[j] for j in cols] for row in m.entries]
+        if gauss_jordan(rows, k)[2] != 1:
+            return False
+    return True
+
+
+def test_consecutively_unimodular_matches_window_definition():
+    rng = random.Random(21)
+    mats = [fx.CONSEC_3x8.submatrix(range(3), range(6))]
+    for _ in range(10):
+        mats.append(Matrix([[rng.randint(-2, 2) for _ in range(6)]
+                            for _ in range(3)]))
+    # unimodular cases with k = 3, 5 and 2, the last with wrapped windows
+    # of even size
+    mats += [fx.CONSEC_3x8, positive_complement(fx.CONSEC_3x8),
+             frieze_to_matrix(fx.SL2_H6)]
+    checked = {True: 0, False: 0}
+    for m in mats:
+        for p in [m] + [with_entry(m, i, j, m[i, j] + delta)
+                        for i in range(m.nrows) for j in range(m.ncols)
+                        for delta in (1, -1)]:
+            expected = _windows_have_det_one(p)
+            assert is_consecutively_unimodular(p) == expected
+            checked[expected] += 1
+    assert checked[True] >= 3 and checked[False] > 0
 
 
 def test_pi_unimodular_fixture():
@@ -204,6 +238,24 @@ def test_build_frieze_loop_split():
     for m, pi in ((fx.MATRIX_4400, fx.PI_4400), (fx.MATRIX_4130, fx.PI_4130)):
         assert build_frieze_det(m, pi) == build_frieze_twist(m, pi)
         assert is_frieze(build_frieze_det(m, pi))
+
+
+def test_loop_slot_is_sign_of_ball_count():
+    # slot (b+n, b) at a loop b of the input shape is (-1)**k, k the
+    # input's ball count, on both build routes and on the dual
+    for m, pi in ((fx.MATRIX_003, fx.PI_003), (fx.MATRIX_4400, fx.PI_4400),
+                  (fx.MATRIX_4130, fx.PI_4130)):
+        n, k = pi.period, pi.balls
+        assert pi.loops()
+        for build in (build_frieze_det, build_frieze_twist):
+            f = build(m, pi)
+            for b in pi.loops():
+                assert f.entry(b + n, b) == (-1) ** k
+        f = build_frieze_det(m, pi)
+        for c in (f, dual_frieze(f)):
+            assert c.shape.loops()
+            for b in c.shape.loops():
+                assert dual_frieze(c).entry(b + n, b) == (-1) ** c.shape.balls
 
 
 def test_build_frieze_rejects_non_unimodular():

@@ -193,3 +193,9 @@ def test_window_json_rejects_bad_columns():
         with pytest.raises(ValueError):
             SolutionWindow.from_json(
                 {"period": period, "sign_exponent": 0, "columns": {}})
+
+
+def test_window_rejects_period_below_one():
+    for period in (0, -1):
+        with pytest.raises(ValueError):
+            SolutionWindow(period, 0, ())
