@@ -3,7 +3,8 @@
 Subcommands: siteswap, check, construct, transform, solve, render,
 enumerate.  JSON is the only interchange format; the ASCII renderer is
 presentation-only.  Exit codes: 0 success, 1 a mathematical check
-failed, 2 bad input or usage.
+failed, 2 bad input or usage: main reports a ValueError from any layer
+as "error: ..." with exit 2, except that solve on a non-frieze exits 1.
 """
 from __future__ import annotations
 
@@ -11,8 +12,7 @@ import argparse
 import json
 import sys
 
-from .juggling import JugglingFunction, SiteswapError, parse_siteswap, \
-    format_siteswap, residue
+from .juggling import parse_siteswap, format_siteswap, residue
 from .matrices import Matrix
 from .frieze import PeriodicFrieze, check_frieze, dual_frieze, is_frieze, \
     is_positive, enumerate_sl2_positive
@@ -21,26 +21,16 @@ from .construct import build_frieze_det, build_frieze_twist, twist, \
 from .recurrence import solution_matrix
 
 
-class InputError(Exception):
-    pass
-
-
 def _load(path: str, cls, kind: str):
-    """cls.from_json of the JSON file at path; InputError names the kind."""
+    """cls.from_json of the JSON file at path; a failure to read or
+    decode it is a ValueError that names the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"bad {kind} file {path}: {exc}") from None
-
-
-def _parse_pattern(text: str) -> JugglingFunction:
-    try:
-        return parse_siteswap(text)
-    except SiteswapError as exc:
-        raise InputError(str(exc)) from None
+        raise ValueError(f"bad {kind} file {path}: {exc}") from None
 
 
 def _emit(obj: dict, out: str | None) -> None:
@@ -53,7 +43,7 @@ def _emit(obj: dict, out: str | None) -> None:
 
 
 def cmd_siteswap(args) -> int:
-    pi = _parse_pattern(args.pattern)
+    pi = parse_siteswap(args.pattern)
     info = pi.classify()
     print(f"pattern   {format_siteswap(pi)}")
     print(f"period    {pi.period}")
@@ -80,35 +70,29 @@ def cmd_check(args) -> int:
 
 def cmd_construct(args) -> int:
     m = _load(args.matrix, Matrix, "matrix")
-    pi = _parse_pattern(args.siteswap)
-    try:
-        build = build_frieze_det if args.method == "det" else build_frieze_twist
-        result = build(m, pi)
-        if args.verify:
-            other = build_frieze_twist if args.method == "det" else build_frieze_det
-            if other(m, pi) != result or not is_frieze(result):
-                print("verification failed", file=sys.stderr)
-                return 1
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    pi = parse_siteswap(args.siteswap)
+    build = build_frieze_det if args.method == "det" else build_frieze_twist
+    result = build(m, pi)
+    if args.verify:
+        other = build_frieze_twist if args.method == "det" else build_frieze_det
+        if other(m, pi) != result or not is_frieze(result):
+            print("verification failed", file=sys.stderr)
+            return 1
     _emit(result.to_json(), args.output)
     return 0
 
 
 def cmd_transform(args) -> int:
-    try:
-        if args.op in ("dual", "invert-F"):
-            c = _load(args.input, PeriodicFrieze, "frieze")
-            out = dual_frieze(c) if args.op == "dual" else frieze_to_matrix(c)
+    if args.op in ("dual", "invert-F"):
+        c = _load(args.input, PeriodicFrieze, "frieze")
+        out = dual_frieze(c) if args.op == "dual" else frieze_to_matrix(c)
+    else:
+        m = _load(args.input, Matrix, "matrix")
+        if args.op == "complement":
+            out = positive_complement(m)
         else:
-            m = _load(args.input, Matrix, "matrix")
-            if args.op == "complement":
-                out = positive_complement(m)
-            else:
-                pi = _parse_pattern(args.siteswap or "")
-                out = (twist if args.op == "twist" else inverse_twist)(m, pi)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+            pi = parse_siteswap(args.siteswap or "")
+            out = (twist if args.op == "twist" else inverse_twist)(m, pi)
     _emit(out.to_json(), args.output)
     return 0
 
@@ -156,15 +140,13 @@ def render_frieze(c: PeriodicFrieze, periods: int = 1) -> str:
 
 def cmd_render(args) -> int:
     if args.periods < 1:
-        raise InputError("--periods must be positive")
+        raise ValueError("--periods must be positive")
     c = _load(args.frieze, PeriodicFrieze, "frieze")
     print(render_frieze(c, args.periods))
     return 0
 
 
 def cmd_enumerate(args) -> int:
-    if args.height < 1 or args.bound < 1:
-        raise InputError("height and bound must be positive")
     friezes = enumerate_sl2_positive(args.height, args.bound)
     print(f"count {len(friezes)}")
     if args.dump:
@@ -227,11 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

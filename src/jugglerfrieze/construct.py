@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .juggling import JugglingFunction, residue
-from .matrices import Matrix, cyclic_submatrix, sign_power
-from .frieze import PeriodicFrieze, entry_sign
+from .juggling import JugglingFunction, residue, sign_power
+from .matrices import Matrix, cyclic_submatrix
+from .frieze import PeriodicFrieze
 
 
 @dataclass
@@ -51,12 +51,12 @@ def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
             f"matrix is {m.nrows}x{m.ncols}, shape needs {k}x{n}")
     cert = UnimodularCertificate(
         kind="consecutive" if pi.is_uniform() else "positroid")
-    for cols in pi.necklace():
+    for a, cols in enumerate(pi.necklace(), start=1):
         cert.checked_minors.append((cols, cyclic_submatrix(m, cols).det()))
-    for a in range(1, n + 1):
-        sched = set(pi.landing_schedule(a))
+        # the schedule's landing times in [a, a+n), from their residues
+        times = [r if r >= a else r + n for r in cols]
         for b in range(a, a + n):
-            allowed = len(sched & set(range(a, b + 1)))
+            allowed = sum(t <= b for t in times)
             if allowed >= min(k, b - a + 1):
                 continue  # bound cannot bind
             r = cyclic_submatrix(m, range(a, b + 1)).rank()
@@ -67,7 +67,8 @@ def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
 
 def twist(m: Matrix, pi: JugglingFunction) -> Matrix:
     """Column a of the twist pairs to 1 with column a of m and to 0 with
-    the other landing-schedule columns; loops give zero columns."""
+    the other landing-schedule columns; a loop is not in its own
+    schedule, so its column is zero."""
     n = pi.period
     k = pi.balls
     if m.nrows != k or m.ncols != n:
@@ -77,11 +78,7 @@ def twist(m: Matrix, pi: JugglingFunction) -> Matrix:
         sub = cyclic_submatrix(m, order)
         if sub.det() != 1:
             raise ValueError(f"landing-schedule minor at {a} is not 1")
-        if pi(a) == a:
-            cols.append([Fraction(0)] * k)
-            continue
-        rhs = [int(r == a) for r in order]
-        cols.append(list(sub.transpose().solve(rhs)))
+        cols.append(sub.transpose().solve([int(r == a) for r in order]))
     return Matrix.from_columns(cols)
 
 
@@ -123,7 +120,7 @@ def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:
         if a == b:
             return Fraction(1)
         if a == b + n:
-            return Fraction(entry_sign(pi.dual(), a, b))
+            return Fraction(pi.dual().entry_sign(a, b))
         return Fraction(0)
     if not b <= a < b + n:
         return Fraction(0)
@@ -131,7 +128,7 @@ def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:
     rest = [x for x in sched if x != a]
     if residue(b, n) in {residue(x, n) for x in rest}:
         return Fraction(0)
-    return entry_sign(pi.dual(), a, b) * cyclic_submatrix(m, rest + [b]).det()
+    return pi.dual().entry_sign(a, b) * cyclic_submatrix(m, rest + [b]).det()
 
 
 def _require_unimodular(m: Matrix, pi: JugglingFunction) -> None:
@@ -155,24 +152,21 @@ def build_frieze_det(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
 def build_frieze_twist(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
     """The same frieze via the twist: unwrap twist(m)^T m around the
     diagonal, flipping the sign of the wrapped entries when the ball
-    count is even; a loop splits its diagonal zero into 1 and (-1)**k."""
+    count is even.  Only the free entries come from the product; the
+    fixed ones, which it matches on certified input, are the output
+    shape's skeleton."""
     _require_unimodular(m, pi)
     n = pi.period
-    k = pi.balls
     product = twist(m, pi).transpose() * m
-    wrap_sign = sign_power(k - 1)
+    wrap_sign = sign_power(pi.balls - 1)
     cols = []
-    for b in range(1, n + 1):
+    for b, fixed in enumerate(pi.dual().skeleton(), start=1):
         col = []
-        for a in range(b, b + n):
-            ra = residue(a, n)
-            if pi(ra) == ra:
-                col.append(Fraction(int(a == b)))
-            else:
-                v = product[ra - 1, b - 1]
-                col.append(v if ra >= b else wrap_sign * v)
-        col.append(Fraction(entry_sign(pi.dual(), b + n, b)) if pi(b) == b
-                   else Fraction(0))
+        for a, x in enumerate(fixed, start=b):
+            if x is None:  # a free entry, wrapped when a > n
+                x = (product[residue(a, n) - 1, b - 1]
+                     * (wrap_sign if a > n else 1))
+            col.append(x)
         cols.append(col)
     return PeriodicFrieze(pi.dual(), cols)
 

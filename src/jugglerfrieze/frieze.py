@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .juggling import JugglingFunction, residue
-from .matrices import Matrix, as_rational, rational_to_json, sign_power
+from .matrices import Matrix, as_grid, rational_to_json
 
 
 class PeriodicFrieze:
@@ -22,9 +22,9 @@ class PeriodicFrieze:
 
     __slots__ = ("shape", "columns")
 
-    def __init__(self, shape: JugglingFunction, columns: Iterable[Iterable]):
+    def __init__(self, shape: JugglingFunction, columns: Sequence[Sequence]):
         n = shape.period
-        cols = tuple(tuple(as_rational(x) for x in col) for col in columns)
+        cols = as_grid(columns)
         if len(cols) != n or any(len(col) != n + 1 for col in cols):
             raise ValueError(f"need {n} columns of {n + 1} entries each")
         self.shape = shape
@@ -84,10 +84,7 @@ def columns_from_json(obj: dict, n: int) -> list:
     keys = [str(b) for b in range(1, n + 1)]
     if set(obj) != set(keys):
         raise ValueError(f'column keys must be exactly "1".."{n}"')
-    cols = [obj[key] for key in keys]
-    if not all(isinstance(col, list) for col in cols):
-        raise TypeError("each column must be a JSON list")
-    return cols
+    return [obj[key] for key in keys]
 
 
 @dataclass
@@ -118,28 +115,14 @@ class FriezeReport:
         }
 
 
-def entry_sign(pi: JugglingFunction, a: int, b: int) -> int:
-    """The sign twist (-1)**|S(b, a)| of entry (a, b) of a pi-frieze."""
-    return sign_power(len(pi.s_set(b, a)))
-
-
 def is_prefrieze(c: PeriodicFrieze) -> bool:
-    """Diagonal of 1s, signed boundary along pi, zeros outside the cone."""
-    pi = c.shape
-    n = pi.period
-    for b in range(1, n + 1):
-        for a in range(b, b + n + 1):
-            x = c.entry(a, b)
-            if a == b:
-                if x != 1:
-                    return False
-            elif a == pi(b):
-                if x != entry_sign(pi, a, b):
-                    return False
-            elif not pi.inside_cone(a, b):
-                if x != 0:
-                    return False
-    return True
+    """Whether every stored column agrees with the shape's skeleton: a
+    diagonal of 1s, the signed boundary along pi and zeros outside the
+    cone.  The entries the skeleton leaves free (None) may be anything.
+    """
+    return all(fixed is None or x == fixed
+               for skel, col in zip(c.shape.skeleton(), c.columns)
+               for fixed, x in zip(skel, col))
 
 
 def _interval_minor(c: PeriodicFrieze, rows: range, cols: range,
@@ -221,10 +204,10 @@ def dual_frieze(c: PeriodicFrieze) -> PeriodicFrieze:
     minors exact on arrays whose diagonal is not all 1.  D_t is
     homogeneous of degree t in the entries, so the recurrence runs on
     the integers L*C, L the lcm of all denominators, and D_t is that
-    result over L**t.  The minors cannot see slot (b+n, b): it is 0
-    unless b is a loop of the shape, and then b is a coloop of the dual
-    and the slot holds the dual's boundary sign there, (-1)**k for the
-    k balls of the shape.
+    result over L**t.  The minors cannot see slot (b+n, b), so it is
+    read from the dual shape's skeleton: 0 unless b is a loop of the
+    shape, and then b is a coloop of the dual and the slot holds the
+    dual's boundary sign there, (-1)**k for the k balls of the shape.
     """
     pi = c.shape
     n = pi.period
@@ -246,8 +229,7 @@ def dual_frieze(c: PeriodicFrieze) -> PeriodicFrieze:
                 weight = -weight * near[j][0]
             minors.append(total)
         col = [Fraction(d, scale ** t) for t, d in enumerate(minors)]
-        col.append(Fraction(entry_sign(pi.dual(), b + n, b)) if pi(b) == b
-                   else Fraction(0))
+        col.append(pi.dual().skeleton()[b - 1][n])
         cols.append(col)
     return PeriodicFrieze(pi.dual(), cols)
 
@@ -271,7 +253,7 @@ def is_positive(c: PeriodicFrieze) -> bool:
         for a in range(b, pi(b) + 1):
             if a != b and not pi.inside_cone(a, b):
                 continue
-            if entry_sign(pi, a, b) * c.entry(a, b) <= 0:
+            if pi.entry_sign(a, b) * c.entry(a, b) <= 0:
                 return False
     return True
 

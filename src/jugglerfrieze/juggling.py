@@ -35,13 +35,18 @@ def as_int(x) -> int:
     raise TypeError(f"not an integer: {x!r}")
 
 
+def sign_power(exponent: int) -> int:
+    """(-1) ** exponent, exact for negative exponents too."""
+    return -1 if exponent % 2 else 1
+
+
 class JugglingFunction:
     """An n-periodic bijection of Z, stored by its values on [1, n]."""
 
-    __slots__ = ("period", "values", "_inverse", "_dual")
+    __slots__ = ("period", "values", "_inverse", "_dual", "_skeleton")
 
     def __init__(self, values: Iterable[int]):
-        vals = tuple(int(v) for v in values)
+        vals = tuple(map(as_int, values))
         n = len(vals)
         if n == 0:
             raise SiteswapError("empty pattern")
@@ -59,6 +64,7 @@ class JugglingFunction:
         self.values = vals
         self._inverse = tuple(inverse)
         self._dual = None
+        self._skeleton = None
 
     @classmethod
     def uniform(cls, period: int, balls: int) -> "JugglingFunction":
@@ -117,6 +123,32 @@ class JugglingFunction:
     def s_set(self, a: int, b: int) -> tuple[int, ...]:
         """Sorted set of moments i with a < i whose ball lands before b."""
         return tuple(i for i in range(a + 1, b) if self(i) < b)
+
+    def entry_sign(self, a: int, b: int) -> int:
+        """The sign twist (-1)**|S(b, a)| of a frieze's entry (a, b)."""
+        return sign_power(len(self.s_set(b, a)))
+
+    def skeleton(self) -> tuple[tuple[int | None, ...], ...]:
+        """The fixed prefrieze of this shape, built once per object.
+
+        Column b, for b in [1, n], lists rows b..b+n: 1 on the diagonal,
+        the sign twist at a = pi(b), None strictly inside the cone (the
+        free entries) and 0 everywhere else.
+
+        >>> pi = parse_siteswap("4130")          # 4 is a loop, 1 a coloop
+        >>> pi.skeleton()[0], pi.skeleton()[3]
+        ((1, None, 0, 0, 1), (1, 0, 0, 0, 0))
+        """
+        if self._skeleton is None:
+            n = self.period
+            self._skeleton = tuple(
+                tuple(1 if a == b
+                      else self.entry_sign(a, b) if a == self(b)
+                      else None if self.inside_cone(a, b)
+                      else 0
+                      for a in range(b, b + n + 1))
+                for b in range(1, n + 1))
+        return self._skeleton
 
     def landing_schedule(self, a: int) -> tuple[int, ...]:
         """Landing times of the balls in the air just before moment a.

@@ -14,12 +14,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
-from .juggling import as_int, residue
-
-
-def sign_power(exponent: int) -> int:
-    """(-1) ** exponent, exact for negative exponents too."""
-    return -1 if exponent % 2 else 1
+from .juggling import as_int, residue, sign_power  # noqa: F401 (re-export)
 
 
 def as_rational(x) -> Fraction:
@@ -38,6 +33,19 @@ def as_rational(x) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not an exact scalar: {x!r}")
+
+
+def as_grid(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """A list or tuple of lists or tuples of exact scalars (see
+    as_rational) as a tuple of tuples of rationals; anything else is a
+    TypeError, so a string is never read as a row of digits."""
+    if isinstance(rows, (list, tuple)):
+        # a row of another type is dropped, which leaves the grid short
+        grid = tuple(tuple(map(as_rational, row)) for row in rows
+                     if isinstance(row, (list, tuple)))
+        if len(grid) == len(rows):
+            return grid
+    raise TypeError("expected a list of lists")
 
 
 def _integer_rows(entries) -> tuple[list[list[int]], int]:
@@ -61,17 +69,18 @@ class Matrix:
 
     __slots__ = ("entries", "nrows", "ncols")
 
-    def __init__(self, rows: Iterable[Iterable], cols: int | None = None):
-        data = tuple(tuple(as_rational(x) for x in row) for row in rows)
-        if data:
-            cols = len(data[0])
-            if any(len(row) != cols for row in data):
-                raise ValueError("ragged rows")
-        elif cols is None:
+    def __init__(self, rows: Sequence[Sequence], cols: int | None = None):
+        data = as_grid(rows)
+        width = len(data[0]) if data else cols
+        if width is None:
             raise ValueError("empty matrix needs an explicit column count")
+        if any(len(row) != width for row in data):
+            raise ValueError("ragged rows")
+        if cols not in (None, width):
+            raise ValueError("matrix shape does not match its entries")
         self.entries = data
         self.nrows = len(data)
-        self.ncols = cols
+        self.ncols = width
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -93,7 +102,7 @@ class Matrix:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.entries), cols=self.nrows)
+        return Matrix(list(zip(*self.entries)), cols=self.nrows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -232,12 +241,8 @@ class Matrix:
     @classmethod
     def from_json(cls, obj: dict) -> "Matrix":
         cols = as_int(obj["cols"])
-        entries = obj["entries"]
-        if not (isinstance(entries, list)
-                and all(isinstance(row, list) for row in entries)):
-            raise TypeError("entries must be a JSON list of JSON lists")
-        m = cls(entries, cols=cols)
-        if m.nrows != as_int(obj["rows"]) or m.ncols != cols:
+        m = cls(obj["entries"], cols=cols)
+        if m.nrows != as_int(obj["rows"]):
             raise ValueError("matrix shape does not match its entries")
         return m
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .juggling import as_int, residue
-from .matrices import as_rational, sign_power
+from .juggling import as_int, residue, sign_power
+from .matrices import as_grid, as_rational
 from .frieze import (PeriodicFrieze, columns_from_json, columns_to_json,
                      dual_frieze, is_frieze)
 
@@ -31,7 +31,7 @@ class SolutionWindow:
         if self.period < 1:
             raise ValueError(f"period must be at least 1, not {self.period}")
         object.__setattr__(self, "sign_exponent", self.sign_exponent % 2)
-        cols = tuple(tuple(as_rational(x) for x in col) for col in self.columns)
+        cols = as_grid(self.columns)
         if len(cols) != self.period or any(len(c) != self.period for c in cols):
             raise ValueError("need one full window per column")
         object.__setattr__(self, "columns", cols)

@@ -1,8 +1,12 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import jugglerfrieze
 from jugglerfrieze.cli import main, render_frieze
 
 import fixture_data as fx
@@ -267,3 +271,27 @@ def test_matrix_entries_not_a_list_of_lists_exit_2(capsys, tmp_path):
         _bad_input_exits_2(capsys, tmp_path, doc,
                            ("construct", "--siteswap", "003"),
                            ("transform", "--op", "complement"))
+
+
+def test_module_runs_as_a_process(tmp_path):
+    # python -m jugglerfrieze goes through __main__ and the process exit
+    # status, which the in-process tests above never reach
+    src = str(pathlib.Path(jugglerfrieze.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    strrow = tmp_path / "strrow.json"
+    strrow.write_text(json.dumps({"rows": 1, "cols": 3, "entries": ["001"]}))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "jugglerfrieze", *argv],
+                              capture_output=True, encoding="utf-8", env=env,
+                              timeout=60)
+
+    ok = cli("siteswap", "53635514")
+    assert ok.returncode == 0 and "dual      23345357" in ok.stdout
+    for argv in (("siteswap", "\u00b2"),
+                 ("construct", str(strrow), "--siteswap", "003")):
+        bad = cli(*argv)
+        assert bad.returncode == 2 and bad.stdout == ""
+        assert bad.stderr.startswith("error:") and "Traceback" not in bad.stderr

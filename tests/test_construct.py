@@ -258,6 +258,38 @@ def test_loop_slot_is_sign_of_ball_count():
                 assert dual_frieze(c).entry(b + n, b) == (-1) ** c.shape.balls
 
 
+def test_twist_product_is_the_skeleton_at_fixed_entries():
+    # build_frieze_twist reads only the free entries of the product and
+    # takes the fixed ones from the skeleton, so check the theorem there:
+    # the unwrapped twist(m)^T m is the output shape's prefrieze at every
+    # fixed position of a non-loop row, and a loop's row is zero
+    wrapped_signs = 0
+    for m, pi in ((fx.UNIMOD_4x8, fx.PI_23345357),
+                  (fx.TWIST_4x8, fx.PI_23345357),
+                  (fx.COMPLEMENT_4x8, fx.PI_53635514),
+                  (fx.INVERSE_TWIST_4x8, fx.PI_53635514),
+                  (fx.CONSEC_3x8, fx.UNIFORM_8_3),
+                  (fx.TWIST_3x8, fx.UNIFORM_8_3),
+                  (fx.MATRIX_003, fx.PI_003), (fx.MATRIX_4400, fx.PI_4400),
+                  (fx.MATRIX_4130, fx.PI_4130)):
+        assert is_pi_unimodular(m, pi).ok
+        n = pi.period
+        wrap = (-1) ** (pi.balls - 1)
+        product = twist(m, pi).transpose() * m
+        skeleton = pi.dual().skeleton()
+        for b in range(1, n + 1):
+            for a in range(b, b + n):
+                ra = residue(a, n)
+                x = product[ra - 1, b - 1] * (wrap if a > n else 1)
+                fixed = skeleton[b - 1][a - b]
+                if pi(ra) == ra:
+                    assert x == 0
+                elif fixed is not None:
+                    assert x == fixed
+                    wrapped_signs += a > n and fixed != 0
+    assert wrapped_signs > 0
+
+
 def test_build_frieze_rejects_non_unimodular():
     with pytest.raises(ValueError):
         build_frieze_det(fx.CONSEC_3x8.scale_row(1, 5), fx.UNIFORM_8_3)

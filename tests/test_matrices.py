@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from jugglerfrieze import Matrix, cyclic_submatrix
+from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
+                           SolutionWindow, cyclic_submatrix, parse_siteswap)
 
 import fixture_data as fx
 
@@ -147,6 +148,32 @@ def test_json_round_trip_is_exact():
     assert m.to_json()["entries"][0] == ["1/3", 2]
     with pytest.raises(ValueError):
         Matrix.from_json({"rows": 3, "cols": 2, "entries": [[1, 2]]})
+
+
+GRID = "expected a list of lists"
+
+
+@pytest.mark.parametrize("build, error, match", [
+    pytest.param(lambda: Matrix(["001"]), TypeError, GRID, id="string-row"),
+    pytest.param(lambda: Matrix([[1], "2"]), TypeError, GRID,
+                 id="one-string-row"),
+    pytest.param(lambda: Matrix(5), TypeError, GRID, id="number-grid"),
+    pytest.param(lambda: PeriodicFrieze(parse_siteswap("000"), ["1000"] * 3),
+                 TypeError, GRID, id="string-columns"),
+    pytest.param(lambda: SolutionWindow(1, 0, ["1"]), TypeError, GRID,
+                 id="string-window-column"),
+    pytest.param(lambda: JugglingFunction([1.9, 2.2, 3.0]), TypeError,
+                 "not an integer", id="float-values"),
+    pytest.param(lambda: JugglingFunction(["1", "2"]), TypeError,
+                 "not an integer", id="string-values"),
+    pytest.param(lambda: Matrix([[1, 2]], cols=3), ValueError,
+                 "does not match", id="conflicting-column-count"),
+])
+def test_direct_construction_is_as_strict_as_json(build, error, match):
+    # the constructors share the JSON codecs' coercion, so Python callers
+    # get the same rejections as files do
+    with pytest.raises(error, match=match):
+        build()
 
 
 def test_rank_kernel_projection_identity():
