@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .juggling import JugglingFunction, residue, sign_power
-from .matrices import Matrix, cyclic_submatrix
+from .matrices import Matrix, cyclic_submatrix, kernel_from_rref
 from .frieze import PeriodicFrieze
 
 
@@ -43,7 +43,15 @@ def is_consecutively_unimodular(m: Matrix) -> bool:
 
 
 def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
-    """Check the landing-schedule minors and the interval rank bounds."""
+    """Check the landing-schedule minors and the interval rank bounds.
+
+    Each necklace entry gives one minor.  The rank of the columns in a
+    cyclic interval [a, b] may not exceed the number of balls landing
+    in it; where such a bound can bind for a start column a, one
+    elimination of m's columns read cyclically from a answers every b
+    at once: its pivots are the lexicographically first basis, so the
+    rank of [a, b] is the number of pivots at offset at most b - a.
+    """
     n = pi.period
     k = pi.balls
     if m.nrows != k or m.ncols != n:
@@ -55,11 +63,20 @@ def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
         cert.checked_minors.append((cols, cyclic_submatrix(m, cols).det()))
         # the schedule's landing times in [a, a+n), from their residues
         times = [r if r >= a else r + n for r in cols]
+        bounds = []
         for b in range(a, a + n):
             allowed = sum(t <= b for t in times)
-            if allowed >= min(k, b - a + 1):
-                continue  # bound cannot bind
-            r = cyclic_submatrix(m, range(a, b + 1)).rank()
+            if allowed < min(k, b - a + 1):  # else it cannot bind
+                bounds.append((b, allowed))
+        if not bounds:
+            continue
+        # columns a, a+1, ... up to the last bound, in that order
+        last = bounds[-1][0]
+        rotated = m.submatrix(range(k), [residue(j, n) - 1
+                                         for j in range(a, last + 1)])
+        pivots = rotated.rref()[1]
+        for b, allowed in bounds:
+            r = sum(p <= b - a for p in pivots)
             if r > allowed:
                 cert.rank_violations.append(((a, b), r, allowed))
     return cert
@@ -86,31 +103,36 @@ def positive_complement(m: Matrix) -> Matrix:
     """An (n-k) x n matrix whose maximal minors equal those of m on
     complementary column sets.
 
-    Built from a kernel basis by negating the odd-numbered columns and
-    rescaling one row to match one complementary minor; the identity is
-    then verified on every column subset, and a failure raises.  For
-    k = n the complement has no rows and one minor, 1, so det m must be 1.
+    One elimination of m gives its kernel basis and its pivot columns,
+    the lexicographically first basis of its columns.  Negating the
+    odd-numbered columns of the kernel basis and rescaling its first
+    row makes the minor on the free columns equal to the minor of m on
+    the pivot columns.  The result certifies itself: m has rank k, the
+    basis is independent (its free columns hold a signed identity) and
+    m kills it, so its rows span the kernel of m.  By alternating
+    duality (Karp, arXiv:1503.05622) the column-alternated kernel has
+    the Pluecker coordinates of m on complementary sets up to one
+    constant, so one matched nonzero pair matches every pair.  For
+    k = n the complement has no rows and one minor, 1, so det m must
+    be 1.
     """
     k, n = m.nrows, m.ncols
-    basis = m.kernel_basis()
-    if basis.nrows != n - k:
+    reduced, pivots = m.rref()
+    if len(pivots) != k:
         raise ValueError("matrix does not have full row rank")
+    basis = kernel_from_rref(reduced, pivots)
+    if any(sum(x * y for x, y in zip(row, v))
+           for row in m.entries for v in basis.entries):
+        raise ValueError("kernel basis is not killed by the matrix")
+    d = m.submatrix(range(k), pivots).det()
+    if k == n and d != 1:
+        raise ValueError(f"complement identity fails on columns "
+                         f"{tuple(range(1, n + 1))}: 1 != {d}")
     flipped = Matrix([[(-x if j % 2 == 0 else x) for j, x in enumerate(row)]
                       for row in basis.entries], cols=n)
-    minors = m.maximal_minors()
-    full = tuple(range(1, n + 1))
-    pivot = next(cols for cols, d in minors.items() if d != 0)
-    co_pivot = [j - 1 for j in full if j not in pivot]
-    co_minor = flipped.submatrix(range(n - k), co_pivot).det()
-    comp = flipped.scale_row(0, minors[pivot] / co_minor)
-    comp_minors = comp.maximal_minors()
-    for cols, d in minors.items():
-        co = tuple(j for j in full if j not in cols)
-        if comp_minors[co] != d:
-            raise ValueError(
-                f"complement identity fails on columns {cols}: "
-                f"{comp_minors[co]} != {d}")
-    return comp
+    free = [j for j in range(n) if j not in pivots]
+    co = flipped.submatrix(range(n - k), free).det()
+    return flipped.scale_row(0, d / co)
 
 
 def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:

@@ -265,7 +265,8 @@ def frieze_from_quiddity(quiddity: Sequence[int]) -> PeriodicFrieze:
     n = len(quiddity)
     if n < 3:
         raise ValueError("quiddity needs period at least 3")
-    strip = _cyclic_strip([int(q) for q in quiddity], n - 2)
+    strip = _cyclic_strip([int(q) for q in quiddity],
+                          JugglingFunction.uniform(n, n - 2))
     if strip is None:
         raise ValueError("quiddity row does not generate an integral frieze")
     return strip
@@ -299,17 +300,19 @@ def _diamond_step(rows: list[list[int]], q: int) -> bool:
     return True
 
 
-def _cyclic_strip(quiddity: list[int], h: int) -> PeriodicFrieze | None:
-    """The classical strip of height h = n - 2 with this quiddity row,
-    or None when the diamond rule fails around the period."""
-    n = len(quiddity)
+def _cyclic_strip(quiddity: list[int],
+                  shape: JugglingFunction) -> PeriodicFrieze | None:
+    """The classical strip of the uniform shape (n, h = n - 2) with this
+    quiddity row, or None when the diamond rule fails around the period;
+    callers building many strips share one shape."""
+    n, h = shape.period, shape.balls
     rows = [[1]] + [[] for _ in range(h)]
     # h - 1 wrapped values fill the last row's n-th entry
     if not all(_diamond_step(rows, q) for q in quiddity + quiddity[:h - 1]):
         return None
     cols = [[rows[d][b] for d in range(h + 1)] + [0] * (n - h)
             for b in range(n)]
-    return PeriodicFrieze(JugglingFunction.uniform(n, h), cols)
+    return PeriodicFrieze(shape, cols)
 
 
 def enumerate_sl2_positive(height: int, entry_bound: int) -> list[PeriodicFrieze]:
@@ -323,13 +326,14 @@ def enumerate_sl2_positive(height: int, entry_bound: int) -> list[PeriodicFrieze
     if entry_bound < 1:
         raise ValueError("entry bound must be at least 1")
     n = height + 2
+    shape = JugglingFunction.uniform(n, height)
     found = []
     # the strip over the quiddity prefix rows[1], grown depth first
     rows = [[1]] + [[] for _ in range(height)]
 
     def extend(j: int) -> None:
         if j == n:
-            f = _cyclic_strip(rows[1], height)
+            f = _cyclic_strip(rows[1], shape)
             if f is not None and is_frieze(f):
                 found.append(f)
             return

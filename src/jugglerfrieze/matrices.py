@@ -198,16 +198,7 @@ class Matrix:
 
     def kernel_basis(self) -> "Matrix":
         """Rows spanning {v : self @ v = 0}, one per free column."""
-        reduced, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        rows = []
-        for c in free:
-            v = [Fraction(0)] * self.ncols
-            v[c] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -reduced.entries[r][c]
-            rows.append(v)
-        return Matrix(rows, cols=self.ncols)
+        return kernel_from_rref(*self.rref())
 
     def solve(self, rhs: Sequence) -> tuple[Fraction, ...]:
         """The unique x with self * x = rhs; raises on a singular matrix."""
@@ -245,6 +236,23 @@ class Matrix:
         if m.nrows != as_int(obj["rows"]):
             raise ValueError("matrix shape does not match its entries")
         return m
+
+
+def kernel_from_rref(reduced: Matrix, pivots: Sequence[int]) -> Matrix:
+    """The kernel basis read off a reduced row echelon form: for each
+    free column c, the vector with 1 at c and minus column c of the
+    reduced rows at the pivots."""
+    n = reduced.ncols
+    rows = []
+    for c in range(n):
+        if c in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[c] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced.entries[r][c]
+        rows.append(v)
+    return Matrix(rows, cols=n)
 
 
 def cyclic_submatrix(m: Matrix, indices: Iterable[int]) -> Matrix:

@@ -28,9 +28,10 @@ class SolutionWindow:
     columns: tuple  # columns[b-1][a-b] holds entry (a, b), b <= a < b+n
 
     def __post_init__(self):
-        if self.period < 1:
+        if as_int(self.period) < 1:
             raise ValueError(f"period must be at least 1, not {self.period}")
-        object.__setattr__(self, "sign_exponent", self.sign_exponent % 2)
+        object.__setattr__(self, "sign_exponent",
+                           as_int(self.sign_exponent) % 2)
         cols = as_grid(self.columns)
         if len(cols) != self.period or any(len(c) != self.period for c in cols):
             raise ValueError("need one full window per column")

@@ -5,15 +5,18 @@ through a Hessenberg recurrence.  The oracles here do the same jobs the
 plain way, in fractions.Fraction, so the tests can compare the two.
 The recurrence oracles restate what a frieze is through the solutions
 of C x = 0: the tiling of a dual, the superperiodic kernel criterion and
-the kernel correspondence with the matrix.
+the kernel correspondence with the matrix.  The certificate oracles
+compare every complementary pair of maximal minors, and take the rank
+of every cyclic interval of columns.
 """
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from jugglerfrieze import (Matrix, JugglingFunction, PeriodicFrieze,
                            SolutionWindow, build_frieze_det, is_prefrieze,
                            residual, superperiodic_extension)
-from jugglerfrieze.matrices import sign_power
+from jugglerfrieze.matrices import residue, sign_power
 
 
 def gauss_jordan(rows, ncols):
@@ -63,6 +66,58 @@ def kernel_rows(rows, ncols):
             v[pc] = -reduced[r][c]
         basis.append(v)
     return basis
+
+
+def _minor(rows, cols):
+    return gauss_jordan([[row[j] for j in cols] for row in rows], len(cols))[2]
+
+
+def exhaustive_complement(m: Matrix) -> Matrix:
+    """The positive complement by its defining identity on all C(n, k)
+    column sets: the kernel with its odd-numbered columns negated, its
+    first row rescaled to match the lexicographically first nonzero
+    minor of m, then every complementary pair compared; raises with
+    the package's messages."""
+    k, n = m.nrows, m.ncols
+    basis = kernel_rows(m.entries, n)
+    if len(basis) != n - k:
+        raise ValueError("matrix does not have full row rank")
+    flipped = [[-x if j % 2 == 0 else x for j, x in enumerate(row)]
+               for row in basis]
+    minors = {cols: _minor(m.entries, cols)
+              for cols in combinations(range(n), k)}
+    pivot = next(cols for cols, d in minors.items() if d != 0)
+    co_pivot = [j for j in range(n) if j not in pivot]
+    if flipped:
+        scale = minors[pivot] / _minor(flipped, co_pivot)
+        flipped[0] = [scale * x for x in flipped[0]]
+    for cols, d in minors.items():
+        co = [j for j in range(n) if j not in cols]
+        if _minor(flipped, co) != d:
+            raise ValueError(
+                f"complement identity fails on columns "
+                f"{tuple(j + 1 for j in cols)}: {_minor(flipped, co)} != {d}")
+    return Matrix(flipped, cols=n)
+
+
+def interval_rank_certificate(m: Matrix, pi: JugglingFunction):
+    """The checked minors and rank violations of is_pi_unimodular by
+    definition: the landing-schedule minors, and the rank of every
+    cyclic interval [a, b] against the balls landing in it."""
+    n, k = pi.period, pi.balls
+    minors, violations = [], []
+    for a in range(1, n + 1):
+        sched = pi.landing_schedule(a)
+        cols = tuple(sorted(residue(t, n) for t in sched))
+        minors.append((cols, _minor(m.entries, [c - 1 for c in cols])))
+        for b in range(a, a + n):
+            allowed = sum(t <= b for t in sched)
+            interval = [residue(j, n) - 1 for j in range(a, b + 1)]
+            rank = len(gauss_jordan([[row[j] for j in interval]
+                                     for row in m.entries], len(interval))[1])
+            if rank > allowed:
+                violations.append(((a, b), rank, allowed))
+    return minors, violations
 
 
 def minor_dual(c: PeriodicFrieze) -> PeriodicFrieze:

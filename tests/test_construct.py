@@ -12,7 +12,7 @@ from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
 
 import fixture_data as fx
 from exact_oracles import gauss_jordan
-from samplers import random_determinant_one
+from samplers import random_determinant_one, random_full_rank
 
 
 def with_entry(m, i, j, value):
@@ -178,6 +178,36 @@ def test_positive_complement_errors():
     with pytest.raises(ValueError):
         positive_complement(Matrix([[2]]))
     assert positive_complement(Matrix([[1]])).nrows == 0
+
+
+def test_positive_complement_cost_is_polynomial(monkeypatch):
+    # a regression to the C(n, k) minor tables would take hours at n = 24
+    calls = {"det": 0, "maximal_minors": 0}
+
+    def counted(name):
+        original = getattr(Matrix, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Matrix, name, counted(name))
+    rng = random.Random(18)
+    for k, n in ((8, 16), (12, 24)):
+        m = random_full_rank(rng, k, n)
+        calls.update(det=0, maximal_minors=0)
+        comp = positive_complement(m)
+        assert calls["det"] <= 4 and calls["maximal_minors"] == 0
+        for _ in range(3):
+            cols = sorted(rng.sample(range(n), k))
+            co = [j for j in range(n) if j not in cols]
+            assert (comp.submatrix(range(n - k), co).det()
+                    == m.submatrix(range(k), cols).det())
+    calls.update(maximal_minors=0)
+    inverse_twist(fx.COMPLEMENT_4x8, fx.PI_53635514)
+    assert calls["maximal_minors"] == 0
 
 
 def test_inverse_twist_fixture():

@@ -11,10 +11,13 @@ from fractions import Fraction
 import pytest
 
 from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
-                           dual_frieze, parse_siteswap)
+                           dual_frieze, is_pi_unimodular, parse_siteswap,
+                           positive_complement)
 
-from exact_oracles import gauss_jordan, kernel_rows, minor_dual
-from samplers import random_juggling
+from exact_oracles import (exhaustive_complement, gauss_jordan,
+                           interval_rank_certificate, kernel_rows, minor_dual)
+from samplers import (UNIMODULAR_POOL, random_determinant_one,
+                      random_juggling)
 
 
 def _scalar(rng):
@@ -94,6 +97,80 @@ def test_solve_matches_gauss_jordan():
                 m.solve(rhs)
             continue
         assert m.solve(rhs) == tuple(row[-1] for row in reduced)
+
+
+def _outcome(f, *args):
+    """The value of f, or the text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _complement_cases(seed):
+    """For every n <= 8 and 0 <= k <= n: an integer, a rational and a
+    rank-deficient k x n matrix, and for k = n one of determinant 1."""
+    rng = random.Random(seed)
+    cases = []
+    for n in range(9):
+        for k in range(n + 1):
+            cases.append(Matrix([[rng.randint(-3, 3) for _ in range(n)]
+                                 for _ in range(k)], cols=n))
+            cases.append(_dense(rng, k, n))
+            if k:
+                cases.append(_rank_deficient(rng, k, n))
+        cases.append(random_determinant_one(rng, n, steps=2 * n))
+    return cases
+
+
+def test_positive_complement_matches_exhaustive_oracle():
+    outcomes = []
+    for m in _complement_cases(16):
+        expected = _outcome(exhaustive_complement, m)
+        assert _outcome(positive_complement, m) == expected, m
+        outcomes.append(expected)
+    # every path is taken: complements with several rows, rank failures
+    # and square matrices both of determinant 1 and of another
+    assert any(isinstance(c, Matrix) and c.nrows > 1 for c in outcomes)
+    texts = {c.split(" on ")[0] for c in outcomes if isinstance(c, str)}
+    assert texts == {"ValueError: matrix does not have full row rank",
+                     "ValueError: complement identity fails"}
+    assert sum(isinstance(c, Matrix) and c.nrows == 0 for c in outcomes) > 2
+
+
+def _perturbed_pool(rng, per_matrix=12):
+    """Each pool matrix and some of its single-entry +-1 perturbations."""
+    cases = []
+    for m, pi in UNIMODULAR_POOL:
+        cases.append((m, pi))
+        for _ in range(per_matrix):
+            i, j = rng.randrange(m.nrows), rng.randrange(m.ncols)
+            rows = [list(row) for row in m.entries]
+            rows[i][j] += rng.choice((1, -1))
+            cases.append((Matrix(rows, cols=m.ncols), pi))
+    return cases
+
+
+def test_unimodular_certificate_matches_interval_ranks():
+    rng = random.Random(17)
+    cases = _perturbed_pool(rng)
+    for i in range(60):
+        pi = random_juggling(rng, 7)
+        k, n = pi.balls, pi.period
+        build = (_dense, _rank_deficient, _with_zero_rows)[i % 3]
+        cases.append(((build if k else _dense)(rng, k, n), pi))
+    assert any(pi.loops() for _, pi in cases)
+    assert any(pi.coloops() for _, pi in cases)
+    certs = []
+    for m, pi in cases:
+        cert = is_pi_unimodular(m, pi)
+        assert (cert.checked_minors, cert.rank_violations) == \
+            interval_rank_certificate(m, pi), (m, pi)
+        certs.append(cert)
+    # both the rank bounds and the minors decide some cases
+    assert sum(bool(c.rank_violations) for c in certs) > 10
+    assert any(c.bad_minors() and not c.rank_violations for c in certs)
+    assert any(c.ok and c.kind == "positroid" for c in certs)
 
 
 def _array(rng, shape, rational):

@@ -162,6 +162,10 @@ GRID = "expected a list of lists"
                  TypeError, GRID, id="string-columns"),
     pytest.param(lambda: SolutionWindow(1, 0, ["1"]), TypeError, GRID,
                  id="string-window-column"),
+    pytest.param(lambda: SolutionWindow(True, 1.5, [[1]]), TypeError,
+                 "not an integer", id="bool-window-period"),
+    pytest.param(lambda: SolutionWindow(1, 1.5, [[1]]), TypeError,
+                 "not an integer", id="float-window-sign-exponent"),
     pytest.param(lambda: JugglingFunction([1.9, 2.2, 3.0]), TypeError,
                  "not an integer", id="float-values"),
     pytest.param(lambda: JugglingFunction(["1", "2"]), TypeError,
