@@ -208,8 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand; the parser is built once, at import, and
+    each call parses into a fresh namespace."""
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -162,35 +162,48 @@ def _require_unimodular(m: Matrix, pi: JugglingFunction) -> None:
             f"rank violations {cert.rank_violations}")
 
 
+def _fill_skeleton(pi: JugglingFunction, entry) -> PeriodicFrieze:
+    """The frieze of the dual shape whose fixed entries are its skeleton
+    and whose free entry (a, b) is entry(a, b)."""
+    dual = pi.dual()
+    return PeriodicFrieze(dual, [
+        [entry(a, b) if x is None else x for a, x in enumerate(fixed, start=b)]
+        for b, fixed in enumerate(dual.skeleton(), start=1)])
+
+
 def build_frieze_det(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
-    """The frieze of m, one schedule-exchange determinant per entry."""
+    """The frieze of m, one determinant per free entry; fixed entries
+    are the skeleton on certified input.
+
+    frieze_entry gives the same value at a fixed entry of a
+    unimodular matrix, so only the slots the shape leaves free pay
+    for a schedule-exchange determinant.
+    """
     _require_unimodular(m, pi)
-    n = pi.period
-    cols = [[frieze_entry(m, pi, a, b) for a in range(b, b + n + 1)]
-            for b in range(1, n + 1)]
-    return PeriodicFrieze(pi.dual(), cols)
+    return _fill_skeleton(pi, lambda a, b: frieze_entry(m, pi, a, b))
 
 
 def build_frieze_twist(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
-    """The same frieze via the twist: unwrap twist(m)^T m around the
-    diagonal, flipping the sign of the wrapped entries when the ball
-    count is even.  Only the free entries come from the product; the
-    fixed ones, which it matches on certified input, are the output
-    shape's skeleton."""
+    """The same frieze via the twist, one dot product per free entry.
+
+    Free entry (a, b) is twist column residue(a, n) against column b
+    of m: entry (residue(a, n), b) of twist(m)^T m, unwrapped around
+    the diagonal with its sign flipped on wrapped entries (a > n) when
+    the ball count is even.  The fixed entries, which that product
+    matches on certified input, are the output shape's skeleton.
+    """
     _require_unimodular(m, pi)
     n = pi.period
-    product = twist(m, pi).transpose() * m
+    twist_cols = twist(m, pi).transpose().entries
+    m_cols = m.transpose().entries
     wrap_sign = sign_power(pi.balls - 1)
-    cols = []
-    for b, fixed in enumerate(pi.dual().skeleton(), start=1):
-        col = []
-        for a, x in enumerate(fixed, start=b):
-            if x is None:  # a free entry, wrapped when a > n
-                x = (product[residue(a, n) - 1, b - 1]
-                     * (wrap_sign if a > n else 1))
-            col.append(x)
-        cols.append(col)
-    return PeriodicFrieze(pi.dual(), cols)
+
+    def entry(a: int, b: int) -> Fraction:
+        x = sum(s * t for s, t in zip(twist_cols[residue(a, n) - 1],
+                                      m_cols[b - 1]))
+        return x * wrap_sign if a > n else x
+
+    return _fill_skeleton(pi, entry)
 
 
 def inverse_twist(m: Matrix, pi: JugglingFunction) -> Matrix:

@@ -102,7 +102,9 @@ class Matrix:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.entries)), cols=self.nrows)
+        # with no rows, zip would also lose the ncols empty columns
+        rows = list(zip(*self.entries)) if self.nrows else [()] * self.ncols
+        return Matrix(rows, cols=self.nrows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:

@@ -3,19 +3,22 @@
 The package eliminates fraction-free on integer rows and takes the dual
 through a Hessenberg recurrence.  The oracles here do the same jobs the
 plain way, in fractions.Fraction, so the tests can compare the two.
-The recurrence oracles restate what a frieze is through the solutions
-of C x = 0: the tiling of a dual, the superperiodic kernel criterion and
-the kernel correspondence with the matrix.  The certificate oracles
-compare every complementary pair of maximal minors, and take the rank
-of every cyclic interval of columns.
+The frieze of a matrix is built at every window slot, or read off the
+whole product of its twist with it.  The recurrence oracles restate
+what a frieze is through the solutions of C x = 0: the tiling of a
+dual, the superperiodic kernel criterion and the kernel correspondence
+with the matrix.  The certificate oracles compare every complementary
+pair of maximal minors, and take the rank of every cyclic interval of
+columns.
 """
 import random
 from fractions import Fraction
 from itertools import combinations
 
 from jugglerfrieze import (Matrix, JugglingFunction, PeriodicFrieze,
-                           SolutionWindow, build_frieze_det, is_prefrieze,
-                           residual, superperiodic_extension)
+                           SolutionWindow, build_frieze_det, frieze_entry,
+                           is_prefrieze, residual, superperiodic_extension,
+                           twist)
 from jugglerfrieze.matrices import residue, sign_power
 
 
@@ -120,6 +123,31 @@ def interval_rank_certificate(m: Matrix, pi: JugglingFunction):
     return minors, violations
 
 
+def full_window_frieze(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
+    """The frieze of a unimodular m with frieze_entry at every one of the
+    n(n+1) window slots, fixed ones included."""
+    n = pi.period
+    return PeriodicFrieze(pi.dual(), [
+        [frieze_entry(m, pi, a, b) for a in range(b, b + n + 1)]
+        for b in range(1, n + 1)])
+
+
+def full_product_frieze(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
+    """The frieze of a unimodular m read off the whole n x n product
+    twist(m)^T m: each free slot (a, b) is product entry (residue(a, n),
+    b), negated when a > n and the ball count is even, and every fixed
+    slot is the skeleton."""
+    n = pi.period
+    product = twist(m, pi).transpose() * m
+    wrap = sign_power(pi.balls - 1)
+    cols = []
+    for b, fixed in enumerate(pi.dual().skeleton(), start=1):
+        cols.append([product[residue(a, n) - 1, b - 1] * (wrap if a > n else 1)
+                     if x is None else x
+                     for a, x in enumerate(fixed, start=b)])
+    return PeriodicFrieze(pi.dual(), cols)
+
+
 def minor_dual(c: PeriodicFrieze) -> PeriodicFrieze:
     """The dual array by definition: one determinant per entry, the
     minor of c on rows [b+1, a] and columns [b, a-1], plus the loop
@@ -159,7 +187,11 @@ def tiling(c: PeriodicFrieze) -> SolutionWindow:
 
 def verify_superperiodic_kernel(c: PeriodicFrieze) -> bool:
     """Whether the dual-diagonal candidates, extended superperiodically,
-    genuinely solve C x = 0; equivalent to c being a frieze."""
+    genuinely solve C x = 0; equivalent to c being a frieze.
+
+    C is n-periodic and x superperiodic with sign s = (-1)**(n-k-1), so
+    row a + n of C x is s times row a: the rows [b, b+n) decide it.
+    """
     if not is_prefrieze(c):
         return False
     pi = c.shape
@@ -175,7 +207,7 @@ def verify_superperiodic_kernel(c: PeriodicFrieze) -> bool:
             m, d = divmod(a - _b, n)
             return _w[d] * sign_power(sign * m)
 
-        if any(residual(c, x, a) != 0 for a in range(b - n, b + 2 * n + 1)):
+        if any(residual(c, x, a) != 0 for a in range(b, b + n)):
             return False
     return True
 

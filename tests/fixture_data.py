@@ -183,3 +183,5 @@ MATRIX_4130 = Matrix([[1, 0, 0, 0], [0, 1, 1, 0]])
 # identity pattern: three loops, the frieze is a diagonal of ones
 IDENTITY_3 = parse_siteswap("000")
 IDENTITY_FRIEZE_3 = PeriodicFrieze(IDENTITY_3, [[1, 0, 0, 0]] * 3)
+# its matrix has no rows: no ball is ever in the air
+MATRIX_000 = Matrix([], cols=3)

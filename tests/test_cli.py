@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 import jugglerfrieze
+from jugglerfrieze import build_frieze_det
 from jugglerfrieze.cli import main, render_frieze
 
 import fixture_data as fx
@@ -108,6 +110,55 @@ def test_construct_classic_strip(capsys, files):
 def test_construct_rejects_wrong_shape(capsys, files):
     assert run(capsys, "construct", files["matrix"],
                "--siteswap", "33333333")[0] == 2
+
+
+def test_construct_zero_balls_twist_matches_det(capsys, tmp_path):
+    # the identity pattern 000 has a 0 x 3 matrix; both routes succeed
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(fx.MATRIX_000.to_json()))
+    outs = []
+    for method in ("det", "twist"):
+        code = main(["construct", str(zero), "--siteswap", "000",
+                     "--method", method, "--verify"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        outs.append(captured.out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0]) == build_frieze_det(
+        fx.MATRIX_000, fx.IDENTITY_3).to_json()
+
+
+def test_main_builds_no_parser_per_call(monkeypatch, capsys, files):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, "siteswap", "53635514")[0] == 0
+    assert run(capsys, "construct", files["matrix"],
+               "--siteswap", "23345357")[0] == 0
+    assert built == []
+    jugglerfrieze.cli.build_parser()
+    assert "jugglerfrieze" in built
+
+
+def test_options_do_not_leak_between_calls(monkeypatch, capsys, files,
+                                            tmp_path):
+    checked = []
+    is_frieze = jugglerfrieze.cli.is_frieze
+    monkeypatch.setattr(jugglerfrieze.cli, "is_frieze",
+                        lambda c: checked.append(c) or is_frieze(c))
+    out = tmp_path / "out.json"
+    code, stdout = run(capsys, "construct", files["matrix"], "--siteswap",
+                       "23345357", "--verify", "-o", str(out))
+    assert code == 0 and stdout == "" and len(checked) == 1
+    code, stdout = run(capsys, "construct", files["matrix"], "--siteswap",
+                       "23345357")
+    assert code == 0 and len(checked) == 1
+    assert stdout == out.read_text()
 
 
 def test_transform_twist_and_complement(capsys, files):
@@ -282,6 +333,8 @@ def test_module_runs_as_a_process(tmp_path):
                    p for p in (src, os.environ.get("PYTHONPATH")) if p))
     strrow = tmp_path / "strrow.json"
     strrow.write_text(json.dumps({"rows": 1, "cols": 3, "entries": ["001"]}))
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(fx.MATRIX_000.to_json()))
 
     def cli(*argv):
         return subprocess.run([sys.executable, "-m", "jugglerfrieze", *argv],
@@ -290,6 +343,10 @@ def test_module_runs_as_a_process(tmp_path):
 
     ok = cli("siteswap", "53635514")
     assert ok.returncode == 0 and "dual      23345357" in ok.stdout
+    ok = cli("construct", str(zero), "--siteswap", "000", "--method", "twist")
+    assert ok.returncode == 0 and ok.stderr == ""
+    assert json.loads(ok.stdout) == build_frieze_det(
+        fx.MATRIX_000, fx.IDENTITY_3).to_json()
     for argv in (("siteswap", "\u00b2"),
                  ("construct", str(strrow), "--siteswap", "003")):
         bad = cli(*argv)

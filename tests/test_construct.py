@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
-                           cyclic_submatrix, residue,
+                           construct, cyclic_submatrix, residue,
                            is_consecutively_unimodular, is_pi_unimodular,
                            twist, inverse_twist, positive_complement,
                            frieze_entry, build_frieze_det, build_frieze_twist,
@@ -268,6 +268,46 @@ def test_build_frieze_loop_split():
     for m, pi in ((fx.MATRIX_4400, fx.PI_4400), (fx.MATRIX_4130, fx.PI_4130)):
         assert build_frieze_det(m, pi) == build_frieze_twist(m, pi)
         assert is_frieze(build_frieze_det(m, pi))
+
+
+def test_zero_ball_routes_agree():
+    # the twist route reads columns of a matrix with no rows
+    f = build_frieze_det(fx.MATRIX_000, fx.IDENTITY_3)
+    assert build_frieze_twist(fx.MATRIX_000, fx.IDENTITY_3) == f
+    assert f.shape == fx.IDENTITY_3.dual() and is_frieze(f)
+
+
+def test_builds_compute_only_the_free_entries(monkeypatch):
+    # uniform(18, 16) has a 2-ball dual with one free slot per column:
+    # the det route pays n frieze_entry calls, not n(n+1), and the twist
+    # route one dot product per free slot, with no matrix product
+    n = 18
+    pi = JugglingFunction.uniform(n, 16)
+    # columns (1, 0), (n-2, 1), (n-3, 1), ..., (0, 1): every cyclically
+    # consecutive pair has determinant 1, and so has every complementary
+    # 16-set of its positive complement
+    strip = Matrix([[1] + list(range(n - 2, -1, -1)), [0] + [1] * (n - 1)])
+    m = (random_determinant_one(random.Random(41), 16)
+         * positive_complement(strip))
+    assert is_pi_unimodular(m, pi).ok
+    calls = {"frieze_entry": 0, "__mul__": 0}
+    entry, mul = construct.frieze_entry, Matrix.__mul__
+
+    def counted_entry(*args):
+        calls["frieze_entry"] += 1
+        return entry(*args)
+
+    def counted_mul(self, other):
+        calls["__mul__"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(construct, "frieze_entry", counted_entry)
+    monkeypatch.setattr(Matrix, "__mul__", counted_mul)
+    f = build_frieze_twist(m, pi)
+    assert calls == {"frieze_entry": 0, "__mul__": 0}
+    assert build_frieze_det(m, pi) == f
+    free = sum(x is None for col in pi.dual().skeleton() for x in col)
+    assert calls == {"frieze_entry": n, "__mul__": 0} and free == n
 
 
 def test_loop_slot_is_sign_of_ball_count():

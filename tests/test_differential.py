@@ -11,13 +11,16 @@ from fractions import Fraction
 import pytest
 
 from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
-                           dual_frieze, is_pi_unimodular, parse_siteswap,
+                           build_frieze_det, build_frieze_twist, dual_frieze,
+                           is_pi_unimodular, parse_siteswap,
                            positive_complement)
 
-from exact_oracles import (exhaustive_complement, gauss_jordan,
+import fixture_data as fx
+from exact_oracles import (exhaustive_complement, full_product_frieze,
+                           full_window_frieze, gauss_jordan,
                            interval_rank_certificate, kernel_rows, minor_dual)
 from samplers import (UNIMODULAR_POOL, random_determinant_one,
-                      random_juggling)
+                      random_juggling, random_unimodular)
 
 
 def _scalar(rng):
@@ -184,6 +187,26 @@ def _array(rng, shape, rational):
 
     return PeriodicFrieze(shape, [[value() for _ in range(n + 1)]
                                   for _ in range(n)])
+
+
+def test_frieze_builds_match_full_window_and_full_product():
+    # the builds compute only the free slots and take the fixed ones
+    # from the skeleton; the oracles compute every slot by frieze_entry,
+    # or read the free ones off the whole product twist(m)^T m
+    def check(m, pi):
+        assert is_pi_unimodular(m, pi).ok
+        expected = full_window_frieze(m, pi)
+        assert full_product_frieze(m, pi) == expected
+        assert build_frieze_det(m, pi) == expected
+        assert build_frieze_twist(m, pi) == expected
+
+    fixtures = UNIMODULAR_POOL + [(fx.MATRIX_000, fx.IDENTITY_3)]
+    assert {pi.balls for _, pi in fixtures} == {0, 1, 2, 3, 4}
+    for m, pi in fixtures:
+        check(m, pi)
+    rng = random.Random(8)
+    for _ in range(30):
+        check(*random_unimodular(rng))
 
 
 def test_dual_frieze_matches_minor_oracle():

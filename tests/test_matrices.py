@@ -56,6 +56,15 @@ def test_det_rejects_non_square():
         fx.CONSEC_3x8.det()
 
 
+def test_transpose_keeps_empty_dimensions():
+    for k, n in ((0, 3), (3, 0), (0, 0), (2, 3)):
+        m = Matrix.zero(k, n)
+        t = m.transpose()
+        assert (t.nrows, t.ncols) == (n, k)
+        assert t.transpose() == m
+    assert Matrix.from_columns([[], [], []]).ncols == 3
+
+
 def test_cyclic_submatrix_ordering():
     m = Matrix([[10, 20, 30, 40, 50]])
     assert cyclic_submatrix(m, {4, 5, 6}) == Matrix([[10, 40, 50]])

@@ -129,6 +129,23 @@ def test_verify_superperiodic_kernel_matches_is_frieze():
     assert verify_superperiodic_kernel(bad) == is_frieze(bad)
 
 
+def test_residual_rows_repeat_each_period():
+    # row a + n of C x is s times row a when x(b + n) = s x(b), for any
+    # array C: one period of rows decides C x = 0 (verify_superperiodic_kernel)
+    for c in (fx.SL3_H5, fx.JUG_FRIEZE):
+        n = c.shape.period
+        cols = [list(col) for col in c.columns]
+        cols[2][3] += Fraction(1, 2)
+        for array in (c, PeriodicFrieze(c.shape, cols)):
+            for s in (1, -1):
+                def x(b):
+                    m, d = divmod(b, n)
+                    return (d * d - 3 * d + 1) * (s if m % 2 else 1)
+                for a in range(-n, n + 1):
+                    assert (residual(array, x, a + n)
+                            == s * residual(array, x, a))
+
+
 def test_kernel_correspondence_fixtures():
     assert kernel_correspondence(fx.UNIMOD_4x8, fx.PI_23345357)
     assert kernel_correspondence(fx.CONSEC_3x8, fx.UNIFORM_8_3)
