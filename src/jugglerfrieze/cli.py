@@ -17,7 +17,8 @@ from .matrices import Matrix
 from .frieze import PeriodicFrieze, check_frieze, dual_frieze, is_frieze, \
     is_positive, enumerate_sl2_positive
 from .construct import build_frieze_det, build_frieze_twist, twist, \
-    inverse_twist, positive_complement, frieze_to_matrix
+    inverse_twist, positive_complement, frieze_to_matrix, frieze_by_det, \
+    frieze_by_twist
 from .recurrence import solution_matrix
 
 
@@ -71,13 +72,13 @@ def cmd_check(args) -> int:
 def cmd_construct(args) -> int:
     m = _load(args.matrix, Matrix, "matrix")
     pi = parse_siteswap(args.siteswap)
-    build = build_frieze_det if args.method == "det" else build_frieze_twist
+    build, other = ((build_frieze_det, frieze_by_twist) if args.method == "det"
+                    else (build_frieze_twist, frieze_by_det))
     result = build(m, pi)
-    if args.verify:
-        other = build_frieze_twist if args.method == "det" else build_frieze_det
-        if other(m, pi) != result or not is_frieze(result):
-            print("verification failed", file=sys.stderr)
-            return 1
+    # build certified m for pi, so the other route takes no certificate
+    if args.verify and (other(m, pi) != result or not is_frieze(result)):
+        print("verification failed", file=sys.stderr)
+        return 1
     _emit(result.to_json(), args.output)
     return 0
 

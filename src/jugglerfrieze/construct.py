@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .juggling import JugglingFunction, residue, sign_power
-from .matrices import Matrix, cyclic_submatrix, kernel_from_rref
+from .matrices import (Matrix, cyclic_columns, integer_eliminate,
+                       kernel_from_rref)
 from .frieze import PeriodicFrieze
 
 
@@ -51,6 +53,7 @@ def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
     elimination of m's columns read cyclically from a answers every b
     at once: its pivots are the lexicographically first basis, so the
     rank of [a, b] is the number of pivots at offset at most b - a.
+    Minors and eliminations run on m's integer view.
     """
     n = pi.period
     k = pi.balls
@@ -59,8 +62,10 @@ def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
             f"matrix is {m.nrows}x{m.ncols}, shape needs {k}x{n}")
     cert = UnimodularCertificate(
         kind="consecutive" if pi.is_uniform() else "positroid")
+    ints = m.integer_view()[0]
     for a, cols in enumerate(pi.necklace(), start=1):
-        cert.checked_minors.append((cols, cyclic_submatrix(m, cols).det()))
+        cert.checked_minors.append(
+            (cols, m.minor(range(k), cyclic_columns(n, cols))))
         # the schedule's landing times in [a, a+n), from their residues
         times = [r if r >= a else r + n for r in cols]
         bounds = []
@@ -71,10 +76,9 @@ def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
         if not bounds:
             continue
         # columns a, a+1, ... up to the last bound, in that order
-        last = bounds[-1][0]
-        rotated = m.submatrix(range(k), [residue(j, n) - 1
-                                         for j in range(a, last + 1)])
-        pivots = rotated.rref()[1]
+        rotated = [residue(j, n) - 1 for j in range(a, bounds[-1][0] + 1)]
+        pivots = integer_eliminate([[row[j] for j in rotated] for row in ints],
+                                   len(rotated))[0]
         for b, allowed in bounds:
             r = sum(p <= b - a for p in pivots)
             if r > allowed:
@@ -85,17 +89,28 @@ def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
 def twist(m: Matrix, pi: JugglingFunction) -> Matrix:
     """Column a of the twist pairs to 1 with column a of m and to 0 with
     the other landing-schedule columns; a loop is not in its own
-    schedule, so its column is zero."""
+    schedule, so its column is zero.
+
+    With S the row scales of m's integer view, the column is S y for
+    the solution y of (S sub)^T y = e_a, sub the schedule's columns of
+    m.  One elimination of that integer system also gives its
+    determinant, sign * d, so the schedule minor det sub is 1 exactly
+    when sign * d is the product of the scales.
+    """
     n = pi.period
     k = pi.balls
     if m.nrows != k or m.ncols != n:
         raise ValueError("matrix shape does not match the juggling function")
+    ints, scales = m.integer_view()
+    scale = prod(scales)
     cols = []
     for a, order in enumerate(pi.necklace(), start=1):
-        sub = cyclic_submatrix(m, order)
-        if sub.det() != 1:
+        rows = [[row[j] for row in ints] + [int(j == a - 1)]
+                for j in cyclic_columns(n, order)]
+        pivots, d, sign = integer_eliminate(rows, k)
+        if len(pivots) < k or sign * d != scale:
             raise ValueError(f"landing-schedule minor at {a} is not 1")
-        cols.append(sub.transpose().solve([int(r == a) for r in order]))
+        cols.append([Fraction(s * row[k], d) for s, row in zip(scales, rows)])
     return Matrix.from_columns(cols)
 
 
@@ -124,14 +139,14 @@ def positive_complement(m: Matrix) -> Matrix:
     if any(sum(x * y for x, y in zip(row, v))
            for row in m.entries for v in basis.entries):
         raise ValueError("kernel basis is not killed by the matrix")
-    d = m.submatrix(range(k), pivots).det()
+    d = m.minor(range(k), pivots)
     if k == n and d != 1:
         raise ValueError(f"complement identity fails on columns "
                          f"{tuple(range(1, n + 1))}: 1 != {d}")
     flipped = Matrix([[(-x if j % 2 == 0 else x) for j, x in enumerate(row)]
                       for row in basis.entries], cols=n)
     free = [j for j in range(n) if j not in pivots]
-    co = flipped.submatrix(range(n - k), free).det()
+    co = flipped.minor(range(n - k), free)
     return flipped.scale_row(0, d / co)
 
 
@@ -150,7 +165,8 @@ def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:
     rest = [x for x in sched if x != a]
     if residue(b, n) in {residue(x, n) for x in rest}:
         return Fraction(0)
-    return pi.dual().entry_sign(a, b) * cyclic_submatrix(m, rest + [b]).det()
+    return pi.dual().entry_sign(a, b) * m.minor(range(m.nrows),
+                                                cyclic_columns(n, rest + [b]))
 
 
 def _require_unimodular(m: Matrix, pi: JugglingFunction) -> None:
@@ -180,7 +196,7 @@ def build_frieze_det(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
     for a schedule-exchange determinant.
     """
     _require_unimodular(m, pi)
-    return _fill_skeleton(pi, lambda a, b: frieze_entry(m, pi, a, b))
+    return frieze_by_det(m, pi)
 
 
 def build_frieze_twist(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
@@ -193,6 +209,16 @@ def build_frieze_twist(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
     matches on certified input, are the output shape's skeleton.
     """
     _require_unimodular(m, pi)
+    return frieze_by_twist(m, pi)
+
+
+def frieze_by_det(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
+    """build_frieze_det on a matrix already certified for pi."""
+    return _fill_skeleton(pi, lambda a, b: frieze_entry(m, pi, a, b))
+
+
+def frieze_by_twist(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
+    """build_frieze_twist on a matrix already certified for pi."""
     n = pi.period
     twist_cols = twist(m, pi).transpose().entries
     m_cols = m.transpose().entries
@@ -242,7 +268,7 @@ def frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
             f"solution space has dimension {solutions.nrows}, "
             f"expected {n - k}: not a frieze of this shape")
     candidate = solutions.kernel_basis()
-    d = cyclic_submatrix(candidate, pi.landing_schedule(1)).det()
+    d = candidate.minor(range(k), cyclic_columns(n, pi.landing_schedule(1)))
     if d == 0:
         raise ValueError("normalization minor vanishes")
     result = candidate.scale_row(0, 1 / d)

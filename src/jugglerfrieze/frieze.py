@@ -4,7 +4,9 @@ A frieze of shape pi is stored as one fundamental domain: for each
 column b in [1, n] the entries C[a, b] with a in [b, b+n].  The entry
 accessor reduces arbitrary integer positions into this window, so the
 stored object behaves like the full doubly infinite unitriangular
-array with C[a+n, b+n] = C[a, b].
+array with C[a+n, b+n] = C[a, b].  Each frieze also keeps one integer
+view of that window, scaled by one common lcm of its denominators, on
+which its minors and its dual are computed.
 """
 from __future__ import annotations
 
@@ -14,13 +16,14 @@ from math import lcm
 from typing import Sequence
 
 from .juggling import JugglingFunction, residue
-from .matrices import Matrix, as_grid, rational_to_json
+from .matrices import as_grid, integer_det, rational_to_json
 
 
 class PeriodicFrieze:
-    """One fundamental domain of a frieze with a given juggling shape."""
+    """One fundamental domain of a frieze with a given juggling shape,
+    and its integer view (see integer_view)."""
 
-    __slots__ = ("shape", "columns")
+    __slots__ = ("shape", "columns", "_view")
 
     def __init__(self, shape: JugglingFunction, columns: Sequence[Sequence]):
         n = shape.period
@@ -29,6 +32,7 @@ class PeriodicFrieze:
             raise ValueError(f"need {n} columns of {n + 1} entries each")
         self.shape = shape
         self.columns = cols
+        self._view = None
 
     def entry(self, a: int, b: int) -> Fraction:
         n = self.shape.period
@@ -37,9 +41,26 @@ class PeriodicFrieze:
             return Fraction(0)
         return self.columns[residue(b, n) - 1][d]
 
+    def integer_view(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The window times one common lcm L of its denominators, as
+        ints, and L; built once per object.  A t x t minor of the view
+        is L**t times the minor of the frieze."""
+        if self._view is None:
+            scale = lcm(*(x.denominator for col in self.columns for x in col))
+            self._view = (tuple(tuple(x.numerator * (scale // x.denominator)
+                                      for x in col) for col in self.columns),
+                          scale)
+        return self._view
+
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
-        return Matrix([[self.entry(a, b) for b in cols] for a in rows],
-                      cols=len(cols)).det()
+        if len(rows) != len(cols):
+            raise ValueError("determinant of a non-square matrix")
+        window, scale = self.integer_view()
+        n = self.shape.period
+        # entry (a, b) as in entry(), read from the view
+        return Fraction(integer_det(
+            [[window[(b - 1) % n][a - b] if 0 <= a - b <= n else 0
+              for b in cols] for a in rows]), scale ** len(rows))
 
     def translate(self, s: int) -> "PeriodicFrieze":
         """The frieze (a, b) -> C[a+s, b+s], with the shape shifted to
@@ -203,17 +224,15 @@ def dual_frieze(c: PeriodicFrieze) -> PeriodicFrieze:
     (see recurrence.solution_matrix).  The diagonal product keeps the
     minors exact on arrays whose diagonal is not all 1.  D_t is
     homogeneous of degree t in the entries, so the recurrence runs on
-    the integers L*C, L the lcm of all denominators, and D_t is that
-    result over L**t.  The minors cannot see slot (b+n, b), so it is
-    read from the dual shape's skeleton: 0 unless b is a loop of the
-    shape, and then b is a coloop of the dual and the slot holds the
-    dual's boundary sign there, (-1)**k for the k balls of the shape.
+    c's integer view L*C and D_t is that result over L**t.  The minors
+    cannot see slot (b+n, b), so it is read from the dual shape's
+    skeleton: 0 unless b is a loop of the shape, and then b is a coloop
+    of the dual and the slot holds the dual's boundary sign there,
+    (-1)**k for the k balls of the shape.
     """
     pi = c.shape
     n = pi.period
-    scale = lcm(*(x.denominator for col in c.columns for x in col))
-    window = [[x.numerator * (scale // x.denominator) for x in col]
-              for col in c.columns]
+    window, scale = c.integer_view()
     cols = []
     for b in range(1, n + 1):
         # near[j][d] is the scaled entry C[b+j+d, b+j]

@@ -1,17 +1,20 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are immutable grids of fractions.Fraction.  Determinants and
-reduced row echelon forms both run fraction-free on integer rows: each
-row is first scaled by the lcm of its denominators, Bareiss elimination
-(det) and fraction-free Gauss-Jordan (rref) then divide exactly, and
-fractions are built only for the result.  Every value is exact; there is
-no floating point anywhere in this package.
+Matrices are immutable grids of fractions.Fraction.  Each matrix has one
+integer view, built on first use and kept: every row scaled by the lcm
+of its denominators, and those scale factors.  Determinants and
+eliminations run on integer rows through two fraction-free kernels,
+Bareiss elimination (integer_det) and Gauss-Jordan (integer_eliminate),
+whose divisions are exact.  A minor divides by the scales of the rows
+it takes; fractions are built only for results.  The frieze minors of
+frieze.PeriodicFrieze run on the same determinant kernel.  Every value
+is exact; there is no floating point anywhere in this package.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .juggling import as_int, residue, sign_power  # noqa: F401 (re-export)
@@ -48,16 +51,70 @@ def as_grid(rows) -> tuple[tuple[Fraction, ...], ...]:
     raise TypeError("expected a list of lists")
 
 
-def _integer_rows(entries) -> tuple[list[list[int]], int]:
-    """Each row scaled by the lcm of its denominators, as ints, and the
-    product of those scale factors."""
-    rows = []
-    scale = 1
-    for row in entries:
-        m = lcm(*(x.denominator for x in row))
-        scale *= m
-        rows.append([x.numerator * (m // x.denominator) for x in row])
-    return rows, scale
+def integer_det(rows: list[list[int]]) -> int:
+    """The determinant of a square integer matrix by Bareiss elimination;
+    the list may be reordered, and the empty matrix has determinant 1.
+
+    Each step drops the pivot column and replaces every lower row by
+    (pv*row - f*pivot_row) // prev, an exact division: every entry is
+    then a minor of the input.  The last pivot, signed by the row
+    swaps, is the determinant.
+    """
+    sign = 1
+    prev = 1
+    while len(rows) > 1:
+        for p, top in enumerate(rows):
+            if top[0]:
+                break
+        else:
+            return 0
+        if p:
+            rows[0], rows[p] = top, rows[0]
+            sign = -sign
+        pv = top[0]
+        tail = top[1:]
+        rows = [[(pv * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+                for row in rows[1:]]
+        prev = pv
+    return sign * rows[0][0] if rows else 1
+
+
+def integer_eliminate(rows: list[list[int]],
+                      ncols: int) -> tuple[tuple[int, ...], int, int]:
+    """Fraction-free Gauss-Jordan on the first ncols columns of integer
+    rows, in place; later columns ride along as right-hand sides.
+
+    Each step replaces every other row by (pv*row - f*pivot_row) // prev,
+    an exact division.  Returns the pivot columns, the last pivot d and
+    the sign of the row swaps.  Afterwards every pivot equals d, so the
+    reduced form is the rows over d; on a square nonsingular matrix
+    sign * d is the determinant.
+    """
+    pivots = []
+    prev = 1
+    sign = 1
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        for p in range(r, len(rows)):
+            if rows[p][c]:
+                break
+        else:
+            continue
+        top = rows[p]
+        if p != r:
+            rows[r], rows[p] = top, rows[r]
+            sign = -sign
+        pv = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pv
+        pivots.append(c)
+        r += 1
+    return tuple(pivots), prev, sign
 
 
 def rational_to_json(x: Fraction):
@@ -67,7 +124,7 @@ def rational_to_json(x: Fraction):
 class Matrix:
     """An immutable rows x cols grid of rationals."""
 
-    __slots__ = ("entries", "nrows", "ncols")
+    __slots__ = ("entries", "nrows", "ncols", "_view")
 
     def __init__(self, rows: Sequence[Sequence], cols: int | None = None):
         data = as_grid(rows)
@@ -81,6 +138,7 @@ class Matrix:
         self.entries = data
         self.nrows = len(data)
         self.ncols = width
+        self._view = None
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -134,66 +192,43 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
+    def integer_view(self) -> tuple[tuple[tuple[int, ...], ...],
+                                    tuple[int, ...]]:
+        """Each row times the lcm of its denominators, as ints, and
+        those lcms; built once per object."""
+        if self._view is None:
+            rows, scales = [], []
+            for row in self.entries:
+                s = lcm(*(x.denominator for x in row))
+                rows.append(tuple(x.numerator * (s // x.denominator)
+                                  for x in row))
+                scales.append(s)
+            self._view = (tuple(rows), tuple(scales))
+        return self._view
+
+    def minor(self, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
+        """The determinant on the given 0-based rows and columns: the
+        integer view's minor over the scales of those rows."""
+        if len(rows) != len(cols):
+            raise ValueError("determinant of a non-square matrix")
+        ints, scales = self.integer_view()
+        return Fraction(integer_det([[ints[i][j] for j in cols]
+                                     for i in rows]),
+                        prod(scales[i] for i in rows))
+
     def det(self) -> Fraction:
         """Exact determinant; the empty 0x0 matrix has determinant 1."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return Fraction(1)
-        # Clear denominators row by row, then run fraction-free Bareiss
-        # on the integer matrix.  Division below is exact by construction.
-        rows, scale = _integer_rows(self.entries)
-        sign = 1
-        prev = 1
-        for c in range(n - 1):
-            pivot = next((r for r in range(c, n) if rows[r][c]), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != c:
-                rows[c], rows[pivot] = rows[pivot], rows[c]
-                sign = -sign
-            for r in range(c + 1, n):
-                for j in range(c + 1, n):
-                    rows[r][j] = (rows[r][j] * rows[c][c]
-                                  - rows[r][c] * rows[c][j]) // prev
-                rows[r][c] = 0
-            prev = rows[c][c]
-        return Fraction(sign * rows[n - 1][n - 1], scale)
+        return self.minor(range(self.nrows), range(self.ncols))
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot columns.
-
-        Fraction-free Gauss-Jordan on integer rows: each step replaces
-        every other row by (pv*row - f*pivot_row) // prev, an exact
-        division (every entry is then a minor of the integer matrix).
-        Afterwards every pivot equals the last pivot d, so the reduced
-        form is the integer matrix divided by d.
-        """
-        rows, _ = _integer_rows(self.entries)
-        pivots = []
-        prev = 1
-        r = 0
-        for c in range(self.ncols):
-            if r == len(rows):
-                break
-            p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-            if p is None:
-                continue
-            rows[r], rows[p] = rows[p], rows[r]
-            top = rows[r]
-            pv = top[c]
-            for i, row in enumerate(rows):
-                if i != r:
-                    f = row[c]
-                    rows[i] = [(pv * x - f * y) // prev
-                               for x, y in zip(row, top)]
-            prev = pv
-            pivots.append(c)
-            r += 1
-        return (Matrix([[Fraction(x, prev) for x in row] for row in rows],
+        """Reduced row echelon form and the pivot columns, by
+        integer_eliminate on the integer view (row scaling changes
+        neither)."""
+        rows = [list(row) for row in self.integer_view()[0]]
+        pivots, d, _ = integer_eliminate(rows, self.ncols)
+        return (Matrix([[Fraction(x, d) for x in row] for row in rows],
                        cols=self.ncols),
-                tuple(pivots))
+                pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -209,12 +244,15 @@ class Matrix:
         b = [as_rational(x) for x in rhs]
         if len(b) != self.nrows:
             raise ValueError("dimension mismatch")
-        aug = Matrix([list(row) + [bv] for row, bv in zip(self.entries, b)],
-                     cols=self.ncols + 1)
-        reduced, pivots = aug.rref()
-        if pivots != tuple(range(self.ncols)):
+        rows = []
+        for row, s, x in zip(*self.integer_view(), b):
+            t = lcm(s, x.denominator)  # clears the right-hand side too
+            rows.append([y * (t // s) for y in row]
+                        + [x.numerator * (t // x.denominator)])
+        pivots, d, _ = integer_eliminate(rows, self.ncols)
+        if len(pivots) < self.ncols:
             raise ValueError("singular matrix")
-        return tuple(reduced.entries[i][-1] for i in range(self.ncols))
+        return tuple(Fraction(row[-1], d) for row in rows)
 
     def maximal_minors(self) -> dict[tuple[int, ...], Fraction]:
         """All k x k minors, keyed by ascending 1-based column tuples."""
@@ -222,7 +260,7 @@ class Matrix:
         idx = range(self.ncols)
         return {
             tuple(j + 1 for j in cols):
-                self.submatrix(range(k), cols).det()
+                self.minor(range(k), cols)
             for cols in combinations(idx, k)
         }
 
@@ -257,9 +295,12 @@ def kernel_from_rref(reduced: Matrix, pivots: Sequence[int]) -> Matrix:
     return Matrix(rows, cols=n)
 
 
+def cyclic_columns(n: int, indices: Iterable[int]) -> list[int]:
+    """The 0-based columns whose 1-based index is congruent to an
+    element of indices modulo n, in ascending residue order."""
+    return [j - 1 for j in sorted({residue(i, n) for i in indices})]
+
+
 def cyclic_submatrix(m: Matrix, indices: Iterable[int]) -> Matrix:
-    """Columns of m whose 1-based index is congruent to an element of
-    indices modulo the column count, in ascending residue order."""
-    n = m.ncols
-    picked = sorted({residue(i, n) for i in indices})
-    return m.submatrix(range(m.nrows), [j - 1 for j in picked])
+    """The columns cyclic_columns(m.ncols, indices) of m."""
+    return m.submatrix(range(m.nrows), cyclic_columns(m.ncols, indices))

@@ -100,6 +100,24 @@ def test_construct_methods_byte_identical(capsys, files):
     assert json.loads(det_out) == fx.JUG_FRIEZE.to_json()
 
 
+def test_construct_verify_certifies_once(capsys, files, monkeypatch):
+    # the first build certifies the matrix, the cross-check reuses that
+    calls = []
+    certify = jugglerfrieze.construct.is_pi_unimodular
+
+    def counted(m, pi):
+        calls.append(pi)
+        return certify(m, pi)
+
+    monkeypatch.setattr(jugglerfrieze.construct, "is_pi_unimodular", counted)
+    for method in ("det", "twist"):
+        code, out = run(capsys, "construct", files["matrix"], "--siteswap",
+                        "23345357", "--method", method, "--verify")
+        assert code == 0 and json.loads(out) == fx.JUG_FRIEZE.to_json()
+        assert len(calls) == 1
+        calls.clear()
+
+
 def test_construct_classic_strip(capsys, files):
     code, out = run(capsys, "construct", files["consec"], "--siteswap",
                     "33333333", "--verify")
@@ -222,6 +240,23 @@ def test_render_golden(capsys, files):
     code, out = run(capsys, "render", files["frieze"], "--periods", "2")
     assert code == 0
     assert out == (DATA / "render_53635514.txt").read_text()
+
+
+RATIONAL = DATA / "rational"
+
+
+@pytest.mark.parametrize(
+    "case", json.loads((RATIONAL / "cases.json").read_text()),
+    ids=lambda case: case["name"])
+def test_rational_input_golden(case, capsysbinary, monkeypatch):
+    # every benchmark input is integral; these keep a denominator in
+    # each route (rows over their own lcm, a frieze over one lcm)
+    monkeypatch.chdir(RATIONAL)
+    code = main(case["argv"])
+    captured = capsysbinary.readouterr()
+    assert code == case["exit"]
+    assert captured.out == (RATIONAL / f"{case['name']}.out").read_bytes()
+    assert captured.err == case["stderr"].encode()
 
 
 def test_render_rejects_bad_periods(capsys, files):

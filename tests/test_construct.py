@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
-                           construct, cyclic_submatrix, residue,
+                           construct, cyclic_submatrix, matrices, residue,
                            is_consecutively_unimodular, is_pi_unimodular,
                            twist, inverse_twist, positive_complement,
                            frieze_entry, build_frieze_det, build_frieze_twist,
@@ -147,6 +147,41 @@ def test_twist_preserves_unimodularity():
 def test_twist_requires_unit_minors():
     with pytest.raises(ValueError):
         twist(fx.CONSEC_3x8.scale_row(0, 2), fx.UNIFORM_8_3)
+
+
+def test_twist_takes_each_schedule_minor_once(monkeypatch):
+    # the certificate takes the n schedule minors; twist reads each one
+    # off the elimination that solves its column, with no determinant
+    calls = {"det": 0, "eliminate": 0}
+    det, eliminate = matrices.integer_det, construct.integer_eliminate
+
+    def counted_det(rows):
+        calls["det"] += 1
+        return det(rows)
+
+    def counted_eliminate(rows, ncols):
+        calls["eliminate"] += 1
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(matrices, "integer_det", counted_det)
+    monkeypatch.setattr(construct, "integer_eliminate", counted_eliminate)
+    assert twist(fx.UNIMOD_4x8, fx.PI_23345357) == fx.TWIST_4x8
+    assert calls == {"det": 0, "eliminate": 8}
+    calls["eliminate"] = 0
+    assert build_frieze_twist(fx.UNIMOD_4x8, fx.PI_23345357) == fx.JUG_FRIEZE
+    assert calls["det"] == 8
+
+
+def test_twist_names_the_first_bad_schedule_minor():
+    # one perturbed entry: schedule 3 gets minor -1, or schedule 8 minor 0
+    for (i, j), a, value in (((1, 2), 3, -1), ((3, 7), 8, 0)):
+        m = with_entry(fx.UNIMOD_4x8, i, j, 0)
+        minors = [cyclic_submatrix(m, s).det() for s in fx.NECKLACE_23345357]
+        assert [d for d in minors if d != 1] == [value]
+        assert minors[a - 1] == value
+        with pytest.raises(ValueError,
+                           match=f"^landing-schedule minor at {a} is not 1$"):
+            twist(m, fx.PI_23345357)
 
 
 def test_positive_complement_fixture():

@@ -11,14 +11,16 @@ from fractions import Fraction
 import pytest
 
 from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
-                           build_frieze_det, build_frieze_twist, dual_frieze,
-                           is_pi_unimodular, parse_siteswap,
-                           positive_complement)
+                           build_frieze_det, build_frieze_twist,
+                           cyclic_submatrix, dual_frieze, is_pi_unimodular,
+                           parse_siteswap, positive_complement, twist)
+from jugglerfrieze.matrices import integer_eliminate
 
 import fixture_data as fx
-from exact_oracles import (exhaustive_complement, full_product_frieze,
-                           full_window_frieze, gauss_jordan,
-                           interval_rank_certificate, kernel_rows, minor_dual)
+from exact_oracles import (_minor, exhaustive_complement,
+                           full_product_frieze, full_window_frieze,
+                           gauss_jordan, interval_rank_certificate,
+                           kernel_rows, minor_dual)
 from samplers import (UNIMODULAR_POOL, random_determinant_one,
                       random_juggling, random_unimodular)
 
@@ -100,6 +102,147 @@ def test_solve_matches_gauss_jordan():
                 m.solve(rhs)
             continue
         assert m.solve(rhs) == tuple(row[-1] for row in reduced)
+
+
+# Integer views.  A matrix's view scales each row by its own lcm, a
+# frieze's view its whole window by one lcm; minors and eliminations
+# run on the views.  The cases give each row its own denominators, so a
+# minor that divides by the wrong rows' scales is off, and put zeros at
+# the leading pivots, so every elimination swaps rows.
+
+_ROW_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13)
+
+
+def _view_case(rng, k, n):
+    """Row i has entries over _ROW_DENOMINATORS[i]; the top rows are
+    zero in the first column, so eliminations swap."""
+    rows = [[Fraction(rng.randint(-5, 5), _ROW_DENOMINATORS[i])
+             for _ in range(n)] for i in range(k)]
+    for row in rows[:rng.randint(1, k)]:
+        row[0] = Fraction(0)
+    if rng.random() < 0.3:  # singular: a copy of another row, rescaled
+        i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+        rows[i] = [x * 2 for x in rows[j]]
+    return Matrix(rows, cols=n)
+
+
+def _view_cases(seed, count=40):
+    rng = random.Random(seed)
+    cases = [Matrix([], cols=0), Matrix([], cols=3)]
+    for _ in range(count):
+        k = rng.randint(1, 6)
+        cases.append(_view_case(rng, k, rng.randint(k, 7)))
+    return cases
+
+
+def test_matrix_minors_match_gauss_jordan():
+    rng = random.Random(21)
+    swapped = subsets = 0
+    for m in _view_cases(21):
+        k, n = m.nrows, m.ncols
+        if k == n:
+            assert m.det() == gauss_jordan(m.entries, n)[2]
+        for size in range(k + 1):
+            rows = sorted(rng.sample(range(k), size))
+            cols = sorted(rng.sample(range(n), size))
+            expected = _minor([m.entries[i] for i in rows], cols)
+            assert m.minor(rows, cols) == expected, (m, rows, cols)
+            subsets += 0 < size < k and expected != 0
+        swapped += 0 < k == n and m.entries[0][0] == 0 and m.det() != 0
+    assert m.minor([], []) == 1
+    # nonzero minors on proper row subsets, and nonsingular swapped dets
+    assert subsets > 20 and swapped > 3
+
+
+def test_elimination_kernel_determinant_matches_gauss_jordan():
+    # twist reads each schedule minor off the elimination that solves it
+    for m in _view_cases(22):
+        if m.nrows != m.ncols:
+            continue
+        rows = [list(row) for row in m.integer_view()[0]]
+        pivots, d, sign = integer_eliminate(rows, m.ncols)
+        scale = 1
+        for s in m.integer_view()[1]:
+            scale *= s
+        det = Fraction(sign * d, scale) if len(pivots) == m.ncols else 0
+        assert det == gauss_jordan(m.entries, m.ncols)[2], m
+
+
+def test_view_rref_and_solve_match_gauss_jordan():
+    rng = random.Random(23)
+    singular = 0
+    for m in _view_cases(23):
+        reduced, pivots = m.rref()
+        oracle, oracle_pivots, _ = gauss_jordan(m.entries, m.ncols)
+        assert (reduced, pivots) == (Matrix(oracle, cols=m.ncols),
+                                     oracle_pivots)
+        if m.nrows != m.ncols:
+            continue
+        rhs = [_scalar(rng) for _ in range(m.nrows)]
+        aug = [list(row) + [b] for row, b in zip(m.entries, rhs)]
+        oracle, oracle_pivots, _ = gauss_jordan(aug, m.ncols + 1)
+        if oracle_pivots[:m.ncols] != tuple(range(m.ncols)):
+            singular += 1
+            with pytest.raises(ValueError, match="singular matrix"):
+                m.solve(rhs)
+        else:
+            assert m.solve(rhs) == tuple(row[-1] for row in oracle)
+    assert singular > 2
+
+
+def test_frieze_minors_match_gauss_jordan():
+    # rows and columns anywhere: a - b = n reads the stored loop slot,
+    # a - b < 0 or > n leaves the window and reads 0
+    rng = random.Random(24)
+    shapes = [parse_siteswap(p) for p in ("3,3,0", "0,0,4,4", "000", "4130")]
+    shapes += [random_juggling(rng, 6) for _ in range(12)]
+    loop_slots = 0
+    for i, shape in enumerate(shapes):
+        c = _array(rng, shape, rational=i % 2 == 0)
+        n = shape.period
+        for b in range(-n, 2 * n):
+            for a in range(b - 1, b + n + 2):
+                assert c.minor([a], [b]) == c.entry(a, b)
+                loop_slots += a - b == n and c.entry(a, b) != 0
+        for size in range(min(5, 3 * n + 1)):
+            rows = sorted(rng.sample(range(-n, 2 * n), size))
+            cols = sorted(rng.sample(range(-n, 2 * n), size))
+            grid = [[c.entry(a, b) for b in cols] for a in rows]
+            assert c.minor(rows, cols) == _minor(grid, range(size))
+    assert loop_slots > 10
+
+
+def _twist_oracle(m, pi):
+    """The twist by one determinant and one Gauss-Jordan solve per
+    landing schedule, or the error naming the first bad schedule."""
+    cols = []
+    for a, order in enumerate(pi.necklace(), start=1):
+        sub = cyclic_submatrix(m, order).transpose()
+        reduced, _, det = gauss_jordan(
+            [list(row) + [int(r == a)] for row, r in zip(sub.entries, order)],
+            sub.ncols)
+        if det != 1:
+            return f"ValueError: landing-schedule minor at {a} is not 1"
+        cols.append([row[-1] for row in reduced])
+    return Matrix.from_columns(cols)
+
+
+def test_twist_matches_determinant_and_solve_oracle():
+    rng = random.Random(25)
+    cases = _perturbed_pool(rng, per_matrix=6)
+    for m, pi in UNIMODULAR_POOL[:6]:
+        # rescale two rows by inverse factors: the minors keep their
+        # values, the rows their own denominators
+        rows = [list(row) for row in m.entries]
+        if len(rows) > 1:
+            rows[0] = [x * Fraction(3, 2) for x in rows[0]]
+            rows[1] = [x * Fraction(2, 3) for x in rows[1]]
+        cases.append((Matrix(rows, cols=m.ncols), pi))
+    outcomes = [_outcome(twist, m, pi) for m, pi in cases]
+    for (m, pi), got in zip(cases, outcomes):
+        assert got == _twist_oracle(m, pi), (m, pi)
+    assert sum(isinstance(t, Matrix) for t in outcomes) > 6
+    assert sum(isinstance(t, str) for t in outcomes) > 6
 
 
 def _outcome(f, *args):
