@@ -7,6 +7,12 @@ stored object behaves like the full doubly infinite unitriangular
 array with C[a+n, b+n] = C[a, b].  Each frieze also keeps one integer
 view of that window, scaled by one common lcm of its denominators, on
 which its minors and its dual are computed.
+
+A frieze is defined by unit and vanishing minors, and is decided by the
+equivalent linear recurrence: the signed columns of its dual, extended
+superperiodically, solve C x = 0 (is_frieze).  That takes O(n**3)
+operations; the minors, O(n**5) in all, are evaluated only to explain
+a failure (check_frieze).
 """
 from __future__ import annotations
 
@@ -15,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .juggling import JugglingFunction, residue
+from .juggling import JugglingFunction, residue, sign_power
 from .matrices import as_grid, integer_det, rational_to_json
 
 
@@ -177,34 +183,118 @@ def is_tameness_pair(pi: JugglingFunction, a: int, b: int) -> bool:
     return (dual(a) < b < a + pi.period) or (b < a + pi.period < pi(b))
 
 
-def check_frieze(c: PeriodicFrieze) -> FriezeReport:
-    """Evaluate every determinant condition over one period.
-
-    The unit conditions are checked for the full redundant family
-    a <= b < a+n; the vanishing conditions only for intervals that
-    actually carry one.
-    """
-    pi = c.shape
+def _conditions(pi: JugglingFunction):
+    """The determinant conditions over one period, as (unit, a, b):
+    the unit conditions for the full redundant family a <= b < a+n,
+    and the vanishing conditions only for intervals that carry one."""
     n = pi.period
-    report = FriezeReport(prefrieze_ok=is_prefrieze(c))
     for a in range(1, n + 1):
         for b in range(a, a + n):
+            yield True, a, b
+        for b in range(a + 1, a + n):
+            if is_tameness_pair(pi, a, b):
+                yield False, a, b
+
+
+def check_frieze(c: PeriodicFrieze) -> FriezeReport:
+    """Decide c by the recurrence (see is_frieze); evaluate the
+    determinant conditions only to explain a failure.
+
+    A frieze gets a report with no failures whose checked_pairs counts
+    the conditions it satisfies.  Anything else gets the full scan of
+    unit and vanishing minors over one period, which lists every
+    condition that fails.
+    """
+    if is_frieze(c):
+        return FriezeReport(prefrieze_ok=True,
+                            checked_pairs=sum(1 for _ in _conditions(c.shape)))
+    report = FriezeReport(prefrieze_ok=is_prefrieze(c))
+    for unit, a, b in _conditions(c.shape):
+        report.checked_pairs += 1
+        if unit:
             det = frieze_minor(c, a, b)
-            report.checked_pairs += 1
             if det != 1:
                 report.frieze_failures.append((a, b, det))
-        for b in range(a + 1, a + n):
-            if not is_tameness_pair(pi, a, b):
-                continue
+        else:
             det = tameness_minor(c, a, b)
-            report.checked_pairs += 1
             if det != 0:
                 report.tame_failures.append((a, b, det))
     return report
 
 
 def is_frieze(c: PeriodicFrieze) -> bool:
-    return is_prefrieze(c) and check_frieze(c).ok
+    """Whether c is a frieze, decided by the linear recurrence.
+
+    A prefrieze is a frieze exactly when, for every column b that is
+    not a loop of the shape, the signed dual column
+    x[b+t] = (-1)**t D_t (t in [0, n), see dual_frieze), extended by
+    x[a+n] = (-1)**(n-k-1) x[a], solves C x = 0
+    (Morier-Genoud, Ovsienko, Schwartz, Tabachnikov, arXiv:1309.3880).
+    C is n-periodic and x superperiodic, so row a + n of C x is that
+    sign times row a, and the rows [b, b+n) decide it.  This costs
+    O(n**3) in all, against the O(n**5) of the minors that
+    check_frieze evaluates to explain a failure.
+    """
+    return _recurrence_minors(c) is not None
+
+
+def _dual_column(window, b: int) -> list[int]:
+    """The minors D_0..D_{n-1} of column b of the dual (see
+    dual_frieze), on the integer view window of a frieze: D_t is L**t
+    times the minor of the frieze."""
+    # near[j][d] is the scaled entry C[b+j+d, b+j]
+    near = window[b - 1:] + window[:b - 1]
+    minors = [1]
+    for t in range(1, len(window)):
+        total = 0
+        weight = 1  # (-1)**(t-1-j) * prod_{m=j+1}^{t-1} C[b+m, b+m]
+        for j in range(t - 1, -1, -1):
+            x = near[j][t - j]
+            if x:
+                total += weight * x * minors[j]
+            weight = -weight * near[j][0]
+        minors.append(total)
+    return minors
+
+
+def _recurrence_minors(c: PeriodicFrieze) -> list | None:
+    """The dual column minors of c (_dual_column) at each column that is
+    not a loop, and None at loops, when c is a frieze; else None.
+
+    The residuals are taken on the integer view: with window W over the
+    lcm L, L**n times row a of C x is the sum over b' in [a-n, a] of
+    W[a, b'] * (-1)**t D_t * L**(n-1-t), t = b' - b reduced into
+    [0, n), signed by the superperiodic rule when b' < b.
+    """
+    if not is_prefrieze(c):
+        return None
+    pi = c.shape
+    n = pi.period
+    window, scale = c.integer_view()
+    wrap = sign_power(n - pi.balls - 1)
+    # the nonzero scaled entries (a - b', W[a, b']) of each column b'
+    support = [[(d, x) for d, x in enumerate(col) if x] for col in window]
+    found = []
+    for b in range(1, n + 1):
+        if pi(b) == b:
+            found.append(None)
+            continue
+        minors = _dual_column(window, b)
+        x = [sign_power(t) * d * scale ** (n - 1 - t)
+             for t, d in enumerate(minors)]
+        # x at columns b - n .. b + n - 1, and their support
+        xs = [wrap * v for v in x] + x
+        cols = support[b - 1:] + support[:b - 1]
+        rows = [0] * n  # rows b .. b + n - 1 of C x
+        for p, (v, entries) in enumerate(zip(xs, cols + cols)):
+            if v:
+                for d, w in entries:
+                    if 0 <= p + d - n < n:
+                        rows[p + d - n] += w * v
+        if any(rows):
+            return None
+        found.append(minors)
+    return found
 
 
 def dual_frieze(c: PeriodicFrieze) -> PeriodicFrieze:
@@ -221,11 +311,11 @@ def dual_frieze(c: PeriodicFrieze) -> PeriodicFrieze:
 
     so a column costs O(n**2) operations and no division.  The columns
     of the dual, signed, are the solutions of the recurrence C x = 0
-    (see recurrence.solution_matrix).  The diagonal product keeps the
-    minors exact on arrays whose diagonal is not all 1.  D_t is
-    homogeneous of degree t in the entries, so the recurrence runs on
-    c's integer view L*C and D_t is that result over L**t.  The minors
-    cannot see slot (b+n, b), so it is read from the dual shape's
+    (see is_frieze and recurrence.solution_matrix).  The diagonal
+    product keeps the minors exact on arrays whose diagonal is not all
+    1.  D_t is homogeneous of degree t in the entries, so the recurrence
+    runs on c's integer view L*C and D_t is that result over L**t.  The
+    minors cannot see slot (b+n, b), so it is read from the dual shape's
     skeleton: 0 unless b is a loop of the shape, and then b is a coloop
     of the dual and the slot holds the dual's boundary sign there,
     (-1)**k for the k balls of the shape.
@@ -235,18 +325,7 @@ def dual_frieze(c: PeriodicFrieze) -> PeriodicFrieze:
     window, scale = c.integer_view()
     cols = []
     for b in range(1, n + 1):
-        # near[j][d] is the scaled entry C[b+j+d, b+j]
-        near = window[b - 1:] + window[:b - 1]
-        minors = [1]
-        for t in range(1, n):
-            total = 0
-            weight = 1  # (-1)**(t-1-j) * prod_{m=j+1}^{t-1} C[b+m, b+m]
-            for j in range(t - 1, -1, -1):
-                x = near[j][t - j]
-                if x:
-                    total += weight * x * minors[j]
-                weight = -weight * near[j][0]
-            minors.append(total)
+        minors = _dual_column(window, b)
         col = [Fraction(d, scale ** t) for t, d in enumerate(minors)]
         col.append(pi.dual().skeleton()[b - 1][n])
         cols.append(col)

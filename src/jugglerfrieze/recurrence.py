@@ -3,9 +3,10 @@
 Read as a doubly infinite unitriangular matrix, a frieze C defines the
 recurrence C x = 0.  Its solutions satisfy x[a+n] = (-1)**s x[a] for a
 fixed sign exponent s exactly when C is a frieze, and a canonical
-spanning set of solutions is carried by the dual frieze.  Everything
-here works on finite windows; the extension rule is total, so no
-infinite object is ever materialized.
+spanning set of solutions is carried by the dual frieze.  This is how
+frieze.is_frieze decides a frieze, and solution_matrix returns the
+columns that decided it.  Everything here works on finite windows; the
+extension rule is total, so no infinite object is ever materialized.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from typing import Callable, Mapping, Sequence
 
 from .juggling import as_int, residue, sign_power
 from .matrices import as_grid, as_rational
-from .frieze import (PeriodicFrieze, columns_from_json, columns_to_json,
-                     dual_frieze, is_frieze)
+from .frieze import (PeriodicFrieze, _recurrence_minors, columns_from_json,
+                     columns_to_json)
 
 
 @dataclass(frozen=True)
@@ -85,17 +86,17 @@ def solution_matrix(c: PeriodicFrieze) -> SolutionWindow:
 
     Column b is zero when b is a loop of the shape; otherwise it is the
     b-th dual column with alternating signs, extended superperiodically.
+    The same columns decide that c is a frieze (see frieze.is_frieze),
+    so each is computed once.
     """
-    if not is_frieze(c):
+    minors = _recurrence_minors(c)
+    if minors is None:
         raise ValueError("solution matrix needs a frieze")
     pi = c.shape
     n = pi.period
-    dual = dual_frieze(c)
-    cols = []
-    for b in range(1, n + 1):
-        if pi(b) == b:
-            cols.append((Fraction(0),) * n)
-        else:
-            cols.append(tuple(sign_power(a + b) * dual.entry(a, b)
-                              for a in range(b, b + n)))
-    return SolutionWindow(n, n - pi.balls - 1, tuple(cols))
+    _, scale = c.integer_view()
+    cols = tuple((Fraction(0),) * n if col is None else
+                 tuple(Fraction(sign_power(t) * d, scale ** t)
+                       for t, d in enumerate(col))
+                 for col in minors)
+    return SolutionWindow(n, n - pi.balls - 1, cols)

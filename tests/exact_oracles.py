@@ -1,10 +1,12 @@
 """Definitional counterparts of the package's fast exact paths.
 
-The package eliminates fraction-free on integer rows and takes the dual
-through a Hessenberg recurrence.  The oracles here do the same jobs the
-plain way, in fractions.Fraction, so the tests can compare the two.
+The package eliminates fraction-free on integer rows, takes the dual
+through a Hessenberg recurrence and decides a frieze by the recurrence
+C x = 0.  The oracles here do the same jobs the plain way, in
+fractions.Fraction, so the tests can compare the two.
 The frieze of a matrix is built at every window slot, or read off the
-whole product of its twist with it.  The recurrence oracles restate
+whole product of its twist with it.  The minor report evaluates every
+determinant condition of a frieze.  The recurrence oracles restate
 what a frieze is through the solutions of C x = 0: the tiling of a
 dual, the superperiodic kernel criterion and the kernel correspondence
 with the matrix.  The certificate oracles compare every complementary
@@ -15,10 +17,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from jugglerfrieze import (Matrix, JugglingFunction, PeriodicFrieze,
-                           SolutionWindow, build_frieze_det, frieze_entry,
-                           is_prefrieze, residual, superperiodic_extension,
-                           twist)
+from jugglerfrieze import (FriezeReport, Matrix, JugglingFunction,
+                           PeriodicFrieze, SolutionWindow, build_frieze_det,
+                           frieze_entry, is_prefrieze, residual,
+                           superperiodic_extension, twist)
+from jugglerfrieze.frieze import (frieze_minor, is_tameness_pair,
+                                  tameness_minor)
 from jugglerfrieze.matrices import residue, sign_power
 
 
@@ -146,6 +150,28 @@ def full_product_frieze(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
                      if x is None else x
                      for a, x in enumerate(fixed, start=b)])
     return PeriodicFrieze(pi.dual(), cols)
+
+
+def minor_report(c: PeriodicFrieze) -> FriezeReport:
+    """The report of check_frieze by definition: every unit minor on
+    [a, b] for a <= b < a+n, and the vanishing minor of every interval
+    that carries one, with each failure listed, for a in [1, n]."""
+    pi = c.shape
+    n = pi.period
+    report = FriezeReport(prefrieze_ok=is_prefrieze(c))
+    for a in range(1, n + 1):
+        for b in range(a, a + n):
+            det = frieze_minor(c, a, b)
+            report.checked_pairs += 1
+            if det != 1:
+                report.frieze_failures.append((a, b, det))
+        for b in range(a + 1, a + n):
+            if is_tameness_pair(pi, a, b):
+                det = tameness_minor(c, a, b)
+                report.checked_pairs += 1
+                if det != 0:
+                    report.tame_failures.append((a, b, det))
+    return report
 
 
 def minor_dual(c: PeriodicFrieze) -> PeriodicFrieze:

@@ -3,26 +3,32 @@
 Matrices come with mixed denominators, rank deficiency, zero rows and
 empty shapes; dual inputs are arrays that are not friezes at all, with
 diagonal entries other than 1 (0 included), rational entries and ragged
-shapes with loops and coloops.
+shapes with loops and coloops.  Frieze checks run on valid friezes and
+on their one- and two-entry perturbations.
 """
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            build_frieze_det, build_frieze_twist,
-                           cyclic_submatrix, dual_frieze, is_pi_unimodular,
-                           parse_siteswap, positive_complement, twist)
+                           check_frieze, cyclic_submatrix, dual_frieze,
+                           is_frieze, is_pi_unimodular, parse_siteswap,
+                           positive_complement, twist)
 from jugglerfrieze.matrices import integer_eliminate
 
 import fixture_data as fx
 from exact_oracles import (_minor, exhaustive_complement,
                            full_product_frieze, full_window_frieze,
                            gauss_jordan, interval_rank_certificate,
-                           kernel_rows, minor_dual)
+                           kernel_rows, minor_dual, minor_report)
 from samplers import (UNIMODULAR_POOL, random_determinant_one,
                       random_juggling, random_unimodular)
+
+DATA = Path(__file__).parent / "data"
 
 
 def _scalar(rng):
@@ -371,3 +377,73 @@ def test_dual_shape_is_cached_and_involutive():
     for pi in [parse_siteswap("53635514")] + [random_juggling(rng) for _ in range(10)]:
         assert pi.dual() is pi.dual()
         assert pi.dual().dual() is pi
+
+
+def _skeleton_frieze(n, balls):
+    """The frieze of uniform(n, balls) from the matrix of its dual shape:
+    no rows for balls = n, the identity for balls = 0."""
+    pi = JugglingFunction.uniform(n, n - balls)
+    m = Matrix([[int(i == j) for j in range(n)] for i in range(n - balls)],
+               cols=n)
+    return build_frieze_det(m, pi)
+
+
+def _valid_friezes():
+    """Fixtures, the rational strip (lcm 3), the friezes of the
+    zero-heavy ragged shapes 003, 4400 and 4130 (loops and coloops),
+    and those of uniform(n, 0) and uniform(n, n) for n <= 6."""
+    strip = PeriodicFrieze.from_json(json.loads(
+        (DATA / "rational" / "strip.json").read_text()))
+    friezes = [fx.SL3_H5, fx.SL3_H5_DUAL, fx.SL2_H6, fx.JUG_FRIEZE,
+               fx.JUG_FRIEZE_DUAL, fx.IDENTITY_FRIEZE_3, strip]
+    friezes += [build_frieze_det(m, pi) for m, pi in UNIMODULAR_POOL
+                if pi in (fx.PI_003, fx.PI_4400, fx.PI_4130)]
+    return friezes + [_skeleton_frieze(n, balls)
+                      for n in range(1, 7) for balls in (0, n)]
+
+
+def _entry_variants(c, rng, single, pairs):
+    """c with one entry moved by +1, -1 or +1/2 at every free slot of
+    the shape when `single`, and at every fixed slot too for n <= 4
+    (those leave the prefrieze, so only the minor scan sees them); then
+    `pairs` variants with two free entries moved by random rationals."""
+    n = c.shape.period
+    free = [(b, d) for b, col in enumerate(c.shape.skeleton())
+            for d, x in enumerate(col) if x is None]
+    slots = [(b, d) for b in range(n) for d in range(n + 1)] if n <= 4 else free
+    moves = [[(slot, delta)] for slot in slots if single
+             for delta in (1, -1, Fraction(1, 2))]
+    if len(free) > 1:
+        moves += [[(slot, _scalar(rng) or 1) for slot in rng.sample(free, 2)]
+                  for _ in range(pairs)]
+    for move in moves:
+        cols = [list(col) for col in c.columns]
+        for (b, d), delta in move:
+            cols[b][d] += delta
+        yield PeriodicFrieze(c.shape, cols)
+
+
+def _decision_cases(rng, friezes, draws):
+    for c in friezes:
+        yield c
+        yield from _entry_variants(c, rng, single=True, pairs=4)
+    for _ in range(draws):
+        c = build_frieze_det(*random_unimodular(rng))
+        yield c
+        yield from _entry_variants(c, rng, single=False, pairs=4)
+
+
+def test_check_frieze_matches_minor_report():
+    # the decision by the recurrence and the minor scan that explains a
+    # failure, against every unit and vanishing minor by definition
+    friezes = _valid_friezes()
+    shapes = [c.shape for c in friezes]
+    assert any(s.loops() for s in shapes) and any(s.coloops() for s in shapes)
+    assert any(c.integer_view()[1] > 1 for c in friezes)
+    found = {True: 0, False: 0}
+    for v in _decision_cases(random.Random(16), friezes, draws=20):
+        expected = minor_report(v)
+        assert check_frieze(v).to_json() == expected.to_json()
+        assert is_frieze(v) == expected.ok
+        found[expected.ok] += 1
+    assert found[True] >= len(friezes) + 20 and found[False] > 1000

@@ -1,15 +1,25 @@
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
 from jugglerfrieze import (JugglingFunction, PeriodicFrieze,
                            is_prefrieze, check_frieze, is_frieze, dual_frieze,
                            is_sl_frieze, is_positive, frieze_from_quiddity,
-                           enumerate_sl2_positive)
+                           enumerate_sl2_positive, build_frieze_det,
+                           solution_matrix)
+from jugglerfrieze import frieze as frieze_module
 from jugglerfrieze.frieze import frieze_minor, tameness_minor, is_tameness_pair
 
 import fixture_data as fx
-from exact_oracles import verify_superperiodic_kernel
+from exact_oracles import minor_report, verify_superperiodic_kernel
+from samplers import UNIMODULAR_POOL
+
+RATIONAL = Path(__file__).parent / "data" / "rational"
+FIXTURE_FRIEZES = [fx.SL3_H5, fx.SL3_H5_DUAL, fx.SL2_H6, fx.JUG_FRIEZE,
+                   fx.JUG_FRIEZE_DUAL, fx.IDENTITY_FRIEZE_3]
+FIXTURE_FRIEZES += [build_frieze_det(m, pi) for m, pi in UNIMODULAR_POOL]
 
 
 def perturbed(frieze, b, d, delta=1):
@@ -264,3 +274,55 @@ def test_single_entry_perturbations_are_rejected(name):
                 else:
                     assert not is_frieze(bad)
                 assert not verify_superperiodic_kernel(bad)
+
+
+def _counted(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's args."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_friezes_are_decided_without_minors(monkeypatch):
+    # the decision runs the dual-column kernel once per column that is
+    # not a loop, and solution_matrix solves with the columns it decided by
+    minors = _counted(monkeypatch, PeriodicFrieze, "minor")
+    kernel = _counted(monkeypatch, frieze_module, "_dual_column")
+    assert any(c.shape.loops() for c in FIXTURE_FRIEZES)
+    for c in FIXTURE_FRIEZES:
+        non_loops = c.shape.period - len(c.shape.loops())
+        kernel.clear()
+        assert check_frieze(c).ok and len(kernel) == non_loops
+        kernel.clear()
+        assert is_frieze(c) and len(kernel) == non_loops
+        kernel.clear()
+        solution_matrix(c)
+        assert len(kernel) == non_loops
+    assert minors == []
+
+
+def test_frieze_report_counts_the_conditions_of_the_scan(monkeypatch):
+    # a frieze's report counts the conditions without evaluating them:
+    # as many as the definition evaluates, and as many as the scan does
+    # on the same shape once the diagonal leaves the prefrieze
+    for c in FIXTURE_FRIEZES:
+        report = check_frieze(c)
+        assert report.ok
+        assert report.checked_pairs == minor_report(c).checked_pairs
+        off = perturbed(c, 1, 0)
+        assert not is_prefrieze(off)
+        assert check_frieze(off).checked_pairs == report.checked_pairs
+    # a near-miss prefrieze is explained by the full scan
+    minors = _counted(monkeypatch, PeriodicFrieze, "minor")
+    near = PeriodicFrieze.from_json(
+        json.loads((RATIONAL / "strip_near_miss.json").read_text()))
+    report = check_frieze(near)
+    assert report.prefrieze_ok and not report.ok and report.frieze_failures
+    assert len(minors) == report.checked_pairs
+    assert report.to_json() == minor_report(near).to_json()
