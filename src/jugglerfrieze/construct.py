@@ -16,6 +16,7 @@ from .juggling import JugglingFunction, residue, sign_power
 from .matrices import (Matrix, cyclic_columns, integer_eliminate,
                        kernel_from_rref)
 from .frieze import PeriodicFrieze
+from .recurrence import solution_matrix
 
 
 @dataclass
@@ -246,28 +247,20 @@ def frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
     """Invert the frieze construction.
 
     Returns the unique (up to unimodular row operations, then pinned by
-    a normalization) matrix whose frieze is c.  The kernel of c acting
-    on superperiodic sequences is read off from one period of rows, and
-    its orthogonal complement is the row space of the answer.
+    a normalization) matrix whose frieze is c: the kernel of the n x n
+    matrix whose row b is column b of solution_matrix(c), the solutions
+    of C x = 0 that decided c, read at 1..n.
     """
-    sigma = c.shape
-    pi = sigma.dual()
+    pi = c.shape.dual()
     n = pi.period
     k = pi.balls
-    rows = []
-    for a in range(1, n + 1):
-        row = [Fraction(0)] * n
-        for b in range(a - n, a + 1):
-            r = residue(b, n)
-            row[r - 1] += c.entry(a, b) * sign_power((k - 1) * ((b - r) // n))
-        rows.append(row)
-    system = Matrix(rows, cols=n)
-    solutions = system.kernel_basis()
-    if solutions.nrows != n - k:
-        raise ValueError(
-            f"solution space has dimension {solutions.nrows}, "
-            f"expected {n - k}: not a frieze of this shape")
-    candidate = solutions.kernel_basis()
+    window = solution_matrix(c)
+    span = Matrix([[window.entry(a, b) for a in range(1, n + 1)]
+                   for b in range(1, n + 1)], cols=n)
+    candidate = span.kernel_basis()
+    if candidate.nrows != k:
+        raise ValueError(f"complement of the solutions has {candidate.nrows}"
+                         f" rows, expected {k}")
     d = candidate.minor(range(k), cyclic_columns(n, pi.landing_schedule(1)))
     if d == 0:
         raise ValueError("normalization minor vanishes")

@@ -345,14 +345,17 @@ def is_sl_frieze(c: PeriodicFrieze, k: int, h: int) -> bool:
 
 
 def is_positive(c: PeriodicFrieze) -> bool:
-    """Entries not forced to vanish are positive after the sign twist."""
+    """Entries not forced to vanish are positive after the sign twist,
+    kept as a running sign down each column in O(n**2): |S(b, a+1)| is
+    |S(b, a)| plus 1 when pi^{-1}(a) > b, from |S(b, b)| = 0."""
     pi = c.shape
     for b in range(1, pi.period + 1):
+        sign = 1
         for a in range(b, pi(b) + 1):
-            if a != b and not pi.inside_cone(a, b):
-                continue
-            if pi.entry_sign(a, b) * c.entry(a, b) <= 0:
+            if (a == b or pi.inside_cone(a, b)) and sign * c.entry(a, b) <= 0:
                 return False
+            if pi.inverse(a) > b:
+                sign = -sign
     return True
 
 
@@ -418,6 +421,8 @@ def enumerate_sl2_positive(height: int, entry_bound: int) -> list[PeriodicFrieze
     have determinant 1, with second-row entries bounded by entry_bound.
 
     Entrywise-distinct translates are counted as distinct friezes.
+    Every quiddity entry is at most n - 2 = height, so a bound of at
+    least the height is exhaustive: all C_h (Catalan) of them.
     """
     if height < 1:
         raise ValueError("height must be at least 1")

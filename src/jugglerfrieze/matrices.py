@@ -129,8 +129,9 @@ class Matrix:
     def __init__(self, rows: Sequence[Sequence], cols: int | None = None):
         data = as_grid(rows)
         width = len(data[0]) if data else cols
-        if width is None:
-            raise ValueError("empty matrix needs an explicit column count")
+        if width is None or as_int(width) < 0:
+            raise ValueError(f"empty matrix needs a column count of at "
+                             f"least 0, not {width}")
         if any(len(row) != width for row in data):
             raise ValueError("ragged rows")
         if cols not in (None, width):

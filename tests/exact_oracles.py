@@ -11,7 +11,9 @@ what a frieze is through the solutions of C x = 0: the tiling of a
 dual, the superperiodic kernel criterion and the kernel correspondence
 with the matrix.  The certificate oracles compare every complementary
 pair of maximal minors, and take the rank of every cyclic interval of
-columns.
+columns.  A frieze's matrix is the kernel of the kernel of one period of
+the recurrence system, and positivity reads each entry's sign twist off
+its s-set.
 """
 import random
 from fractions import Fraction
@@ -23,7 +25,7 @@ from jugglerfrieze import (FriezeReport, Matrix, JugglingFunction,
                            superperiodic_extension, twist)
 from jugglerfrieze.frieze import (frieze_minor, is_tameness_pair,
                                   tameness_minor)
-from jugglerfrieze.matrices import residue, sign_power
+from jugglerfrieze.matrices import cyclic_columns, residue, sign_power
 
 
 def gauss_jordan(rows, ncols):
@@ -261,4 +263,49 @@ def kernel_correspondence(m: Matrix, pi: JugglingFunction, rng=None) -> bool:
         solves = all(residual(f, ext, a) == 0 for a in check_range)
         if in_kernel != solves:
             return False
+    return True
+
+
+def system_kernel_matrix(c: PeriodicFrieze) -> Matrix:
+    """The matrix of a frieze by its superperiodic kernel, built from
+    scratch: one period of rows of C x = 0 with x[b + n] = (-1)**(k-1)
+    x[b] folded into columns 1..n, its kernel (which must have
+    dimension n - k), the kernel of that, the first row normalized so
+    the landing-schedule minor at 1 is 1, then the frieze rebuilt and
+    compared; raises ValueError where it fails."""
+    pi = c.shape.dual()
+    n, k = pi.period, pi.balls
+    rows = []
+    for a in range(1, n + 1):
+        row = [Fraction(0)] * n
+        for b in range(a - n, a + 1):
+            r = residue(b, n)
+            row[r - 1] += c.entry(a, b) * sign_power((k - 1) * ((b - r) // n))
+        rows.append(row)
+    solutions = kernel_rows(rows, n)
+    if len(solutions) != n - k:
+        raise ValueError(f"solution space has dimension {len(solutions)}, "
+                         f"expected {n - k}")
+    candidate = kernel_rows(solutions, n)
+    d = _minor(candidate, cyclic_columns(n, pi.landing_schedule(1)))
+    if d == 0:
+        raise ValueError("normalization minor vanishes")
+    result = Matrix([[x / d for x in row] if i == 0 else row
+                     for i, row in enumerate(candidate)], cols=n)
+    if build_frieze_det(result, pi) != c:
+        raise ValueError("inversion failed to reproduce the frieze")
+    return result
+
+
+def entry_sign_is_positive(c: PeriodicFrieze) -> bool:
+    """is_positive with each sign twist taken from its s-set: every
+    diagonal entry and every entry strictly inside a cone, times
+    (-1)**|S(b, a)|, is positive."""
+    pi = c.shape
+    for b in range(1, pi.period + 1):
+        for a in range(b, pi(b) + 1):
+            if a != b and not pi.inside_cone(a, b):
+                continue
+            if pi.entry_sign(a, b) * c.entry(a, b) <= 0:
+                return False
     return True

@@ -341,6 +341,13 @@ def test_float_throws_and_sizes_exit_2(capsys, tmp_path):
                        ("construct", "--siteswap", "23345357"))
 
 
+def test_negative_column_count_exit_2(capsys, tmp_path):
+    doc = {"rows": 0, "cols": -1, "entries": []}
+    _bad_input_exits_2(capsys, tmp_path, doc,
+                       ("construct", "--siteswap", "0"),
+                       ("transform", "--op", "complement"))
+
+
 def test_column_keys_other_than_one_to_n_exit_2(capsys, tmp_path):
     doc = fx.IDENTITY_FRIEZE_3.to_json()
     doc["columns"]["9"] = ["junk"]

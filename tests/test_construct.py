@@ -449,6 +449,17 @@ def test_frieze_to_matrix_from_stored_fixture():
     assert build_frieze_det(m, fx.UNIFORM_8_3) == fx.SL3_H5
 
 
+def test_frieze_to_matrix_runs_one_elimination(monkeypatch):
+    # the solutions come from the recurrence that decided the frieze;
+    # only their complement is eliminated
+    calls = []
+    rref = Matrix.rref
+    monkeypatch.setattr(Matrix, "rref",
+                        lambda self: calls.append(self) or rref(self))
+    frieze_to_matrix(fx.SL3_H5)
+    assert len(calls) == 1
+
+
 def test_frieze_to_matrix_rejects_non_frieze():
     cols = [list(c) for c in fx.SL3_H5.columns]
     cols[0][2] += 1

@@ -9,6 +9,7 @@ on their one- and two-entry perturbations.
 import json
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -16,15 +17,17 @@ import pytest
 from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            build_frieze_det, build_frieze_twist,
                            check_frieze, cyclic_submatrix, dual_frieze,
-                           is_frieze, is_pi_unimodular, parse_siteswap,
-                           positive_complement, twist)
+                           frieze_to_matrix, is_frieze, is_pi_unimodular,
+                           is_positive, parse_siteswap, positive_complement,
+                           twist)
 from jugglerfrieze.matrices import integer_eliminate
 
 import fixture_data as fx
-from exact_oracles import (_minor, exhaustive_complement,
-                           full_product_frieze, full_window_frieze,
-                           gauss_jordan, interval_rank_certificate,
-                           kernel_rows, minor_dual, minor_report)
+from exact_oracles import (_minor, entry_sign_is_positive,
+                           exhaustive_complement, full_product_frieze,
+                           full_window_frieze, gauss_jordan,
+                           interval_rank_certificate, kernel_rows, minor_dual,
+                           minor_report, system_kernel_matrix)
 from samplers import (UNIMODULAR_POOL, random_determinant_one,
                       random_juggling, random_unimodular)
 
@@ -447,3 +450,96 @@ def test_check_frieze_matches_minor_report():
         assert is_frieze(v) == expected.ok
         found[expected.ok] += 1
     assert found[True] >= len(friezes) + 20 and found[False] > 1000
+
+
+def _inversion_cases(rng, draws):
+    """(frieze, matrix or None): SL3_H5 and the rational strip, the
+    round-trip fixtures, k = 0 on 000 and k = n on 333, and seeded
+    unimodular draws, every other one with two rows rescaled by
+    inverse rationals."""
+    strip = PeriodicFrieze.from_json(json.loads(
+        (DATA / "rational" / "strip.json").read_text()))
+    pairs = [(fx.CONSEC_3x8, fx.UNIFORM_8_3), (fx.UNIMOD_4x8, fx.PI_23345357),
+             (fx.MATRIX_003, fx.PI_003), (fx.MATRIX_000, fx.IDENTITY_3),
+             (Matrix.identity(3), parse_siteswap("333"))]
+    for i in range(draws):
+        m, pi = random_unimodular(rng)
+        if i % 2 and m.nrows > 1:
+            r = _scalar(rng) or Fraction(5, 7)
+            rows = [list(row) for row in m.entries]
+            rows[0] = [x * r for x in rows[0]]
+            rows[1] = [x / r for x in rows[1]]
+            m = Matrix(rows, cols=m.ncols)
+        pairs.append((m, pi))
+    return [(fx.SL3_H5, None), (strip, None)] + [
+        (build_frieze_det(m, pi), m) for m, pi in pairs]
+
+
+def test_frieze_to_matrix_matches_system_kernel_oracle():
+    # invert-F takes the solutions that decided the frieze; the oracle
+    # folds and eliminates one period of the recurrence system itself
+    rng = random.Random(27)
+    cases = _inversion_cases(rng, draws=24)
+    assert {c.shape.dual().balls for c, _ in cases} >= {0, 1, 2, 3, 4}
+    assert any(m is not None and m.integer_view()[1] != (1,) * m.nrows
+               for _, m in cases)
+    rejected = 0
+    for c, m in cases:
+        got = frieze_to_matrix(c)
+        assert got == system_kernel_matrix(c), c
+        if m is not None:
+            assert got.maximal_minors() == m.maximal_minors()
+        free = [(b, d) for b, col in enumerate(c.shape.skeleton())
+                for d, x in enumerate(col) if x is None]
+        for b, d in rng.sample(free, min(len(free), 3)):
+            cols = [list(col) for col in c.columns]
+            cols[b][d] += rng.choice((1, -1, Fraction(1, 2)))
+            v = PeriodicFrieze(c.shape, cols)
+            with pytest.raises(ValueError):
+                frieze_to_matrix(v)
+            with pytest.raises(ValueError):
+                system_kernel_matrix(v)
+            rejected += 1
+    assert rejected > 60
+
+
+def test_is_positive_matches_entry_sign_oracle():
+    # every shape of period <= 5 with each entry at the sign of its
+    # twist, which is positive only when the running sign matches every
+    # twist it checks; for period <= 4 also each window entry flipped in
+    # turn; then seeded shapes up to period 8 with random entries
+    shapes = []
+    for n in range(1, 6):
+        for throws in product(range(n + 1), repeat=n):
+            if sorted((i + t) % n for i, t in enumerate(throws)) == \
+                    list(range(n)):
+                shapes.append(JugglingFunction.from_throws(throws))
+    assert len(shapes) == 414
+    for pi in shapes:
+        n = pi.period
+        cols = [[pi.entry_sign(a, b) for a in range(b, b + n + 1)]
+                for b in range(1, n + 1)]
+        assert is_positive(PeriodicFrieze(pi, cols))
+        if n > 4:
+            continue
+        for b in range(n):
+            for d in range(n + 1):
+                flipped = [list(col) for col in cols]
+                flipped[b][d] = -flipped[b][d]
+                v = PeriodicFrieze(pi, flipped)
+                assert is_positive(v) == entry_sign_is_positive(v)
+    rng = random.Random(28)
+    found = {True: 0, False: 0}
+    for _ in range(300):
+        pi = random_juggling(rng)
+        n = pi.period
+        cols = [[pi.entry_sign(a, b) * rng.randint(1, 3)
+                 for a in range(b, b + n + 1)] for b in range(1, n + 1)]
+        if rng.random() < 0.6:
+            b, d = rng.randrange(n), rng.randrange(n + 1)
+            cols[b][d] *= rng.choice((0, -1, Fraction(-1, 2)))
+        v = PeriodicFrieze(pi, cols)
+        expected = entry_sign_is_positive(v)
+        assert is_positive(v) == expected
+        found[expected] += 1
+    assert min(found.values()) > 50

@@ -181,6 +181,10 @@ GRID = "expected a list of lists"
                  "not an integer", id="string-values"),
     pytest.param(lambda: Matrix([[1, 2]], cols=3), ValueError,
                  "does not match", id="conflicting-column-count"),
+    pytest.param(lambda: Matrix([], cols=-1), ValueError,
+                 "at least 0, not -1", id="negative-column-count"),
+    pytest.param(lambda: Matrix([], cols=2.5), TypeError,
+                 "not an integer", id="float-column-count"),
 ])
 def test_direct_construction_is_as_strict_as_json(build, error, match):
     # the constructors share the JSON codecs' coercion, so Python callers
