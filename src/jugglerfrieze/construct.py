@@ -122,15 +122,16 @@ def positive_complement(m: Matrix) -> Matrix:
     One elimination of m gives its kernel basis and its pivot columns,
     the lexicographically first basis of its columns.  Negating the
     odd-numbered columns of the kernel basis and rescaling its first
-    row makes the minor on the free columns equal to the minor of m on
-    the pivot columns.  The result certifies itself: m has rank k, the
-    basis is independent (its free columns hold a signed identity) and
-    m kills it, so its rows span the kernel of m.  By alternating
-    duality (Karp, arXiv:1503.05622) the column-alternated kernel has
-    the Pluecker coordinates of m on complementary sets up to one
-    constant, so one matched nonzero pair matches every pair.  For
-    k = n the complement has no rows and one minor, 1, so det m must
-    be 1.
+    row makes the minor on the free columns, a sign since the negated
+    basis is diagonal there, equal to the minor of m on the pivot
+    columns, its one determinant.  The result certifies itself: m has
+    rank k, the basis is independent (its free columns hold a signed
+    identity) and m kills it, so its rows span the kernel of m.  By
+    alternating duality (Karp, arXiv:1503.05622) the column-alternated
+    kernel has the Pluecker coordinates of m on complementary sets up
+    to one constant, so one matched nonzero pair matches every pair.
+    For k = n the complement has no rows and one minor, 1, so det m
+    must be 1.
     """
     k, n = m.nrows, m.ncols
     reduced, pivots = m.rref()
@@ -146,9 +147,8 @@ def positive_complement(m: Matrix) -> Matrix:
                          f"{tuple(range(1, n + 1))}: 1 != {d}")
     flipped = Matrix([[(-x if j % 2 == 0 else x) for j, x in enumerate(row)]
                       for row in basis.entries], cols=n)
-    free = [j for j in range(n) if j not in pivots]
-    co = flipped.minor(range(n - k), free)
-    return flipped.scale_row(0, d / co)
+    co = sign_power(sum(1 for j in range(0, n, 2) if j not in pivots))
+    return flipped.scale_row(0, d * co)
 
 
 def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:

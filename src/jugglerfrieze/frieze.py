@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .juggling import JugglingFunction, residue, sign_power
+from .juggling import JugglingFunction, as_int, residue, sign_power
 from .matrices import as_grid, integer_det, rational_to_json
 
 
@@ -147,9 +147,15 @@ def is_prefrieze(c: PeriodicFrieze) -> bool:
     diagonal of 1s, the signed boundary along pi and zeros outside the
     cone.  The entries the skeleton leaves free (None) may be anything.
     """
-    return all(fixed is None or x == fixed
-               for skel, col in zip(c.shape.skeleton(), c.columns)
-               for fixed, x in zip(skel, col))
+    return next(_off_skeleton(c), None) is None
+
+
+def _off_skeleton(c: PeriodicFrieze):
+    """The entries (a, b, value, fixed value) that leave the skeleton."""
+    return ((a, b, x, fixed) for b, (skel, col)
+            in enumerate(zip(c.shape.skeleton(), c.columns), start=1)
+            for a, (fixed, x) in enumerate(zip(skel, col), start=b)
+            if fixed is not None and x != fixed)
 
 
 def _interval_minor(c: PeriodicFrieze, rows: range, cols: range,
@@ -235,7 +241,11 @@ def is_frieze(c: PeriodicFrieze) -> bool:
     O(n**3) in all, against the O(n**5) of the minors that
     check_frieze evaluates to explain a failure.
     """
-    return _recurrence_minors(c) is not None
+    try:
+        _recurrence_solutions(c)
+    except ValueError:
+        return False
+    return True
 
 
 def _dual_column(window, b: int) -> list[int]:
@@ -257,17 +267,17 @@ def _dual_column(window, b: int) -> list[int]:
     return minors
 
 
-def _recurrence_minors(c: PeriodicFrieze) -> list | None:
-    """The dual column minors of c (_dual_column) at each column that is
-    not a loop, and None at loops, when c is a frieze; else None.
+def _recurrence_solutions(c: PeriodicFrieze) -> list:
+    """The solutions x_t = (-1)**t D_t L**(n-1-t), t in [0, n), deciding c
+    (D_t by _dual_column, L the lcm of c's integer view), None at loops;
+    else a ValueError naming an entry off the skeleton or a row of C x.
 
-    The residuals are taken on the integer view: with window W over the
-    lcm L, L**n times row a of C x is the sum over b' in [a-n, a] of
-    W[a, b'] * (-1)**t D_t * L**(n-1-t), t = b' - b reduced into
-    [0, n), signed by the superperiodic rule when b' < b.
+    With window W = L C, L**n times row a of C x is the sum over b' in
+    [a-n, a] of W[a, b'] * x_t, t = b' - b reduced into [0, n), signed
+    by the superperiodic rule when b' < b.
     """
-    if not is_prefrieze(c):
-        return None
+    for a, b, x, fixed in _off_skeleton(c):
+        raise ValueError(f"not a frieze: entry ({a}, {b}) is {x}, not {fixed}")
     pi = c.shape
     n = pi.period
     window, scale = c.integer_view()
@@ -279,9 +289,8 @@ def _recurrence_minors(c: PeriodicFrieze) -> list | None:
         if pi(b) == b:
             found.append(None)
             continue
-        minors = _dual_column(window, b)
         x = [sign_power(t) * d * scale ** (n - 1 - t)
-             for t, d in enumerate(minors)]
+             for t, d in enumerate(_dual_column(window, b))]
         # x at columns b - n .. b + n - 1, and their support
         xs = [wrap * v for v in x] + x
         cols = support[b - 1:] + support[:b - 1]
@@ -291,9 +300,11 @@ def _recurrence_minors(c: PeriodicFrieze) -> list | None:
                 for d, w in entries:
                     if 0 <= p + d - n < n:
                         rows[p + d - n] += w * v
-        if any(rows):
-            return None
-        found.append(minors)
+        for a, r in enumerate(rows, start=b):
+            if r:
+                raise ValueError(f"not a frieze: row {a} of C x is "
+                                 f"{Fraction(r, scale ** n)} for column {b}")
+        found.append(x)
     return found
 
 
@@ -361,14 +372,16 @@ def is_positive(c: PeriodicFrieze) -> bool:
 
 def frieze_from_quiddity(quiddity: Sequence[int]) -> PeriodicFrieze:
     """Build the classical frieze of height n-2 whose second row is the
-    given n-periodic quiddity sequence; raises if the diamond rule does
-    not close up with positive integers."""
-    n = len(quiddity)
+    given n-periodic quiddity sequence of ints, closed as in _close_strip;
+    raises if the diamond rule does not close up with positive integers."""
+    q = [as_int(x) for x in quiddity]
+    n = len(q)
     if n < 3:
         raise ValueError("quiddity needs period at least 3")
-    strip = _cyclic_strip([int(q) for q in quiddity],
-                          JugglingFunction.uniform(n, n - 2))
-    if strip is None:
+    rows = [[1]] + [[] for _ in range(n - 2)]
+    strip = all(_diamond_step(rows, v) for v in q) and _close_strip(
+        rows, JugglingFunction.uniform(n, n - 2))
+    if not strip:
         raise ValueError("quiddity row does not generate an integral frieze")
     return strip
 
@@ -380,40 +393,35 @@ def _diamond_step(rows: list[list[int]], q: int) -> bool:
         C[d][i] = (C[d-1][i] * C[d-1][i+1] - 1) / C[d-2][i+1].
 
     rows[0] holds the 1s, one more than rows[1]; each row is one entry
-    shorter than the row above it.  False when a new entry is not an
-    integer, lies below 1 in rows 1..h-1, or is not 1 in the last row.
+    shorter than the row above it.  False when a new entry lies below 1
+    in rows 1..h-1 or is not 1 in the last row.  Entries are continuants
+    of the quiddity, so dividing by a 1 or an entry >= 1 is exact.
     """
     h = len(rows) - 1
     rows[0].append(1)
     rows[1].append(q)
     v = q
-    for d in range(1, h + 1):
+    # row d gains an entry once the row above holds two
+    for d in range(1, min(h, len(rows[1])) + 1):
         if d > 1:
             above = rows[d - 1]
-            if len(above) < 2:
-                break
-            v, rem = divmod(above[-2] * above[-1] - 1, rows[d - 2][-2])
-            if rem:
-                return False
+            v = (above[-2] * above[-1] - 1) // rows[d - 2][-2]
             rows[d].append(v)
         if (v != 1) if d == h else (v < 1):
             return False
     return True
 
 
-def _cyclic_strip(quiddity: list[int],
-                  shape: JugglingFunction) -> PeriodicFrieze | None:
-    """The classical strip of the uniform shape (n, h = n - 2) with this
-    quiddity row, or None when the diamond rule fails around the period;
-    callers building many strips share one shape."""
+def _close_strip(rows: list[list[int]],
+                 shape: JugglingFunction) -> PeriodicFrieze | None:
+    """The classical strip of the uniform shape (n, h = n - 2) over rows
+    grown by one period of diamond steps, or None when one of the h - 1
+    wrapped steps, which stay appended to rows, fails."""
     n, h = shape.period, shape.balls
-    rows = [[1]] + [[] for _ in range(h)]
-    # h - 1 wrapped values fill the last row's n-th entry
-    if not all(_diamond_step(rows, q) for q in quiddity + quiddity[:h - 1]):
+    if not all(_diamond_step(rows, q) for q in rows[1][:h - 1]):
         return None
-    cols = [[rows[d][b] for d in range(h + 1)] + [0] * (n - h)
-            for b in range(n)]
-    return PeriodicFrieze(shape, cols)
+    return PeriodicFrieze(shape, [[rows[d][b] for d in range(h + 1)]
+                                  + [0] * (n - h) for b in range(n)])
 
 
 def enumerate_sl2_positive(height: int, entry_bound: int) -> list[PeriodicFrieze]:
@@ -422,7 +430,8 @@ def enumerate_sl2_positive(height: int, entry_bound: int) -> list[PeriodicFrieze
 
     Entrywise-distinct translates are counted as distinct friezes.
     Every quiddity entry is at most n - 2 = height, so a bound of at
-    least the height is exhaustive: all C_h (Catalan) of them.
+    least the height is exhaustive: all C_h (Catalan) of them, in quiddity
+    order; each closes on the search's rows (_close_strip), not re-decided.
     """
     if height < 1:
         raise ValueError("height must be at least 1")
@@ -436,8 +445,8 @@ def enumerate_sl2_positive(height: int, entry_bound: int) -> list[PeriodicFrieze
 
     def extend(j: int) -> None:
         if j == n:
-            f = _cyclic_strip(rows[1], shape)
-            if f is not None and is_frieze(f):
+            f = _close_strip(rows, shape)
+            if f is not None:
                 found.append(f)
             return
         for v in range(1, entry_bound + 1):

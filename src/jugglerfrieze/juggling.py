@@ -125,8 +125,9 @@ class JugglingFunction:
         return tuple(i for i in range(a + 1, b) if self(i) < b)
 
     def entry_sign(self, a: int, b: int) -> int:
-        """The sign twist (-1)**|S(b, a)| of a frieze's entry (a, b)."""
-        return sign_power(len(self.s_set(b, a)))
+        """The sign twist (-1)**|S(b, a)| of a frieze's entry (a, b); S(b, a)
+        lands at the t in (b, a) with pi^{-1}(t) > b, as is_positive counts."""
+        return sign_power(sum(self.inverse(t) > b for t in range(b + 1, a)))
 
     def skeleton(self) -> tuple[tuple[int | None, ...], ...]:
         """The fixed prefrieze of this shape, built once per object.

@@ -239,21 +239,16 @@ class Matrix:
         return kernel_from_rref(*self.rref())
 
     def solve(self, rhs: Sequence) -> tuple[Fraction, ...]:
-        """The unique x with self * x = rhs; raises on a singular matrix."""
+        """The unique x with self * x = rhs, from the rref of [self | rhs]."""
         if self.nrows != self.ncols:
             raise ValueError("solve needs a square matrix")
-        b = [as_rational(x) for x in rhs]
-        if len(b) != self.nrows:
+        if len(rhs) != self.nrows:
             raise ValueError("dimension mismatch")
-        rows = []
-        for row, s, x in zip(*self.integer_view(), b):
-            t = lcm(s, x.denominator)  # clears the right-hand side too
-            rows.append([y * (t // s) for y in row]
-                        + [x.numerator * (t // x.denominator)])
-        pivots, d, _ = integer_eliminate(rows, self.ncols)
-        if len(pivots) < self.ncols:
+        reduced, pivots = Matrix([row + (x,) for row, x in zip(
+            self.entries, rhs)], cols=self.ncols + 1).rref()
+        if pivots != tuple(range(self.ncols)):
             raise ValueError("singular matrix")
-        return tuple(Fraction(row[-1], d) for row in rows)
+        return tuple(row[-1] for row in reduced.entries)
 
     def maximal_minors(self) -> dict[tuple[int, ...], Fraction]:
         """All k x k minors, keyed by ascending 1-based column tuples."""

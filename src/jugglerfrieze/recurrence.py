@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 from .juggling import as_int, residue, sign_power
 from .matrices import as_grid, as_rational
-from .frieze import (PeriodicFrieze, _recurrence_minors, columns_from_json,
+from .frieze import (PeriodicFrieze, _recurrence_solutions, columns_from_json,
                      columns_to_json)
 
 
@@ -86,17 +86,11 @@ def solution_matrix(c: PeriodicFrieze) -> SolutionWindow:
 
     Column b is zero when b is a loop of the shape; otherwise it is the
     b-th dual column with alternating signs, extended superperiodically.
-    The same columns decide that c is a frieze (see frieze.is_frieze),
-    so each is computed once.
+    They decide that c is a frieze (see frieze.is_frieze), and come
+    scaled by L**(n-1), L the lcm of c's integer view, divided out once.
     """
-    minors = _recurrence_minors(c)
-    if minors is None:
-        raise ValueError("solution matrix needs a frieze")
-    pi = c.shape
-    n = pi.period
-    _, scale = c.integer_view()
-    cols = tuple((Fraction(0),) * n if col is None else
-                 tuple(Fraction(sign_power(t) * d, scale ** t)
-                       for t, d in enumerate(col))
-                 for col in minors)
-    return SolutionWindow(n, n - pi.balls - 1, cols)
+    n = c.shape.period
+    scale = c.integer_view()[1] ** (n - 1)
+    return SolutionWindow(n, n - c.shape.balls - 1, tuple(
+        (0,) * n if col is None else tuple(Fraction(x, scale) for x in col)
+        for col in _recurrence_solutions(c)))

@@ -215,15 +215,28 @@ def tiling(c: PeriodicFrieze) -> SolutionWindow:
 
 def verify_superperiodic_kernel(c: PeriodicFrieze) -> bool:
     """Whether the dual-diagonal candidates, extended superperiodically,
-    genuinely solve C x = 0; equivalent to c being a frieze.
+    genuinely solve C x = 0; equivalent to c being a frieze."""
+    return recurrence_failure(c) is None
+
+
+def recurrence_failure(c: PeriodicFrieze) -> str | None:
+    """The first condition of the recurrence test that c fails, worded
+    as the package words it, or None for a frieze: the first stored
+    entry off the shape's skeleton, column by column, else the first
+    column b that is not a loop and row a in [b, b+n) where C x is not
+    0, x the dual-diagonal minors of column b with alternating signs.
 
     C is n-periodic and x superperiodic with sign s = (-1)**(n-k-1), so
     row a + n of C x is s times row a: the rows [b, b+n) decide it.
     """
-    if not is_prefrieze(c):
-        return False
     pi = c.shape
     n = pi.period
+    for b in range(1, n + 1):
+        for a in range(b, b + n + 1):
+            fixed = pi.skeleton()[b - 1][a - b]
+            if fixed is not None and c.entry(a, b) != fixed:
+                return (f"not a frieze: entry ({a}, {b}) is {c.entry(a, b)}, "
+                        f"not {fixed}")
     sign = n - pi.balls - 1
     for b in range(1, n + 1):
         if pi(b) == b:
@@ -235,9 +248,11 @@ def verify_superperiodic_kernel(c: PeriodicFrieze) -> bool:
             m, d = divmod(a - _b, n)
             return _w[d] * sign_power(sign * m)
 
-        if any(residual(c, x, a) != 0 for a in range(b, b + n)):
-            return False
-    return True
+        for a in range(b, b + n):
+            r = residual(c, x, a)
+            if r != 0:
+                return f"not a frieze: row {a} of C x is {r} for column {b}"
+    return None
 
 
 def kernel_correspondence(m: Matrix, pi: JugglingFunction, rng=None) -> bool:
@@ -306,6 +321,6 @@ def entry_sign_is_positive(c: PeriodicFrieze) -> bool:
         for a in range(b, pi(b) + 1):
             if a != b and not pi.inside_cone(a, b):
                 continue
-            if pi.entry_sign(a, b) * c.entry(a, b) <= 0:
+            if (-1) ** len(pi.s_set(b, a)) * c.entry(a, b) <= 0:
                 return False
     return True

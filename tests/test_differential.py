@@ -264,7 +264,8 @@ def _outcome(f, *args):
 
 def _complement_cases(seed):
     """For every n <= 8 and 0 <= k <= n: an integer, a rational and a
-    rank-deficient k x n matrix, and for k = n one of determinant 1."""
+    rank-deficient k x n matrix, and for k = n two of determinant 1,
+    the second with two rows rescaled by inverse rationals."""
     rng = random.Random(seed)
     cases = []
     for n in range(9):
@@ -274,7 +275,11 @@ def _complement_cases(seed):
             cases.append(_dense(rng, k, n))
             if k:
                 cases.append(_rank_deficient(rng, k, n))
-        cases.append(random_determinant_one(rng, n, steps=2 * n))
+        m = random_determinant_one(rng, n, steps=2 * n)
+        cases.append(m)
+        if n > 1:
+            r = Fraction(rng.choice((2, 3, 5)), rng.choice((3, 7)))
+            cases.append(m.scale_row(0, r).scale_row(n - 1, 1 / r))
     return cases
 
 

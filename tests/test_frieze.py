@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -158,11 +159,70 @@ def test_enumerate_counts():
     assert len(enumerate_sl2_positive(3, 5)) == 5
 
 
+CATALAN = {1: 1, 2: 2, 3: 5, 4: 14, 5: 42, 6: 132}
+
+
 def test_enumerate_results_are_friezes():
-    for c in enumerate_sl2_positive(3, 3):
-        assert is_sl_frieze(c, 2, 3)
-        assert is_positive(c)
-        assert all(x.denominator == 1 for col in c.columns for x in col)
+    # the search closes each strip on its own rows and does not decide
+    # it again, so every strip is decided here: a positive integral
+    # frieze, the one frieze_from_quiddity closes from its quiddity, in
+    # strictly increasing quiddity order, all C_h of them at bound >= h;
+    # (h, bound) = (6, 8) is left out, as it alone searches for ~2 s
+    for h in range(1, 7):
+        for bound in sorted({1, 2, 3, h, h + 2}):
+            if (h, bound) == (6, 8):
+                continue
+            found = enumerate_sl2_positive(h, bound)
+            rows = [[int(col[1]) for col in c.columns] for c in found]
+            assert all(p < q for p, q in zip(rows, rows[1:]))
+            if bound >= h:
+                assert len(found) == CATALAN[h]
+            for c, q in zip(found, rows):
+                assert is_sl_frieze(c, 2, h)
+                assert is_positive(c)
+                assert all(x.denominator == 1
+                           for col in c.columns for x in col)
+                assert frieze_from_quiddity(q) == c
+
+
+def _continuant(q):
+    """K() = 1 and K(q_1..q_j) = q_j K(q_1..q_{j-1}) - K(q_1..q_{j-2})."""
+    before, k = 0, 1
+    for x in q:
+        before, k = k, x * k - before
+    return k
+
+
+def test_diamond_step_stores_continuants():
+    # every entry a step stores, in the step that fails too, is the
+    # continuant of the quiddity entries above it: the division the step
+    # takes is exact.  Half the prefixes repeat a frieze's quiddity, so
+    # some pass every step; random ones mostly fail
+    rng = random.Random(13)
+    quiddities = [[int(col[1]) for col in c.columns]
+                  for h in (2, 3, 4) for c in enumerate_sl2_positive(h, h)]
+    passed = failed = 0
+    for trial in range(200):
+        if trial % 2:
+            q = rng.choice(quiddities)
+            h = len(q) - 2
+            q = (q * 4)[:rng.randint(1, 12)]
+        else:
+            h = rng.randint(1, 8)
+            q = [rng.randint(1, 6) for _ in range(rng.randint(1, 12))]
+        rows = [[1]] + [[] for _ in range(h)]
+        if all(frieze_module._diamond_step(rows, v) for v in q):
+            passed += 1
+        else:
+            failed += 1
+        steps = len(rows[1])
+        assert rows[0] == [1] * (steps + 1)
+        for d in range(1, h + 1):
+            # a failed step stores nothing below the failing row
+            assert len(rows[d]) in {max(steps + 1 - d, 0), max(steps - d, 0)}
+            assert rows[d] == [_continuant(rows[1][i:i + d])
+                               for i in range(len(rows[d]))]
+    assert passed > 50 and failed > 50
 
 
 def test_enumerate_rejects_degenerate_height():
@@ -217,6 +277,13 @@ def test_json_rejects_column_keys_other_than_one_to_n():
     doc["columns"]["2"] = "1000"
     with pytest.raises(TypeError):
         PeriodicFrieze.from_json(doc)
+
+
+def test_frieze_from_quiddity_rejects_non_integers():
+    # each would be read as the frieze of [1, 2, 1, 2] if truncated
+    for q in ([1.5, 2, 1, 2], [True, 2, 1, 2]):
+        with pytest.raises(TypeError):
+            frieze_from_quiddity(q)
 
 
 def test_frieze_from_quiddity_rejects_non_positive_rows():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -90,6 +91,26 @@ def test_s_set_examples():
     pi = parse_siteswap("53635514")
     assert len(pi.s_set(1, 6)) == 1
     assert len(pi.s_set(3, 9)) == 2
+
+
+def test_entry_sign_counts_the_s_set():
+    # the landings t in (b, a) thrown after b are the balls of S(b, a):
+    # every shape of period <= 4 and its dual, a and b well outside one
+    # window, a <= b included
+    checked = 0
+    for n in range(1, 5):
+        for throws in itertools.product(range(n + 1), repeat=n):
+            if sorted((i + t) % n for i, t in enumerate(throws)) != \
+                    list(range(n)):
+                continue
+            pi = JugglingFunction.from_throws(throws)
+            for f in (pi, pi.dual()):
+                for b in range(-n, 2 * n):
+                    for a in range(b - 2, b + 2 * n + 2):
+                        assert f.entry_sign(a, b) == \
+                            (-1) ** len(f.s_set(b, a)), (f, a, b)
+                        checked += 1
+    assert checked > 20000
 
 
 def test_ball_count_conservation_identity():

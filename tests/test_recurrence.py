@@ -1,15 +1,26 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from jugglerfrieze import (Matrix, PeriodicFrieze,
+from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            build_frieze_det, dual_frieze, is_frieze,
                            SolutionWindow, superperiodic_extension, residual,
                            solution_matrix)
 from exact_oracles import (tiling, verify_superperiodic_kernel,
-                           kernel_correspondence)
+                           kernel_correspondence, recurrence_failure)
 
 import fixture_data as fx
+
+# the strip of quiddity (3, 2/3, 3, 2/3) and a period-5 one whose
+# second row repeats its first three steps on, both over the lcm 3
+RATIONAL_STRIP = PeriodicFrieze.from_json(json.loads(
+    (Path(__file__).parent / "data" / "rational" / "strip.json").read_text()))
+_Q5 = [3, Fraction(2, 3), 4, 1, Fraction(5, 3)]
+RATIONAL_STRIP_5 = PeriodicFrieze(
+    JugglingFunction.uniform(5, 3),
+    [[1, q, q * _Q5[(b + 1) % 5] - 1, 1, 0, 0] for b, q in enumerate(_Q5)])
 
 
 def test_superperiodic_extension_odd_sign_is_periodic():
@@ -85,6 +96,32 @@ def test_solution_matrix_rejects_non_frieze():
         solution_matrix(PeriodicFrieze(fx.UNIFORM_8_5, cols))
 
 
+def test_solution_matrix_names_the_first_failure():
+    # each entry of a period moved by 1 or by -1/2, on integral,
+    # rational and ragged friezes (loops included): the error names the
+    # entry off the skeleton, else the row of C x and its value, as the
+    # definition finds them, and is_frieze agrees
+    fixtures = [fx.SL3_H5, fx.JUG_FRIEZE, RATIONAL_STRIP, RATIONAL_STRIP_5,
+                build_frieze_det(fx.MATRIX_4130, fx.PI_4130)]
+    words = set()
+    for c in fixtures:
+        n = c.shape.period
+        for b in range(n):
+            for d in range(n + 1):
+                cols = [list(col) for col in c.columns]
+                cols[b][d] += 1 if (b + d) % 2 else Fraction(-1, 2)
+                bad = PeriodicFrieze(c.shape, cols)
+                expected = recurrence_failure(bad)
+                assert is_frieze(bad) == (expected is None)
+                if expected is None:
+                    continue
+                with pytest.raises(ValueError) as err:
+                    solution_matrix(bad)
+                assert str(err.value) == expected
+                words.add(expected.split()[3])
+    assert words == {"entry", "row"}
+
+
 def test_solution_diagonal_normalization():
     sol = solution_matrix(fx.JUG_FRIEZE)
     k = 8 - fx.JUG_FRIEZE.shape.balls
@@ -104,7 +141,10 @@ def test_tiling_signed_copy_without_loops_or_coloops():
 
 
 def test_tiling_of_dual_is_solution_matrix():
-    for c in (fx.SL3_H5, fx.SL2_H6, fx.JUG_FRIEZE, fx.JUG_FRIEZE_DUAL):
+    # the rational strips have lcm 3, so a solution column off by a
+    # power of the lcm cannot match the tiling
+    for c in (fx.SL3_H5, fx.SL2_H6, fx.JUG_FRIEZE, fx.JUG_FRIEZE_DUAL,
+              RATIONAL_STRIP, RATIONAL_STRIP_5, dual_frieze(RATIONAL_STRIP_5)):
         assert tiling(dual_frieze(c)) == solution_matrix(c)
 
 
