@@ -14,8 +14,8 @@ import sys
 
 from .juggling import parse_siteswap, format_siteswap, residue
 from .matrices import Matrix
-from .frieze import PeriodicFrieze, check_frieze, dual_frieze, is_frieze, \
-    is_positive, enumerate_sl2_positive
+from .frieze import PeriodicFrieze, check_frieze, dual_frieze, \
+    is_positive, enumerate_sl2_positive, _recurrence_solutions
 from .construct import build_frieze_det, build_frieze_twist, twist, \
     inverse_twist, positive_complement, frieze_to_matrix, frieze_by_det, \
     frieze_by_twist
@@ -69,16 +69,37 @@ def cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
+def _disagreement(result: PeriodicFrieze, method: str,
+                  check: PeriodicFrieze, other: str) -> str | None:
+    """Why construct --verify fails: the first entry, column by column,
+    where the two routes differ, else the recurrence's message when the
+    result is not a frieze, else None."""
+    for b, (x_col, y_col) in enumerate(zip(result.columns, check.columns),
+                                       start=1):
+        for a, (x, y) in enumerate(zip(x_col, y_col), start=b):
+            if x != y:
+                return (f"entry ({a}, {b}) is {x} by {method} "
+                        f"and {y} by {other}")
+    try:
+        _recurrence_solutions(result)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def cmd_construct(args) -> int:
     m = _load(args.matrix, Matrix, "matrix")
     pi = parse_siteswap(args.siteswap)
-    build, other = ((build_frieze_det, frieze_by_twist) if args.method == "det"
-                    else (build_frieze_twist, frieze_by_det))
+    build, other, other_name = (
+        (build_frieze_det, frieze_by_twist, "twist") if args.method == "det"
+        else (build_frieze_twist, frieze_by_det, "det"))
     result = build(m, pi)
-    # build certified m for pi, so the other route takes no certificate
-    if args.verify and (other(m, pi) != result or not is_frieze(result)):
-        print("verification failed", file=sys.stderr)
-        return 1
+    if args.verify:
+        # build certified m for pi, so the other route takes no certificate
+        problem = _disagreement(result, args.method, other(m, pi), other_name)
+        if problem:
+            print(f"verification failed: {problem}", file=sys.stderr)
+            return 1
     _emit(result.to_json(), args.output)
     return 0
 

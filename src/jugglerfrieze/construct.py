@@ -8,9 +8,11 @@ here, together with positive complements and the inverse twist.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 from .juggling import JugglingFunction, residue, sign_power
 from .matrices import (Matrix, cyclic_columns, integer_eliminate,
@@ -45,16 +47,65 @@ def is_consecutively_unimodular(m: Matrix) -> bool:
     return n == 0 or is_pi_unimodular(m, JugglingFunction.uniform(n, k)).ok
 
 
+def _schedule_adjugates(m: Matrix, pi: JugglingFunction):
+    """Walk the necklace: for a = 1..n yield the schedule L_a, the
+    integer determinant d of B, its columns of m's integer view in
+    ascending residue order, and the adjugate A of B (A B = d I), or
+    None for A when d is 0.
+
+    One elimination of [B^T | I] starts the walk: its right half is
+    d B^-T up to sign.  Its rows are columns of m, so sparse columns,
+    such as the identity columns of a positive complement, are rows the
+    elimination leaves alone.  An exchange puts u, the column landing
+    at pi(a - 1), at the position p of a - 1; with v = A u, the new
+    determinant is v_p, row p of A stays and every other row i becomes
+    (v_p A_i - v_i A_p) / d, exact as in Bareiss.  Moving the new
+    column to its sorted position q moves row p to q and flips both
+    signs by (-1)**(p - q).  Loops and coloops change nothing; after a
+    zero minor the next changed schedule is eliminated afresh.
+    """
+    n, k = pi.period, pi.balls
+    ints = m.integer_view()[0]
+    d, adj, prev = 0, None, None
+    for a, cols in enumerate(pi.necklace(), start=1):
+        if cols != prev and not d:
+            rows = [[row[j - 1] for row in ints]
+                    + [int(i == r) for i in range(k)]
+                    for r, j in enumerate(cols)]
+            pivots, last, sign = integer_eliminate(rows, k)
+            d = sign * last if len(pivots) == k else 0
+            adj = ([[sign * row[k + i] for row in rows] for i in range(k)]
+                   if d else None)
+        elif cols != prev:
+            new = residue(pi(a - 1), n)
+            p, q = prev.index(a - 1), cols.index(new)
+            u = [row[new - 1] for row in ints]
+            v = [sum(map(mul, r, u)) for r in adj]
+            # the sign of the re-sort rides on the divisor
+            sign = sign_power(p - q)
+            top, vp, div = adj[p], v[p], d * sign
+            adj = [[sign * x for x in top] if i == p
+                   else [(vp * x - vi * y) // div for x, y in zip(r, top)]
+                   for i, (r, vi) in enumerate(zip(adj, v))]
+            adj.insert(q, adj.pop(p))
+            d = sign * vp
+            if not d:
+                adj = None
+        prev = cols
+        yield cols, d, adj
+
+
 def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
     """Check the landing-schedule minors and the interval rank bounds.
 
-    Each necklace entry gives one minor.  The rank of the columns in a
-    cyclic interval [a, b] may not exceed the number of balls landing
-    in it; where such a bound can bind for a start column a, one
-    elimination of m's columns read cyclically from a answers every b
-    at once: its pivots are the lexicographically first basis, so the
-    rank of [a, b] is the number of pivots at offset at most b - a.
-    Minors and eliminations run on m's integer view.
+    Each necklace entry gives one minor, read off one walk of the
+    necklace (_schedule_adjugates) over m's integer view.  The rank of
+    the columns in a cyclic interval [a, b] may not exceed the number
+    of balls landing in it, a running count over b.  Where such a bound
+    can bind for a start column a, one elimination of m's columns read
+    cyclically from a answers every b at once: its pivots are the
+    lexicographically first basis, so the rank of [a, b] is the number
+    of pivots at offset at most b - a.
     """
     n = pi.period
     k = pi.balls
@@ -63,15 +114,16 @@ def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
             f"matrix is {m.nrows}x{m.ncols}, shape needs {k}x{n}")
     cert = UnimodularCertificate(
         kind="consecutive" if pi.is_uniform() else "positroid")
-    ints = m.integer_view()[0]
-    for a, cols in enumerate(pi.necklace(), start=1):
-        cert.checked_minors.append(
-            (cols, m.minor(range(k), cyclic_columns(n, cols))))
+    ints, scales = m.integer_view()
+    scale = prod(scales)
+    for a, (cols, d, _) in enumerate(_schedule_adjugates(m, pi), start=1):
+        cert.checked_minors.append((cols, Fraction(d, scale)))
         # the schedule's landing times in [a, a+n), from their residues
-        times = [r if r >= a else r + n for r in cols]
+        lands = {r if r >= a else r + n for r in cols}
         bounds = []
+        allowed = 0
         for b in range(a, a + n):
-            allowed = sum(t <= b for t in times)
+            allowed += b in lands
             if allowed < min(k, b - a + 1):  # else it cannot bind
                 bounds.append((b, allowed))
         if not bounds:
@@ -81,7 +133,7 @@ def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
         pivots = integer_eliminate([[row[j] for j in rotated] for row in ints],
                                    len(rotated))[0]
         for b, allowed in bounds:
-            r = sum(p <= b - a for p in pivots)
+            r = bisect_right(pivots, b - a)
             if r > allowed:
                 cert.rank_violations.append(((a, b), r, allowed))
     return cert
@@ -92,26 +144,24 @@ def twist(m: Matrix, pi: JugglingFunction) -> Matrix:
     the other landing-schedule columns; a loop is not in its own
     schedule, so its column is zero.
 
-    With S the row scales of m's integer view, the column is S y for
-    the solution y of (S sub)^T y = e_a, sub the schedule's columns of
-    m.  One elimination of that integer system also gives its
-    determinant, sign * d, so the schedule minor det sub is 1 exactly
-    when sign * d is the product of the scales.
+    With S the row scales of m's integer view, B the schedule's columns
+    of that view, d = det B and A its adjugate, the column is S times
+    row p of A over d, p the position of a in the schedule.  One walk
+    of the necklace (_schedule_adjugates) gives every d and A; the
+    schedule minor det B / prod S must be 1.
     """
     n = pi.period
     k = pi.balls
     if m.nrows != k or m.ncols != n:
         raise ValueError("matrix shape does not match the juggling function")
-    ints, scales = m.integer_view()
+    scales = m.integer_view()[1]
     scale = prod(scales)
     cols = []
-    for a, order in enumerate(pi.necklace(), start=1):
-        rows = [[row[j] for row in ints] + [int(j == a - 1)]
-                for j in cyclic_columns(n, order)]
-        pivots, d, sign = integer_eliminate(rows, k)
-        if len(pivots) < k or sign * d != scale:
+    for a, (order, d, adj) in enumerate(_schedule_adjugates(m, pi), start=1):
+        if d != scale:
             raise ValueError(f"landing-schedule minor at {a} is not 1")
-        cols.append([Fraction(s * row[k], d) for s, row in zip(scales, rows)])
+        row = adj[order.index(a)] if a in order else [0] * k
+        cols.append([Fraction(s * x, d) for s, x in zip(scales, row)])
     return Matrix.from_columns(cols)
 
 
@@ -152,7 +202,9 @@ def positive_complement(m: Matrix) -> Matrix:
 
 
 def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:
-    """Entry (a, b) of the frieze of m, for arbitrary integers a, b."""
+    """Entry (a, b) of the frieze of m, for arbitrary integers a, b: the
+    signed minor of m on the schedule at a with a exchanged for b, the
+    schedule read from the necklace by a's residue."""
     n = pi.period
     if pi(a) == a:
         if a == b:
@@ -162,12 +214,12 @@ def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:
         return Fraction(0)
     if not b <= a < b + n:
         return Fraction(0)
-    sched = pi.landing_schedule(a)
-    rest = [x for x in sched if x != a]
-    if residue(b, n) in {residue(x, n) for x in rest}:
+    ra, rb = residue(a, n), residue(b, n)
+    rest = [x for x in pi.necklace()[ra - 1] if x != ra]
+    if rb in rest:
         return Fraction(0)
     return pi.dual().entry_sign(a, b) * m.minor(range(m.nrows),
-                                                cyclic_columns(n, rest + [b]))
+                                                cyclic_columns(n, rest + [rb]))
 
 
 def _require_unimodular(m: Matrix, pi: JugglingFunction) -> None:
@@ -261,7 +313,7 @@ def frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
     if candidate.nrows != k:
         raise ValueError(f"complement of the solutions has {candidate.nrows}"
                          f" rows, expected {k}")
-    d = candidate.minor(range(k), cyclic_columns(n, pi.landing_schedule(1)))
+    d = candidate.minor(range(k), cyclic_columns(n, pi.necklace()[0]))
     if d == 0:
         raise ValueError("normalization minor vanishes")
     result = candidate.scale_row(0, 1 / d)

@@ -429,9 +429,10 @@ def enumerate_sl2_positive(height: int, entry_bound: int) -> list[PeriodicFrieze
     have determinant 1, with second-row entries bounded by entry_bound.
 
     Entrywise-distinct translates are counted as distinct friezes.
-    Every quiddity entry is at most n - 2 = height, so a bound of at
-    least the height is exhaustive: all C_h (Catalan) of them, in quiddity
-    order; each closes on the search's rows (_close_strip), not re-decided.
+    Every quiddity entry is at most n - 2 = height, so the search tries
+    no value above it and a bound of at least the height is exhaustive:
+    all C_h (Catalan) of them, in quiddity order; each closes on the
+    search's rows (_close_strip), not re-decided.
     """
     if height < 1:
         raise ValueError("height must be at least 1")
@@ -449,7 +450,7 @@ def enumerate_sl2_positive(height: int, entry_bound: int) -> list[PeriodicFrieze
             if f is not None:
                 found.append(f)
             return
-        for v in range(1, entry_bound + 1):
+        for v in range(1, min(entry_bound, height) + 1):
             if _diamond_step(rows, v):
                 extend(j + 1)
             for d, row in enumerate(rows):

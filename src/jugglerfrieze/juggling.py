@@ -12,6 +12,7 @@ same throw list with a repeated block is a different juggling function.
 """
 from __future__ import annotations
 
+from bisect import insort
 from typing import Iterable
 
 
@@ -43,7 +44,8 @@ def sign_power(exponent: int) -> int:
 class JugglingFunction:
     """An n-periodic bijection of Z, stored by its values on [1, n]."""
 
-    __slots__ = ("period", "values", "_inverse", "_dual", "_skeleton")
+    __slots__ = ("period", "values", "_inverse", "_dual", "_skeleton",
+                 "_necklace")
 
     def __init__(self, values: Iterable[int]):
         vals = tuple(map(as_int, values))
@@ -65,6 +67,7 @@ class JugglingFunction:
         self._inverse = tuple(inverse)
         self._dual = None
         self._skeleton = None
+        self._necklace = None
 
     @classmethod
     def uniform(cls, period: int, balls: int) -> "JugglingFunction":
@@ -160,11 +163,29 @@ class JugglingFunction:
         return tuple(b for b in range(a, a + self.period) if self.inverse(b) < a)
 
     def necklace(self) -> tuple[tuple[int, ...], ...]:
-        """Residues of the landing schedules at 1..n, each sorted."""
-        n = self.period
-        return tuple(
-            tuple(sorted(residue(b, n) for b in self.landing_schedule(a)))
-            for a in range(1, n + 1))
+        """Residues of the landing schedules at 1..n, each sorted; built
+        once per object.
+
+        L_1 is read off the inverse; after it each schedule is one
+        exchange away from the last (the Grassmann necklace):
+        L_{a+1} = L_a minus a plus pi(a), the same set at a loop or a
+        coloop.
+
+        >>> parse_siteswap("23345357").necklace()[:3]
+        ((1, 2, 4, 7), (2, 3, 4, 7), (3, 4, 5, 7))
+        """
+        if self._necklace is None:
+            n = self.period
+            sched = [b for b in range(1, n + 1) if self.inverse(b) < 1]
+            necklace = []
+            for a in range(1, n + 1):
+                necklace.append(tuple(sched))
+                landing = residue(self(a), n)
+                if landing != a:
+                    sched.remove(a)
+                    insort(sched, landing)
+            self._necklace = tuple(necklace)
+        return self._necklace
 
     def loops(self) -> tuple[int, ...]:
         return tuple(a for a in range(1, self.period + 1) if self(a) == a)

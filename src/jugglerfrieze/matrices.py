@@ -108,8 +108,9 @@ def integer_eliminate(rows: list[list[int]],
             sign = -sign
         pv = top[c]
         for i, row in enumerate(rows):
-            if i != r:
-                f = row[c]
+            f = row[c]
+            # with f = 0 and pv = prev the step leaves the row as it is
+            if i != r and (f or pv != prev):
                 rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
         prev = pv
         pivots.append(c)

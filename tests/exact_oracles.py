@@ -4,16 +4,18 @@ The package eliminates fraction-free on integer rows, takes the dual
 through a Hessenberg recurrence and decides a frieze by the recurrence
 C x = 0.  The oracles here do the same jobs the plain way, in
 fractions.Fraction, so the tests can compare the two.
-The frieze of a matrix is built at every window slot, or read off the
-whole product of its twist with it.  The minor report evaluates every
-determinant condition of a frieze.  The recurrence oracles restate
-what a frieze is through the solutions of C x = 0: the tiling of a
-dual, the superperiodic kernel criterion and the kernel correspondence
-with the matrix.  The certificate oracles compare every complementary
-pair of maximal minors, and take the rank of every cyclic interval of
-columns.  A frieze's matrix is the kernel of the kernel of one period of
-the recurrence system, and positivity reads each entry's sign twist off
-its s-set.
+The landing schedules come from their definition, and each one's
+determinant, adjugate and twist column from its own elimination, where
+the package walks the necklace by exchange.  The frieze of a matrix is
+built at every window slot, or read off the whole product of its twist
+with it.  The minor report evaluates every determinant condition of a
+frieze.  The recurrence oracles restate what a frieze is through the
+solutions of C x = 0: the tiling of a dual, the superperiodic kernel
+criterion and the kernel correspondence with the matrix.  The
+certificate oracles compare every complementary pair of maximal minors,
+and take the rank of every cyclic interval of columns.  A frieze's
+matrix is the kernel of the kernel of one period of the recurrence
+system, and positivity reads each entry's sign twist off its s-set.
 """
 import random
 from fractions import Fraction
@@ -25,7 +27,8 @@ from jugglerfrieze import (FriezeReport, Matrix, JugglingFunction,
                            superperiodic_extension, twist)
 from jugglerfrieze.frieze import (frieze_minor, is_tameness_pair,
                                   tameness_minor)
-from jugglerfrieze.matrices import cyclic_columns, residue, sign_power
+from jugglerfrieze.matrices import (cyclic_columns, cyclic_submatrix,
+                                   residue, sign_power)
 
 
 def gauss_jordan(rows, ncols):
@@ -127,6 +130,46 @@ def interval_rank_certificate(m: Matrix, pi: JugglingFunction):
             if rank > allowed:
                 violations.append(((a, b), rank, allowed))
     return minors, violations
+
+
+def schedules(pi: JugglingFunction):
+    """The sorted residues of each landing schedule L_1..L_n, by its
+    definition (landing_schedule), not by the necklace's exchanges."""
+    n = pi.period
+    return [tuple(sorted(residue(t, n) for t in pi.landing_schedule(a)))
+            for a in range(1, n + 1)]
+
+
+def schedule_adjugates(m: Matrix, pi: JugglingFunction):
+    """What the necklace walk yields, one schedule at a time: for each
+    L_a, its columns of m's integer view B, d = det B and the adjugate
+    d B^-1 from one Gauss-Jordan solve of [B | I], None when d = 0."""
+    ints = m.integer_view()[0]
+    out = []
+    for cols in schedules(pi):
+        k = len(cols)
+        rows = [[row[j - 1] for j in cols] + [int(i == r) for i in range(k)]
+                for r, row in enumerate(ints)]
+        reduced, _, det = gauss_jordan(rows, k)
+        out.append((cols, det,
+                    [[det * x for x in row[k:]] for row in reduced]
+                    if det else None))
+    return out
+
+
+def schedule_twist(m: Matrix, pi: JugglingFunction):
+    """The twist by one determinant and one Gauss-Jordan solve per
+    landing schedule, or the error text naming the first bad one."""
+    cols = []
+    for a, order in enumerate(schedules(pi), start=1):
+        sub = cyclic_submatrix(m, order).transpose()
+        reduced, _, det = gauss_jordan(
+            [list(row) + [int(r == a)] for row, r in zip(sub.entries, order)],
+            sub.ncols)
+        if det != 1:
+            return f"ValueError: landing-schedule minor at {a} is not 1"
+        cols.append([row[-1] for row in reduced])
+    return Matrix.from_columns(cols)
 
 
 def full_window_frieze(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:

@@ -12,6 +12,7 @@ from jugglerfrieze import build_frieze_det
 from jugglerfrieze.cli import main, render_frieze
 
 import fixture_data as fx
+from exact_oracles import recurrence_failure
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -118,6 +119,47 @@ def test_construct_verify_certifies_once(capsys, files, monkeypatch):
         calls.clear()
 
 
+def _with_entry(c, a, b, delta):
+    cols = [list(col) for col in c.columns]
+    cols[b - 1][a - b] += delta
+    return jugglerfrieze.PeriodicFrieze(c.shape, cols)
+
+
+def test_construct_verify_names_the_differing_entry(capsys, files,
+                                                    monkeypatch):
+    # the cross-check route is off at the free entry (3, 1) and at a later
+    # one: the message names the first, column by column, with both values
+    x = fx.JUG_FRIEZE.entry(3, 1)
+    wrong = _with_entry(_with_entry(fx.JUG_FRIEZE, 3, 1, 5), 4, 2, 1)
+    for method, other, route in (("det", "twist", "frieze_by_twist"),
+                                 ("twist", "det", "frieze_by_det")):
+        monkeypatch.setattr(jugglerfrieze.cli, route, lambda m, pi: wrong)
+        code = main(["construct", files["matrix"], "--siteswap", "23345357",
+                     "--method", method, "--verify"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"verification failed: entry (3, 1) is {x} "
+                                f"by {method} and {x + 5} by {other}\n")
+        monkeypatch.undo()
+
+
+def test_construct_verify_names_the_recurrence_failure(capsys, files,
+                                                       monkeypatch):
+    # both routes agree on a perturbed array: the recurrence's message
+    wrong = _with_entry(fx.JUG_FRIEZE, 3, 1, 1)
+    expected = recurrence_failure(wrong)
+    assert expected.startswith("not a frieze: row ")
+    monkeypatch.setattr(jugglerfrieze.cli, "build_frieze_det",
+                        lambda m, pi: wrong)
+    monkeypatch.setattr(jugglerfrieze.cli, "frieze_by_twist",
+                        lambda m, pi: wrong)
+    code = main(["construct", files["matrix"], "--siteswap", "23345357",
+                 "--verify"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"verification failed: {expected}\n"
+
+
 def test_construct_classic_strip(capsys, files):
     code, out = run(capsys, "construct", files["consec"], "--siteswap",
                     "33333333", "--verify")
@@ -166,9 +208,9 @@ def test_main_builds_no_parser_per_call(monkeypatch, capsys, files):
 def test_options_do_not_leak_between_calls(monkeypatch, capsys, files,
                                             tmp_path):
     checked = []
-    is_frieze = jugglerfrieze.cli.is_frieze
-    monkeypatch.setattr(jugglerfrieze.cli, "is_frieze",
-                        lambda c: checked.append(c) or is_frieze(c))
+    decide = jugglerfrieze.cli._recurrence_solutions
+    monkeypatch.setattr(jugglerfrieze.cli, "_recurrence_solutions",
+                        lambda c: checked.append(c) or decide(c))
     out = tmp_path / "out.json"
     code, stdout = run(capsys, "construct", files["matrix"], "--siteswap",
                        "23345357", "--verify", "-o", str(out))

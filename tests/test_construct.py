@@ -149,9 +149,10 @@ def test_twist_requires_unit_minors():
         twist(fx.CONSEC_3x8.scale_row(0, 2), fx.UNIFORM_8_3)
 
 
-def test_twist_takes_each_schedule_minor_once(monkeypatch):
-    # the certificate takes the n schedule minors; twist reads each one
-    # off the elimination that solves its column, with no determinant
+def test_necklace_walk_eliminates_once_per_anchor(monkeypatch):
+    # twist and the certificate walk the necklace: one elimination
+    # anchors each walk, every later schedule is one adjugate update,
+    # and no schedule minor is a determinant of its own
     calls = {"det": 0, "eliminate": 0}
     det, eliminate = matrices.integer_det, construct.integer_eliminate
 
@@ -166,10 +167,12 @@ def test_twist_takes_each_schedule_minor_once(monkeypatch):
     monkeypatch.setattr(matrices, "integer_det", counted_det)
     monkeypatch.setattr(construct, "integer_eliminate", counted_eliminate)
     assert twist(fx.UNIMOD_4x8, fx.PI_23345357) == fx.TWIST_4x8
-    assert calls == {"det": 0, "eliminate": 8}
+    assert calls == {"det": 0, "eliminate": 1}
     calls["eliminate"] = 0
     assert build_frieze_twist(fx.UNIMOD_4x8, fx.PI_23345357) == fx.JUG_FRIEZE
-    assert calls["det"] == 8
+    # two anchors, the certificate's and the twist's, and the
+    # certificate's five rank eliminations
+    assert calls == {"det": 0, "eliminate": 7}
 
 
 def test_twist_names_the_first_bad_schedule_minor():

@@ -16,18 +16,20 @@ import pytest
 
 from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            build_frieze_det, build_frieze_twist,
-                           check_frieze, cyclic_submatrix, dual_frieze,
+                           check_frieze, dual_frieze,
                            frieze_to_matrix, is_frieze, is_pi_unimodular,
                            is_positive, parse_siteswap, positive_complement,
                            twist)
-from jugglerfrieze.matrices import integer_eliminate
+from jugglerfrieze.construct import _schedule_adjugates
+from jugglerfrieze.matrices import integer_eliminate, residue
 
 import fixture_data as fx
 from exact_oracles import (_minor, entry_sign_is_positive,
                            exhaustive_complement, full_product_frieze,
                            full_window_frieze, gauss_jordan,
                            interval_rank_certificate, kernel_rows, minor_dual,
-                           minor_report, system_kernel_matrix)
+                           minor_report, schedule_adjugates, schedule_twist,
+                           system_kernel_matrix)
 from samplers import (UNIMODULAR_POOL, random_determinant_one,
                       random_juggling, random_unimodular)
 
@@ -164,7 +166,7 @@ def test_matrix_minors_match_gauss_jordan():
 
 
 def test_elimination_kernel_determinant_matches_gauss_jordan():
-    # twist reads each schedule minor off the elimination that solves it
+    # the necklace walk reads its anchor's minor off one elimination
     for m in _view_cases(22):
         if m.nrows != m.ncols:
             continue
@@ -221,21 +223,6 @@ def test_frieze_minors_match_gauss_jordan():
     assert loop_slots > 10
 
 
-def _twist_oracle(m, pi):
-    """The twist by one determinant and one Gauss-Jordan solve per
-    landing schedule, or the error naming the first bad schedule."""
-    cols = []
-    for a, order in enumerate(pi.necklace(), start=1):
-        sub = cyclic_submatrix(m, order).transpose()
-        reduced, _, det = gauss_jordan(
-            [list(row) + [int(r == a)] for row, r in zip(sub.entries, order)],
-            sub.ncols)
-        if det != 1:
-            return f"ValueError: landing-schedule minor at {a} is not 1"
-        cols.append([row[-1] for row in reduced])
-    return Matrix.from_columns(cols)
-
-
 def test_twist_matches_determinant_and_solve_oracle():
     rng = random.Random(25)
     cases = _perturbed_pool(rng, per_matrix=6)
@@ -247,9 +234,10 @@ def test_twist_matches_determinant_and_solve_oracle():
             rows[0] = [x * Fraction(3, 2) for x in rows[0]]
             rows[1] = [x * Fraction(2, 3) for x in rows[1]]
         cases.append((Matrix(rows, cols=m.ncols), pi))
+    cases += _walk_cases(26)
     outcomes = [_outcome(twist, m, pi) for m, pi in cases]
     for (m, pi), got in zip(cases, outcomes):
-        assert got == _twist_oracle(m, pi), (m, pi)
+        assert got == schedule_twist(m, pi), (m, pi)
     assert sum(isinstance(t, Matrix) for t in outcomes) > 6
     assert sum(isinstance(t, str) for t in outcomes) > 6
 
@@ -311,9 +299,58 @@ def _perturbed_pool(rng, per_matrix=12):
     return cases
 
 
+def _walk_cases(seed):
+    """Matrices for the necklace walk: the pool, random unimodular draws
+    with one row rescaled by a rational, single-entry perturbations,
+    k = 0 and k = n, and small-entry matrices on random shapes, whose
+    schedule minors are often 0, at L_1 or mid-walk."""
+    rng = random.Random(seed)
+    cases = _perturbed_pool(rng, per_matrix=4)
+    for _ in range(30):
+        m, pi = random_unimodular(rng)
+        r = Fraction(rng.choice((1, 2, -3, 5)), rng.choice((2, 3, 7)))
+        cases.append((m.scale_row(rng.randrange(m.nrows), r), pi))
+    cases += [(fx.MATRIX_000, fx.IDENTITY_3), (Matrix([], cols=1),
+                                                 parse_siteswap("0"))]
+    for n in range(1, 5):
+        cases.append((_dense(rng, n, n), JugglingFunction.uniform(n, n)))
+    for _ in range(80):
+        pi = random_juggling(rng, 7)
+        k, n = pi.balls, pi.period
+        cases.append((Matrix([[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)]
+                              for _ in range(k)], cols=n), pi))
+    return cases
+
+
+def test_necklace_walk_matches_per_schedule_adjugates():
+    # the walk's determinant and adjugate after every exchange equal a
+    # fresh elimination of that schedule's columns
+    seen = {"singular L_1": 0, "re-anchored": 0, "loop": 0, "coloop": 0,
+            "odd re-sort": 0, "minors change": 0, "k = 0": 0, "k = n": 0}
+    for m, pi in _walk_cases(27):
+        oracle = schedule_adjugates(m, pi)
+        assert list(_schedule_adjugates(m, pi)) == oracle, (m, pi)
+        n = pi.period
+        scheds = [cols for cols, _, _ in oracle]
+        dets = [d for _, d, _ in oracle]
+        exchanges = [a for a in range(1, n) if pi(a) not in (a, a + n)]
+        seen["singular L_1"] += dets[0] == 0
+        seen["re-anchored"] += any(dets[a - 1] == 0 and dets[a] != 0
+                                   for a in exchanges)
+        seen["odd re-sort"] += any(
+            (scheds[a - 1].index(a) - scheds[a].index(residue(pi(a), n))) % 2
+            for a in exchanges)
+        seen["minors change"] += len(set(dets) - {0}) > 1
+        seen["loop"] += bool(pi.loops())
+        seen["coloop"] += 0 < len(pi.coloops()) < n
+        seen["k = 0"] += pi.balls == 0
+        seen["k = n"] += pi.balls == n
+    assert all(count >= 2 for count in seen.values()), seen
+
+
 def test_unimodular_certificate_matches_interval_ranks():
     rng = random.Random(17)
-    cases = _perturbed_pool(rng)
+    cases = _perturbed_pool(rng) + _walk_cases(28)[::2]
     for i in range(60):
         pi = random_juggling(rng, 7)
         k, n = pi.balls, pi.period

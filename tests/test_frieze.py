@@ -166,12 +166,9 @@ def test_enumerate_results_are_friezes():
     # the search closes each strip on its own rows and does not decide
     # it again, so every strip is decided here: a positive integral
     # frieze, the one frieze_from_quiddity closes from its quiddity, in
-    # strictly increasing quiddity order, all C_h of them at bound >= h;
-    # (h, bound) = (6, 8) is left out, as it alone searches for ~2 s
+    # strictly increasing quiddity order, all C_h of them at bound >= h
     for h in range(1, 7):
         for bound in sorted({1, 2, 3, h, h + 2}):
-            if (h, bound) == (6, 8):
-                continue
             found = enumerate_sl2_positive(h, bound)
             rows = [[int(col[1]) for col in c.columns] for c in found]
             assert all(p < q for p, q in zip(rows, rows[1:]))

@@ -174,6 +174,28 @@ def test_necklace_uniform_windows():
         assert sched == tuple(sorted(residue(b, 7) for b in range(a, a + 3)))
 
 
+def test_necklace_exchanges_match_landing_schedules():
+    # every juggling function of period <= 6: the necklace built by
+    # exchange from L_1 is the definition's schedules at 1..n, and it is
+    # built once per object
+    count = 0
+    for n in range(1, 7):
+        for perm in itertools.permutations(range(n)):
+            fixed = [i for i in range(n) if perm[i] == i]
+            for maximal in itertools.product((0, n), repeat=len(fixed)):
+                throws = [(perm[i] - i) % n for i in range(n)]
+                for i, t in zip(fixed, maximal):
+                    throws[i] = t
+                pi = JugglingFunction.from_throws(throws)
+                assert pi.necklace() == tuple(
+                    tuple(sorted(residue(b, n)
+                                 for b in pi.landing_schedule(a)))
+                    for a in range(1, n + 1)), pi
+                assert pi.necklace() is pi.necklace()
+                count += 1
+    assert count == 2371
+
+
 def test_classify():
     assert parse_siteswap("000").classify() == {
         "loops": {1, 2, 3}, "coloops": set(), "uniform": True}
