@@ -15,8 +15,7 @@ from .construct import (UnimodularCertificate, is_consecutively_unimodular,
                         is_pi_unimodular, twist, inverse_twist,
                         positive_complement, frieze_entry, build_frieze_det,
                         build_frieze_twist, frieze_to_matrix)
-from .recurrence import (SolutionWindow, superperiodic_extension, residual,
-                         solution_matrix)
+from .recurrence import SolutionWindow, residual, solution_matrix
 
 __all__ = [
     "JugglingFunction", "SiteswapError", "parse_siteswap", "format_siteswap",
@@ -29,8 +28,7 @@ __all__ = [
     "is_pi_unimodular", "twist", "inverse_twist", "positive_complement",
     "frieze_entry", "build_frieze_det", "build_frieze_twist",
     "frieze_to_matrix",
-    "SolutionWindow", "superperiodic_extension", "residual",
-    "solution_matrix",
+    "SolutionWindow", "residual", "solution_matrix",
 ]
 
 __version__ = "0.1.0"

@@ -45,15 +45,14 @@ def _emit(obj: dict, out: str | None) -> None:
 
 def cmd_siteswap(args) -> int:
     pi = parse_siteswap(args.pattern)
-    info = pi.classify()
     print(f"pattern   {format_siteswap(pi)}")
     print(f"period    {pi.period}")
     print(f"values    {' '.join(str(v) for v in pi.values)}")
     print(f"balls     {pi.balls}")
     print(f"dual      {format_siteswap(pi.dual())}")
-    print(f"loops     {sorted(info['loops']) or '-'}")
-    print(f"coloops   {sorted(info['coloops']) or '-'}")
-    print(f"uniform   {'yes' if info['uniform'] else 'no'}")
+    print(f"loops     {list(pi.loops()) or '-'}")
+    print(f"coloops   {list(pi.coloops()) or '-'}")
+    print(f"uniform   {'yes' if pi.is_uniform() else 'no'}")
     print("necklace")
     for a, sched in enumerate(pi.necklace(), start=1):
         print(f"  L{a}: {' '.join(str(b) for b in sched)}")
@@ -128,12 +127,12 @@ def cmd_solve(args) -> int:
         return 1
     payload = window.to_json()
     if args.basis is not None:
-        n = c.shape.period
-        sched = c.shape.landing_schedule(args.basis)
-        payload["schedule"] = [residue(b, n) for b in sched]
-        payload["basis_columns"] = {
-            str(residue(b, n)): payload["columns"][str(residue(b, n))]
-            for b in sched}
+        a, n = args.basis, c.shape.period
+        sched = sorted(c.shape.necklace()[residue(a, n) - 1],
+                       key=lambda r: (r - a) % n)
+        payload["schedule"] = sched
+        payload["basis_columns"] = {str(r): payload["columns"][str(r)]
+                                    for r in sched}
     _emit(payload, args.output)
     return 0
 

@@ -62,9 +62,12 @@ def _schedule_adjugates(m: Matrix, pi: JugglingFunction):
     (v_p A_i - v_i A_p) / d, exact as in Bareiss.  Moving the new
     column to its sorted position q moves row p to q and flips both
     signs by (-1)**(p - q).  Loops and coloops change nothing; after a
-    zero minor the next changed schedule is eliminated afresh.
+    zero minor the next changed schedule is eliminated afresh.  A matrix
+    that is not k x n fails before the first schedule.
     """
     n, k = pi.period, pi.balls
+    if (m.nrows, m.ncols) != (k, n):
+        raise ValueError(f"matrix is {m.nrows}x{m.ncols}, shape needs {k}x{n}")
     ints = m.integer_view()[0]
     d, adj, prev = 0, None, None
     for a, cols in enumerate(pi.necklace(), start=1):
@@ -107,11 +110,7 @@ def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
     lexicographically first basis, so the rank of [a, b] is the number
     of pivots at offset at most b - a.
     """
-    n = pi.period
-    k = pi.balls
-    if m.nrows != k or m.ncols != n:
-        raise ValueError(
-            f"matrix is {m.nrows}x{m.ncols}, shape needs {k}x{n}")
+    n, k = pi.period, pi.balls
     cert = UnimodularCertificate(
         kind="consecutive" if pi.is_uniform() else "positroid")
     ints, scales = m.integer_view()
@@ -150,10 +149,7 @@ def twist(m: Matrix, pi: JugglingFunction) -> Matrix:
     of the necklace (_schedule_adjugates) gives every d and A; the
     schedule minor det B / prod S must be 1.
     """
-    n = pi.period
     k = pi.balls
-    if m.nrows != k or m.ncols != n:
-        raise ValueError("matrix shape does not match the juggling function")
     scales = m.integer_view()[1]
     scale = prod(scales)
     cols = []
@@ -225,10 +221,14 @@ def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:
 def _require_unimodular(m: Matrix, pi: JugglingFunction) -> None:
     cert = is_pi_unimodular(m, pi)
     if not cert.ok:
-        raise ValueError(
-            f"matrix is not unimodular for this juggling function: "
-            f"bad minors {cert.bad_minors()}, "
-            f"rank violations {cert.rank_violations}")
+        # a schedule that repeats at a loop or coloop is named once
+        minors = ", ".join(f"({', '.join(map(str, cols))}): {d}"
+                           for cols, d in dict(cert.bad_minors()).items())
+        ranks = ", ".join(f"columns {a}..{b} have rank {r} > {bound}"
+                          for (a, b), r, bound in cert.rank_violations)
+        raise ValueError("matrix is not unimodular for this juggling "
+                         f"function: bad minors {minors or 'none'}; "
+                         f"rank violations {ranks or 'none'}")
 
 
 def _fill_skeleton(pi: JugglingFunction, entry) -> PeriodicFrieze:
@@ -301,7 +301,7 @@ def frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
     Returns the unique (up to unimodular row operations, then pinned by
     a normalization) matrix whose frieze is c: the kernel of the n x n
     matrix whose row b is column b of solution_matrix(c), the solutions
-    of C x = 0 that decided c, read at 1..n.
+    of C x = 0 that decided c, read at 1..n; checked by the twist route.
     """
     pi = c.shape.dual()
     n = pi.period
@@ -317,6 +317,6 @@ def frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
     if d == 0:
         raise ValueError("normalization minor vanishes")
     result = candidate.scale_row(0, 1 / d)
-    if build_frieze_det(result, pi) != c:
+    if build_frieze_twist(result, pi) != c:
         raise ValueError("inversion failed to reproduce the frieze")
     return result

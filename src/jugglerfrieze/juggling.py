@@ -197,10 +197,6 @@ class JugglingFunction:
     def is_uniform(self) -> bool:
         return len(set(self.throws)) == 1
 
-    def classify(self) -> dict:
-        return {"loops": set(self.loops()), "coloops": set(self.coloops()),
-                "uniform": self.is_uniform()}
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, JugglingFunction)
                 and self.values == other.values)
@@ -210,16 +206,6 @@ class JugglingFunction:
 
     def __repr__(self) -> str:
         return f"JugglingFunction({list(self.values)!r})"
-
-    def to_json(self) -> dict:
-        return {"period": self.period, "throws": list(self.throws)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "JugglingFunction":
-        throws = obj["throws"]
-        if as_int(obj["period"]) != len(throws):
-            raise SiteswapError("period does not match the number of throws")
-        return cls.from_throws(throws)
 
 
 def parse_siteswap(text: str) -> JugglingFunction:

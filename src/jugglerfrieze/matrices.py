@@ -17,7 +17,7 @@ from itertools import combinations
 from math import lcm, prod
 from typing import Iterable, Sequence
 
-from .juggling import as_int, residue, sign_power  # noqa: F401 (re-export)
+from .juggling import as_int, residue
 
 
 def as_rational(x) -> Fraction:

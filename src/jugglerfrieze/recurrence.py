@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .juggling import as_int, residue, sign_power
 from .matrices import as_grid, as_rational
@@ -56,13 +56,6 @@ class SolutionWindow:
         n = as_int(obj["period"])
         return cls(n, as_int(obj["sign_exponent"]),
                    columns_from_json(obj["columns"], n))
-
-
-def superperiodic_extension(v: Sequence, k: int, a: int) -> Fraction:
-    """Entry a of the extension of v by x[a+n] = (-1)**(k-1) x[a]."""
-    n = len(v)
-    r = residue(a, n)
-    return as_rational(v[r - 1]) * sign_power((k - 1) * ((a - r) // n))
 
 
 def residual(c: PeriodicFrieze, x, a: int) -> Fraction:

@@ -24,11 +24,11 @@ from itertools import combinations
 from jugglerfrieze import (FriezeReport, Matrix, JugglingFunction,
                            PeriodicFrieze, SolutionWindow, build_frieze_det,
                            frieze_entry, is_prefrieze, residual,
-                           superperiodic_extension, twist)
+                           twist)
 from jugglerfrieze.frieze import (frieze_minor, is_tameness_pair,
                                   tameness_minor)
-from jugglerfrieze.matrices import (cyclic_columns, cyclic_submatrix,
-                                   residue, sign_power)
+from jugglerfrieze.juggling import residue, sign_power
+from jugglerfrieze.matrices import cyclic_columns, cyclic_submatrix
 
 
 def gauss_jordan(rows, ncols):
@@ -256,6 +256,14 @@ def tiling(c: PeriodicFrieze) -> SolutionWindow:
     return SolutionWindow(n, n - s, tuple(cols))
 
 
+def superperiodic(v, k: int):
+    """The extension of v by x[a+n] = (-1)**(k-1) x[a], as a total
+    sequence Z -> Q: column 1 of a window whose every column is v, so
+    SolutionWindow.entry applies the sign rule."""
+    n = len(v)
+    return SolutionWindow(n, k - 1, [v] * n).column(1)
+
+
 def verify_superperiodic_kernel(c: PeriodicFrieze) -> bool:
     """Whether the dual-diagonal candidates, extended superperiodically,
     genuinely solve C x = 0; equivalent to c being a frieze."""
@@ -310,14 +318,14 @@ def kernel_correspondence(m: Matrix, pi: JugglingFunction, rng=None) -> bool:
         return False
     check_range = range(1, 2 * n + 1)
     for v in kernel.entries:
-        ext = lambda b, _v=v: superperiodic_extension(_v, k, b)
+        ext = superperiodic(v, k)
         if any(residual(f, ext, a) != 0 for a in check_range):
             return False
     for _ in range(4):
         v = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
         in_kernel = all(sum(a * b for a, b in zip(row, v)) == 0
                         for row in m.entries)
-        ext = lambda b, _v=v: superperiodic_extension(_v, k, b)
+        ext = superperiodic(v, k)
         solves = all(residual(f, ext, a) == 0 for a in check_range)
         if in_kernel != solves:
             return False

@@ -7,10 +7,11 @@ from jugglerfrieze import (build_frieze_det, build_frieze_twist,
                            frieze_to_matrix, inverse_twist, is_frieze,
                            is_pi_unimodular, is_sl_frieze, parse_siteswap,
                            positive_complement, residual,
-                           solution_matrix, superperiodic_extension, twist)
+                           solution_matrix, twist)
 from jugglerfrieze.frieze import frieze_minor, tameness_minor, is_tameness_pair
 
 import fixture_data as fx
+from exact_oracles import superperiodic
 from property_checks import ALL_CHECKS
 
 
@@ -86,7 +87,7 @@ def test_criterion_5_complement_and_inverse_twist():
 
 def test_criterion_6_superperiodic_solutions():
     for window in (fx.SL3_H5_SOLUTION_1, fx.SL3_H5_SOLUTION_2):
-        x = lambda a, _w=window: superperiodic_extension(_w, 3, a)
+        x = superperiodic(window, 3)
         assert all(residual(fx.SL3_H5, x, a) == 0 for a in range(-12, 13))
         assert all(x(a + 8) == x(a) for a in range(-12, 13))
     sol = solution_matrix(fx.JUG_FRIEZE)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import jugglerfrieze
-from jugglerfrieze import build_frieze_det
+from jugglerfrieze import build_frieze_det, residue
 from jugglerfrieze.cli import main, render_frieze
 
 import fixture_data as fx
@@ -270,6 +270,28 @@ def test_solve_output(capsys, files):
     assert set(payload["basis_columns"]) == {"1", "2", "3", "4", "5"}
 
 
+@pytest.mark.parametrize("c", [
+    fx.JUG_FRIEZE, fx.JUG_FRIEZE_DUAL, fx.SL3_H5, fx.IDENTITY_FRIEZE_3,
+    build_frieze_det(fx.MATRIX_003, fx.PI_003),
+    build_frieze_det(fx.MATRIX_4400, fx.PI_4400),
+    build_frieze_det(fx.MATRIX_4130, fx.PI_4130)],
+    ids=lambda c: "".join(map(str, c.shape.throws)))
+def test_solve_basis_is_the_landing_schedule(c, capsys, tmp_path):
+    # every start a in [-n, 2n): the schedule's residues in landing
+    # order, loops and coloops included, as its definition lists them
+    p = tmp_path / "frieze.json"
+    p.write_text(json.dumps(c.to_json()))
+    n = c.shape.period
+    for a in range(-n, 2 * n):
+        code, out = run(capsys, "solve", str(p), "--basis", str(a))
+        assert code == 0
+        payload = json.loads(out)
+        sched = [residue(b, n) for b in c.shape.landing_schedule(a)]
+        assert payload["schedule"] == sched
+        assert payload["basis_columns"] == {
+            str(r): payload["columns"][str(r)] for r in sched}
+
+
 def test_solve_rejects_non_frieze(capsys, files, tmp_path):
     doc = json.loads(pathlib.Path(files["classic"]).read_text())
     doc["columns"]["2"][2] = 12345
@@ -340,6 +362,34 @@ def test_check_accepts_rational_entries(capsys, tmp_path):
     p.write_text(json.dumps(doc))
     code, out = run(capsys, "check", str(p))
     assert code == 0 and json.loads(out)["is_frieze"]
+
+
+def test_certificate_failure_names_schedules_and_values(capsys, tmp_path):
+    doc = json.loads((RATIONAL / "matrix.json").read_text())
+    doc["entries"][0][0] += 1
+    p = tmp_path / "perturbed.json"
+    p.write_text(json.dumps(doc))
+    assert main(["construct", str(p), "--siteswap", "23345357"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(1, 2, 4, 7): 3/2" in err
+    assert "Fraction(" not in err and "Traceback" not in err
+
+
+MALFORMED = DATA / "malformed"
+
+
+@pytest.mark.parametrize(
+    "case", json.loads((MALFORMED / "cases.json").read_text()),
+    ids=lambda case: case["name"])
+def test_malformed_input_exits_2(case, capsys, monkeypatch):
+    # one case per subcommand and kind of bad input; the files it names
+    # sit next to cases.json, and missing.json is absent on purpose
+    monkeypatch.chdir(MALFORMED)
+    assert main(case["argv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 def _bad_input_exits_2(capsys, tmp_path, doc, *argv):

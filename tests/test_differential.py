@@ -21,7 +21,8 @@ from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            is_positive, parse_siteswap, positive_complement,
                            twist)
 from jugglerfrieze.construct import _schedule_adjugates
-from jugglerfrieze.matrices import integer_eliminate, residue
+from jugglerfrieze.juggling import residue
+from jugglerfrieze.matrices import integer_eliminate
 
 import fixture_data as fx
 from exact_oracles import (_minor, entry_sign_is_positive,

@@ -197,18 +197,11 @@ def test_necklace_exchanges_match_landing_schedules():
 
 
 def test_classify():
-    assert parse_siteswap("000").classify() == {
-        "loops": {1, 2, 3}, "coloops": set(), "uniform": True}
-    info = JugglingFunction.uniform(8, 5).classify()
-    assert info["uniform"] and not info["loops"] and not info["coloops"]
-    assert parse_siteswap("330").classify()["loops"] == {3}
-
-
-def test_json_round_trip():
-    pi = parse_siteswap("4,1,3,0")
-    assert JugglingFunction.from_json(pi.to_json()) == pi
-    with pytest.raises(SiteswapError):
-        JugglingFunction.from_json({"period": 3, "throws": [4, 1, 3, 0]})
+    pi = parse_siteswap("000")
+    assert pi.loops() == (1, 2, 3) and pi.coloops() == () and pi.is_uniform()
+    pi = JugglingFunction.uniform(8, 5)
+    assert pi.is_uniform() and not pi.loops() and not pi.coloops()
+    assert parse_siteswap("330").loops() == (3,)
 
 
 def test_periodic_extension_of_values():

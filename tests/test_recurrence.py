@@ -6,10 +6,10 @@ import pytest
 
 from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            build_frieze_det, dual_frieze, is_frieze,
-                           SolutionWindow, superperiodic_extension, residual,
-                           solution_matrix)
+                           SolutionWindow, residual, solution_matrix)
 from exact_oracles import (tiling, verify_superperiodic_kernel,
-                           kernel_correspondence, recurrence_failure)
+                           kernel_correspondence, recurrence_failure,
+                           superperiodic)
 
 import fixture_data as fx
 
@@ -24,26 +24,27 @@ RATIONAL_STRIP_5 = PeriodicFrieze(
 
 
 def test_superperiodic_extension_odd_sign_is_periodic():
-    v = [2, -1, 5]
+    x = superperiodic([2, -1, 5], 3)
     for a in range(-9, 10):
-        assert superperiodic_extension(v, 3, a) == superperiodic_extension(v, 3, a + 3)
+        assert x(a) == x(a + 3)
 
 
 def test_superperiodic_extension_basic_flip():
-    v = [1, 0, 0, 0]
-    assert superperiodic_extension(v, 2, 5) == -1
-    assert superperiodic_extension(v, 2, 1) == 1
-    assert superperiodic_extension(v, 2, -3) == -1
+    x = superperiodic([1, 0, 0, 0], 2)
+    assert x(5) == -1
+    assert x(1) == 1
+    assert x(-3) == -1
 
 
 def test_superperiodic_extension_restriction_recovers_vector():
     v = [3, 1, -2, 7]
-    assert [superperiodic_extension(v, 4, a) for a in range(1, 5)] == v
+    x = superperiodic(v, 4)
+    assert [x(a) for a in range(1, 5)] == v
 
 
 def test_residual_of_stored_solutions():
-    x1 = lambda a: superperiodic_extension(fx.SL3_H5_SOLUTION_1, 3, a)
-    x2 = lambda a: superperiodic_extension(fx.SL3_H5_SOLUTION_2, 3, a)
+    x1 = superperiodic(fx.SL3_H5_SOLUTION_1, 3)
+    x2 = superperiodic(fx.SL3_H5_SOLUTION_2, 3)
     for a in range(-12, 13):
         assert residual(fx.SL3_H5, x1, a) == 0
         assert residual(fx.SL3_H5, x2, a) == 0
@@ -195,7 +196,7 @@ def test_kernel_correspondence_fixtures():
 def test_kernel_fixture_rows_solve_the_frieze():
     f = build_frieze_det(fx.UNIMOD_4x8, fx.PI_23345357)
     for v in fx.KERNEL_4x8.entries:
-        ext = lambda b, _v=v: superperiodic_extension(_v, 4, b)
+        ext = superperiodic(v, 4)
         assert all(residual(f, ext, a) == 0 for a in range(-8, 17))
 
 
