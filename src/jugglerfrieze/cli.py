@@ -17,8 +17,7 @@ from .matrices import Matrix
 from .frieze import PeriodicFrieze, check_frieze, dual_frieze, \
     is_positive, enumerate_sl2_positive, _recurrence_solutions
 from .construct import build_frieze_det, build_frieze_twist, twist, \
-    inverse_twist, positive_complement, frieze_to_matrix, frieze_by_det, \
-    frieze_by_twist
+    inverse_twist, positive_complement, frieze_to_matrix, frieze_by_det
 from .recurrence import solution_matrix
 
 
@@ -27,10 +26,15 @@ def _load(path: str, cls, kind: str):
     decode it is a ValueError that names the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise TypeError("not a JSON object")
+        return cls.from_json(obj)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    except (KeyError, ValueError, TypeError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"bad {kind} file {path}: missing key {exc}") from None
+    except (ValueError, TypeError) as exc:
         raise ValueError(f"bad {kind} file {path}: {exc}") from None
 
 
@@ -68,19 +72,18 @@ def cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
-def _disagreement(result: PeriodicFrieze, method: str,
-                  check: PeriodicFrieze, other: str) -> str | None:
+def _disagreement(routes: dict, method: str, other: str) -> str | None:
     """Why construct --verify fails: the first entry, column by column,
-    where the two routes differ, else the recurrence's message when the
-    result is not a frieze, else None."""
-    for b, (x_col, y_col) in enumerate(zip(result.columns, check.columns),
-                                       start=1):
+    where the frieze routes[method] differs from routes[other], else the
+    recurrence's message when it is not a frieze, else None."""
+    for b, (x_col, y_col) in enumerate(zip(routes[method].columns,
+                                           routes[other].columns), start=1):
         for a, (x, y) in enumerate(zip(x_col, y_col), start=b):
             if x != y:
                 return (f"entry ({a}, {b}) is {x} by {method} "
                         f"and {y} by {other}")
     try:
-        _recurrence_solutions(result)
+        _recurrence_solutions(routes[method])
     except ValueError as exc:
         return str(exc)
     return None
@@ -89,17 +92,17 @@ def _disagreement(result: PeriodicFrieze, method: str,
 def cmd_construct(args) -> int:
     m = _load(args.matrix, Matrix, "matrix")
     pi = parse_siteswap(args.siteswap)
-    build, other, other_name = (
-        (build_frieze_det, frieze_by_twist, "twist") if args.method == "det"
-        else (build_frieze_twist, frieze_by_det, "det"))
-    result = build(m, pi)
-    if args.verify:
-        # build certified m for pi, so the other route takes no certificate
-        problem = _disagreement(result, args.method, other(m, pi), other_name)
-        if problem:
-            print(f"verification failed: {problem}", file=sys.stderr)
-            return 1
-    _emit(result.to_json(), args.output)
+    if not args.verify:
+        build = build_frieze_det if args.method == "det" else build_frieze_twist
+        _emit(build(m, pi).to_json(), args.output)
+        return 0
+    routes = {"twist": build_frieze_twist(m, pi), "det": frieze_by_det(m, pi)}
+    problem = _disagreement(routes, args.method,
+                            "det" if args.method == "twist" else "twist")
+    if problem:
+        print(f"verification failed: {problem}", file=sys.stderr)
+        return 1
+    _emit(routes[args.method].to_json(), args.output)
     return 0
 
 

@@ -2,9 +2,11 @@
 
 A k x n matrix whose landing-schedule minors are all 1 and whose
 interval ranks respect the juggling function determines a frieze of
-the dual shape, either through one determinant per entry or through
-the twist of the matrix.  Both directions of that correspondence live
-here, together with positive complements and the inverse twist.
+the dual shape, through one determinant per free entry or through the
+twist: the necklace walk that certifies the matrix yields its twist
+columns, and each free entry is one integer dot product with one, so
+construct --verify and invert-F walk once.  Both directions live here,
+with positive complements and the inverse twist.
 """
 from __future__ import annotations
 
@@ -28,6 +30,8 @@ class UnimodularCertificate:
     kind: str  # "consecutive" for uniform shapes, else "positroid"
     checked_minors: list = field(default_factory=list)
     rank_violations: list = field(default_factory=list)
+    twist_rows: list = field(default_factory=list, init=False, repr=False,
+                             compare=False)
 
     @property
     def ok(self) -> bool:
@@ -101,22 +105,25 @@ def _schedule_adjugates(m: Matrix, pi: JugglingFunction):
 def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
     """Check the landing-schedule minors and the interval rank bounds.
 
-    Each necklace entry gives one minor, read off one walk of the
-    necklace (_schedule_adjugates) over m's integer view.  The rank of
-    the columns in a cyclic interval [a, b] may not exceed the number
-    of balls landing in it, a running count over b.  Where such a bound
-    can bind for a start column a, one elimination of m's columns read
-    cyclically from a answers every b at once: its pivots are the
-    lexicographically first basis, so the rank of [a, b] is the number
-    of pivots at offset at most b - a.
+    Each necklace entry a gives one minor and, from its adjugate, column
+    a of the twist of m's integer view times that minor (None if it is
+    0), read off one walk of the necklace (_schedule_adjugates) and kept
+    as twist_rows.  The rank of the columns in a cyclic interval [a, b]
+    may not exceed the number of balls landing in it, a running count
+    over b.  Where such a bound can bind for a start column a, one
+    elimination of m's columns read cyclically from a answers every b
+    at once: its pivots are the lexicographically first basis, so the
+    rank of [a, b] is the number of pivots at offset at most b - a.
     """
     n, k = pi.period, pi.balls
     cert = UnimodularCertificate(
         kind="consecutive" if pi.is_uniform() else "positroid")
     ints, scales = m.integer_view()
     scale = prod(scales)
-    for a, (cols, d, _) in enumerate(_schedule_adjugates(m, pi), start=1):
+    for a, (cols, d, adj) in enumerate(_schedule_adjugates(m, pi), start=1):
         cert.checked_minors.append((cols, Fraction(d, scale)))
+        cert.twist_rows.append(None if adj is None else (
+            adj[cols.index(a)] if a in cols else [0] * k))
         # the schedule's landing times in [a, a+n), from their residues
         lands = {r if r >= a else r + n for r in cols}
         bounds = []
@@ -218,7 +225,7 @@ def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:
                                                 cyclic_columns(n, rest + [rb]))
 
 
-def _require_unimodular(m: Matrix, pi: JugglingFunction) -> None:
+def _require_unimodular(m: Matrix, pi: JugglingFunction) -> list:
     cert = is_pi_unimodular(m, pi)
     if not cert.ok:
         # a schedule that repeats at a loop or coloop is named once
@@ -229,6 +236,7 @@ def _require_unimodular(m: Matrix, pi: JugglingFunction) -> None:
         raise ValueError("matrix is not unimodular for this juggling "
                          f"function: bad minors {minors or 'none'}; "
                          f"rank violations {ranks or 'none'}")
+    return cert.twist_rows
 
 
 def _fill_skeleton(pi: JugglingFunction, entry) -> PeriodicFrieze:
@@ -253,36 +261,32 @@ def build_frieze_det(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
 
 
 def build_frieze_twist(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
-    """The same frieze via the twist, one dot product per free entry.
+    """The same frieze via the twist, an integer dot product per free entry.
 
     Free entry (a, b) is twist column residue(a, n) against column b
     of m: entry (residue(a, n), b) of twist(m)^T m, unwrapped around
     the diagonal with its sign flipped on wrapped entries (a > n) when
-    the ball count is even.  The fixed entries, which that product
-    matches on certified input, are the output shape's skeleton.
+    the ball count is even: the certificate's integer twist column
+    against column b of m's integer view, over the product of its row
+    scales.  The fixed entries, which that product matches on certified
+    input, are the output shape's skeleton.
     """
-    _require_unimodular(m, pi)
-    return frieze_by_twist(m, pi)
+    rows = _require_unimodular(m, pi)
+    n = pi.period
+    ints, scales = m.integer_view()
+    scale = prod(scales)
+    wrap_sign = sign_power(pi.balls - 1)
+
+    def entry(a: int, b: int) -> Fraction:
+        x = sum(t * r[b - 1] for t, r in zip(rows[residue(a, n) - 1], ints))
+        return Fraction(x * wrap_sign if a > n else x, scale)
+
+    return _fill_skeleton(pi, entry)
 
 
 def frieze_by_det(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
     """build_frieze_det on a matrix already certified for pi."""
     return _fill_skeleton(pi, lambda a, b: frieze_entry(m, pi, a, b))
-
-
-def frieze_by_twist(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
-    """build_frieze_twist on a matrix already certified for pi."""
-    n = pi.period
-    twist_cols = twist(m, pi).transpose().entries
-    m_cols = m.transpose().entries
-    wrap_sign = sign_power(pi.balls - 1)
-
-    def entry(a: int, b: int) -> Fraction:
-        x = sum(s * t for s, t in zip(twist_cols[residue(a, n) - 1],
-                                      m_cols[b - 1]))
-        return x * wrap_sign if a > n else x
-
-    return _fill_skeleton(pi, entry)
 
 
 def inverse_twist(m: Matrix, pi: JugglingFunction) -> Matrix:

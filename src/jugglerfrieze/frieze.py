@@ -109,7 +109,7 @@ def columns_to_json(columns: Sequence[Sequence[Fraction]]) -> dict:
 def columns_from_json(obj: dict, n: int) -> list:
     """The columns of a JSON object keyed exactly "1".."n"."""
     keys = [str(b) for b in range(1, n + 1)]
-    if set(obj) != set(keys):
+    if not isinstance(obj, dict) or set(obj) != set(keys):
         raise ValueError(f'column keys must be exactly "1".."{n}"')
     return [obj[key] for key in keys]
 

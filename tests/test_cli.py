@@ -131,7 +131,7 @@ def test_construct_verify_names_the_differing_entry(capsys, files,
     # one: the message names the first, column by column, with both values
     x = fx.JUG_FRIEZE.entry(3, 1)
     wrong = _with_entry(_with_entry(fx.JUG_FRIEZE, 3, 1, 5), 4, 2, 1)
-    for method, other, route in (("det", "twist", "frieze_by_twist"),
+    for method, other, route in (("det", "twist", "build_frieze_twist"),
                                  ("twist", "det", "frieze_by_det")):
         monkeypatch.setattr(jugglerfrieze.cli, route, lambda m, pi: wrong)
         code = main(["construct", files["matrix"], "--siteswap", "23345357",
@@ -149,9 +149,9 @@ def test_construct_verify_names_the_recurrence_failure(capsys, files,
     wrong = _with_entry(fx.JUG_FRIEZE, 3, 1, 1)
     expected = recurrence_failure(wrong)
     assert expected.startswith("not a frieze: row ")
-    monkeypatch.setattr(jugglerfrieze.cli, "build_frieze_det",
+    monkeypatch.setattr(jugglerfrieze.cli, "build_frieze_twist",
                         lambda m, pi: wrong)
-    monkeypatch.setattr(jugglerfrieze.cli, "frieze_by_twist",
+    monkeypatch.setattr(jugglerfrieze.cli, "frieze_by_det",
                         lambda m, pi: wrong)
     code = main(["construct", files["matrix"], "--siteswap", "23345357",
                  "--verify"])
@@ -383,13 +383,15 @@ MALFORMED = DATA / "malformed"
     ids=lambda case: case["name"])
 def test_malformed_input_exits_2(case, capsys, monkeypatch):
     # one case per subcommand and kind of bad input; the files it names
-    # sit next to cases.json, and missing.json is absent on purpose
+    # sit next to cases.json, and missing.json is absent on purpose; a
+    # case with "err" pins its whole message
     monkeypatch.chdir(MALFORMED)
     assert main(case["argv"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
+    assert captured.err == case.get("err", captured.err)
 
 
 def _bad_input_exits_2(capsys, tmp_path, doc, *argv):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            twist, inverse_twist, positive_complement,
                            frieze_entry, build_frieze_det, build_frieze_twist,
                            frieze_to_matrix, is_frieze, dual_frieze)
+from jugglerfrieze.cli import main
 
 import fixture_data as fx
 from exact_oracles import gauss_jordan
@@ -149,11 +151,13 @@ def test_twist_requires_unit_minors():
         twist(fx.CONSEC_3x8.scale_row(0, 2), fx.UNIFORM_8_3)
 
 
-def test_necklace_walk_eliminates_once_per_anchor(monkeypatch):
+def test_necklace_walk_eliminates_once_per_anchor(monkeypatch, tmp_path,
+                                                  capsys):
     # twist and the certificate walk the necklace: one elimination
     # anchors each walk, every later schedule is one adjugate update,
-    # and no schedule minor is a determinant of its own
-    calls = {"det": 0, "eliminate": 0}
+    # and no schedule minor is a determinant of its own; the twist route
+    # reads its rows off the certificate's walk, so it anchors once
+    calls = {"det": 0, "anchor": 0, "rank": 0}
     det, eliminate = matrices.integer_det, construct.integer_eliminate
 
     def counted_det(rows):
@@ -161,18 +165,35 @@ def test_necklace_walk_eliminates_once_per_anchor(monkeypatch):
         return det(rows)
 
     def counted_eliminate(rows, ncols):
-        calls["eliminate"] += 1
+        # an anchor eliminates [B^T | I] on its left half only
+        calls["anchor" if ncols < len(rows[0]) else "rank"] += 1
         return eliminate(rows, ncols)
+
+    def counted(run, *args):
+        calls.update(det=0, anchor=0, rank=0)
+        return run(*args), dict(calls)
 
     monkeypatch.setattr(matrices, "integer_det", counted_det)
     monkeypatch.setattr(construct, "integer_eliminate", counted_eliminate)
-    assert twist(fx.UNIMOD_4x8, fx.PI_23345357) == fx.TWIST_4x8
-    assert calls == {"det": 0, "eliminate": 1}
-    calls["eliminate"] = 0
-    assert build_frieze_twist(fx.UNIMOD_4x8, fx.PI_23345357) == fx.JUG_FRIEZE
-    # two anchors, the certificate's and the twist's, and the
-    # certificate's five rank eliminations
-    assert calls == {"det": 0, "eliminate": 7}
+    m, pi = fx.UNIMOD_4x8, fx.PI_23345357
+    assert counted(twist, m, pi) == \
+        (fx.TWIST_4x8, {"det": 0, "anchor": 1, "rank": 0})
+    # one anchor and the certificate's five rank eliminations
+    assert counted(build_frieze_twist, m, pi) == \
+        (fx.JUG_FRIEZE, {"det": 0, "anchor": 1, "rank": 5})
+    # invert-F checks its result through the twist route; its one
+    # determinant is the normalisation minor
+    assert counted(frieze_to_matrix, fx.JUG_FRIEZE)[1] == \
+        {"det": 1, "anchor": 1, "rank": 5}
+    # construct --verify builds both routes on one certificate; the det
+    # route pays one determinant per free entry and no elimination
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(m.to_json()))
+    for method in ("det", "twist"):
+        code, got = counted(main, ["construct", str(path), "--siteswap",
+                                   "23345357", "--method", method, "--verify"])
+        assert code == 0 and capsys.readouterr().err == ""
+        assert (got["anchor"], got["rank"]) == (1, 5)
 
 
 def test_twist_names_the_first_bad_schedule_minor():

@@ -10,6 +10,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -402,6 +403,16 @@ def test_frieze_builds_match_full_window_and_full_product():
     rng = random.Random(8)
     for _ in range(30):
         check(*random_unimodular(rng))
+    # rows over 2 and 3, so the twist route divides by a product of row
+    # scales other than 1, as they are and mixed by a determinant-1 matrix
+    for m, pi in UNIMODULAR_POOL:
+        k = pi.balls
+        scaled = m.scale_row(0, Fraction(3, 2)).scale_row(k - 1,
+                                                         Fraction(2, 3))
+        mixed = random_determinant_one(rng, k, steps=40) * scaled
+        for case in (scaled, mixed):
+            assert k == 1 or prod(case.integer_view()[1]) > 1
+            check(case, pi)
 
 
 def test_dual_frieze_matches_minor_oracle():
