@@ -30,7 +30,7 @@ def _load(path: str, cls, kind: str):
         if not isinstance(obj, dict):
             raise TypeError("not a JSON object")
         return cls.from_json(obj)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     except KeyError as exc:
         raise ValueError(f"bad {kind} file {path}: missing key {exc}") from None

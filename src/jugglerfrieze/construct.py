@@ -17,10 +17,9 @@ from math import prod
 from operator import mul
 
 from .juggling import JugglingFunction, residue, sign_power
-from .matrices import (Matrix, cyclic_columns, integer_eliminate,
-                       kernel_from_rref)
-from .frieze import PeriodicFrieze
-from .recurrence import solution_matrix
+from .matrices import (Matrix, cyclic_columns, integer_det,
+                       integer_eliminate, integer_kernel)
+from .frieze import PeriodicFrieze, _recurrence_solutions
 
 
 @dataclass
@@ -172,42 +171,49 @@ def positive_complement(m: Matrix) -> Matrix:
     """An (n-k) x n matrix whose maximal minors equal those of m on
     complementary column sets.
 
-    One elimination of m gives its kernel basis and its pivot columns,
-    the lexicographically first basis of its columns.  Negating the
-    odd-numbered columns of the kernel basis and rescaling its first
-    row makes the minor on the free columns, a sign since the negated
-    basis is diagonal there, equal to the minor of m on the pivot
-    columns, its one determinant.  The result certifies itself: m has
-    rank k, the basis is independent (its free columns hold a signed
-    identity) and m kills it, so its rows span the kernel of m.  By
-    alternating duality (Karp, arXiv:1503.05622) the column-alternated
-    kernel has the Pluecker coordinates of m on complementary sets up
-    to one constant, so one matched nonzero pair matches every pair.
-    For k = n the complement has no rows and one minor, 1, so det m
-    must be 1.
+    One integer_kernel of m's integer view gives its kernel basis, d
+    times the reduced-form one, and its pivot columns, the
+    lexicographically first basis of its columns; the minor of m there
+    is sign * d over the product of the row scales, read off the same
+    elimination.  Negating the odd-numbered columns of the kernel basis
+    and rescaling its first row makes the minor on the free columns, a
+    sign since the negated basis is diagonal there, equal to that
+    minor.  The result certifies itself: m has rank k, the basis is
+    independent (its free columns hold a signed identity) and m kills
+    it, an integer dot product with each row of the integer view, so
+    its rows span the kernel of m.  By alternating duality (Karp,
+    arXiv:1503.05622) the column-alternated kernel has the Pluecker
+    coordinates of m on complementary sets up to one constant, so one
+    matched nonzero pair matches every pair.  For k = n the complement
+    has no rows and one minor, 1, so det m must be 1.  Each entry
+    becomes a Fraction once, when the result is built.
     """
     k, n = m.nrows, m.ncols
-    reduced, pivots = m.rref()
+    ints, scales = m.integer_view()
+    pivots, d, sign, basis = integer_kernel([list(row) for row in ints], n)
     if len(pivots) != k:
         raise ValueError("matrix does not have full row rank")
-    basis = kernel_from_rref(reduced, pivots)
-    if any(sum(x * y for x, y in zip(row, v))
-           for row in m.entries for v in basis.entries):
+    if any(sum(map(mul, row, v)) for row in ints for v in basis):
         raise ValueError("kernel basis is not killed by the matrix")
-    d = m.minor(range(k), pivots)
-    if k == n and d != 1:
+    scale = prod(scales)
+    if k == n and sign * d != scale:
         raise ValueError(f"complement identity fails on columns "
-                         f"{tuple(range(1, n + 1))}: 1 != {d}")
-    flipped = Matrix([[(-x if j % 2 == 0 else x) for j, x in enumerate(row)]
-                      for row in basis.entries], cols=n)
+                         f"{tuple(range(1, n + 1))}: 1 != "
+                         f"{Fraction(sign * d, scale)}")
     co = sign_power(sum(1 for j in range(0, n, 2) if j not in pivots))
-    return flipped.scale_row(0, d * co)
+    # the basis is d times the reduced-form kernel; row 0 also takes the
+    # pivot minor sign * d / scale and the sign co
+    dens = [sign * co * scale] + [d] * (len(basis) - 1)
+    return Matrix([[Fraction(-x if j % 2 == 0 else x, q)
+                    for j, x in enumerate(v)]
+                   for v, q in zip(basis, dens)], cols=n)
 
 
 def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:
     """Entry (a, b) of the frieze of m, for arbitrary integers a, b: the
     signed minor of m on the schedule at a with a exchanged for b, the
-    schedule read from the necklace by a's residue."""
+    schedule read from the necklace by a's residue and the sign from the
+    dual's sign table (entry_sign)."""
     n = pi.period
     if pi(a) == a:
         if a == b:
@@ -304,23 +310,32 @@ def frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
 
     Returns the unique (up to unimodular row operations, then pinned by
     a normalization) matrix whose frieze is c: the kernel of the n x n
-    matrix whose row b is column b of solution_matrix(c), the solutions
-    of C x = 0 that decided c, read at 1..n; checked by the twist route.
+    integer matrix whose row b is the solution of C x = 0 that decided
+    c at column b (_recurrence_solutions, wrapped by the superperiodic
+    sign, zero at a loop), read at 1..n, by one integer_kernel; the
+    first row is divided by the minor on the first landing schedule,
+    and the result checked by the twist route.
     """
     pi = c.shape.dual()
-    n = pi.period
-    k = pi.balls
-    window = solution_matrix(c)
-    span = Matrix([[window.entry(a, b) for a in range(1, n + 1)]
-                   for b in range(1, n + 1)], cols=n)
-    candidate = span.kernel_basis()
-    if candidate.nrows != k:
-        raise ValueError(f"complement of the solutions has {candidate.nrows}"
+    n, k = pi.period, pi.balls
+    wrap = sign_power(n - c.shape.balls - 1)
+    span = [[0] * n if x is None else
+            [wrap * v for v in x[n - b + 1:]] + x[:n - b + 1]
+            for b, x in enumerate(_recurrence_solutions(c), start=1)]
+    _, d, _, basis = integer_kernel(span, n)
+    if len(basis) != k:
+        raise ValueError(f"complement of the solutions has {len(basis)}"
                          f" rows, expected {k}")
-    d = candidate.minor(range(k), cyclic_columns(n, pi.necklace()[0]))
-    if d == 0:
+    # the basis is d times the candidate, whose minor is this over d**k
+    first = cyclic_columns(n, pi.necklace()[0])
+    minor = integer_det([[v[j] for j in first] for v in basis])
+    if minor == 0:
         raise ValueError("normalization minor vanishes")
-    result = candidate.scale_row(0, 1 / d)
+    rows = [[Fraction(x, d) for x in v] for v in basis]
+    if rows:
+        lift = d ** (k - 1)
+        rows[0] = [Fraction(x * lift, minor) for x in basis[0]]
+    result = Matrix(rows, cols=n)
     if build_frieze_twist(result, pi) != c:
         raise ValueError("inversion failed to reproduce the frieze")
     return result

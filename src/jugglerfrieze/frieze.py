@@ -356,18 +356,15 @@ def is_sl_frieze(c: PeriodicFrieze, k: int, h: int) -> bool:
 
 
 def is_positive(c: PeriodicFrieze) -> bool:
-    """Entries not forced to vanish are positive after the sign twist,
-    kept as a running sign down each column in O(n**2): |S(b, a+1)| is
-    |S(b, a)| plus 1 when pi^{-1}(a) > b, from |S(b, b)| = 0."""
+    """Entries not forced to vanish, the diagonal and the skeleton's
+    free entries, are positive after the sign twist, read off the
+    shape's sign table (JugglingFunction.signs) in O(n**2)."""
     pi = c.shape
-    for b in range(1, pi.period + 1):
-        sign = 1
-        for a in range(b, pi(b) + 1):
-            if (a == b or pi.inside_cone(a, b)) and sign * c.entry(a, b) <= 0:
-                return False
-            if pi.inverse(a) > b:
-                sign = -sign
-    return True
+    return all(col[0] > 0 and all(s * x > 0 for fixed, s, x
+                                  in zip(skeleton, signs, col)
+                                  if fixed is None)
+               for skeleton, signs, col
+               in zip(pi.skeleton(), pi.signs(), c.columns))
 
 
 def frieze_from_quiddity(quiddity: Sequence[int]) -> PeriodicFrieze:

@@ -45,7 +45,7 @@ class JugglingFunction:
     """An n-periodic bijection of Z, stored by its values on [1, n]."""
 
     __slots__ = ("period", "values", "_inverse", "_dual", "_skeleton",
-                 "_necklace")
+                 "_signs", "_necklace")
 
     def __init__(self, values: Iterable[int]):
         vals = tuple(map(as_int, values))
@@ -67,6 +67,7 @@ class JugglingFunction:
         self._inverse = tuple(inverse)
         self._dual = None
         self._skeleton = None
+        self._signs = None
         self._necklace = None
 
     @classmethod
@@ -129,11 +130,21 @@ class JugglingFunction:
 
     def entry_sign(self, a: int, b: int) -> int:
         """The sign twist (-1)**|S(b, a)| of a frieze's entry (a, b); S(b, a)
-        lands at the t in (b, a) with pi^{-1}(t) > b, as is_positive counts."""
-        return sign_power(sum(self.inverse(t) > b for t in range(b + 1, a)))
+        lands at the t in (b, a) with pi^{-1}(t) > b.  Read off signs()
+        within a window; beyond it every landing t > b + n counts, and
+        so does b + n unless b is a coloop."""
+        n = self.period
+        d = a - b
+        if d <= 0:
+            return 1
+        signs = self.signs()[residue(b, n) - 1]
+        if d <= n:
+            return signs[d]
+        return signs[n] * sign_power(d - n - 1 + (self(b) != b + n))
 
     def skeleton(self) -> tuple[tuple[int | None, ...], ...]:
-        """The fixed prefrieze of this shape, built once per object.
+        """The fixed prefrieze of this shape, built once per object with
+        signs().
 
         Column b, for b in [1, n], lists rows b..b+n: 1 on the diagonal,
         the sign twist at a = pi(b), None strictly inside the cone (the
@@ -144,15 +155,42 @@ class JugglingFunction:
         ((1, None, 0, 0, 1), (1, 0, 0, 0, 0))
         """
         if self._skeleton is None:
-            n = self.period
-            self._skeleton = tuple(
-                tuple(1 if a == b
-                      else self.entry_sign(a, b) if a == self(b)
-                      else None if self.inside_cone(a, b)
-                      else 0
-                      for a in range(b, b + n + 1))
-                for b in range(1, n + 1))
+            self._build_tables()
         return self._skeleton
+
+    def signs(self) -> tuple[tuple[int, ...], ...]:
+        """The sign twist of every window slot, laid out as skeleton():
+        column b lists entry_sign(a, b) for a in b..b+n.
+
+        >>> parse_siteswap("4130").signs()[0]
+        (1, 1, 1, -1, 1)
+        """
+        if self._signs is None:
+            self._build_tables()
+        return self._signs
+
+    def _build_tables(self) -> None:
+        """skeleton() and signs() in one O(n**2) pass down each column:
+        the sign of slot a + 1 is that of slot a, flipped when the ball
+        landing at a was thrown after b."""
+        n, values, inverse = self.period, self.values, self._inverse
+        skeleton, signs = [], []
+        for b in range(1, n + 1):
+            top = values[b - 1]
+            fixed, twist = [], []
+            sign = 1
+            for a in range(b, b + n + 1):
+                r = a - n if a > n else a
+                back = inverse[r - 1] + a - r  # pi^{-1}(a)
+                twist.append(sign)
+                fixed.append(1 if a == b else sign if a == top
+                             else None if back < b < a < top else 0)
+                if back > b:
+                    sign = -sign
+            skeleton.append(tuple(fixed))
+            signs.append(tuple(twist))
+        self._skeleton = tuple(skeleton)
+        self._signs = tuple(signs)
 
     def landing_schedule(self, a: int) -> tuple[int, ...]:
         """Landing times of the balls in the air just before moment a.

@@ -5,8 +5,9 @@ integer view, built on first use and kept: every row scaled by the lcm
 of its denominators, and those scale factors.  Determinants and
 eliminations run on integer rows through two fraction-free kernels,
 Bareiss elimination (integer_det) and Gauss-Jordan (integer_eliminate),
-whose divisions are exact.  A minor divides by the scales of the rows
-it takes; fractions are built only for results.  The frieze minors of
+whose divisions are exact; a kernel is read off the second in integers
+(integer_kernel).  A minor divides by the scales of the rows it takes;
+fractions are built only for results.  The frieze minors of
 frieze.PeriodicFrieze run on the same determinant kernel.  Every value
 is exact; there is no floating point anywhere in this package.
 """
@@ -116,6 +117,26 @@ def integer_eliminate(rows: list[list[int]],
         pivots.append(c)
         r += 1
     return tuple(pivots), prev, sign
+
+
+def integer_kernel(rows: list[list[int]], ncols: int) -> tuple[
+        tuple[int, ...], int, int, list[list[int]]]:
+    """The kernel of integer rows, read off one integer_eliminate of
+    them (in place): its pivots, last pivot d and sign, and one kernel
+    vector per free column c, d times the reduced-form one: d at c and
+    minus row r's entry at c at pivot r, ints throughout.  With full
+    row rank, sign * d is the minor of the rows on the pivot columns.
+    """
+    pivots, d, sign = integer_eliminate(rows, ncols)
+    free = sorted(set(range(ncols)).difference(pivots))
+    basis = []
+    for c in free:
+        v = [0] * ncols
+        v[c] = d
+        for pc, row in zip(pivots, rows):
+            v[pc] = -row[c]
+        basis.append(v)
+    return pivots, d, sign, basis
 
 
 def rational_to_json(x: Fraction):
@@ -236,8 +257,13 @@ class Matrix:
         return len(self.rref()[1])
 
     def kernel_basis(self) -> "Matrix":
-        """Rows spanning {v : self @ v = 0}, one per free column."""
-        return kernel_from_rref(*self.rref())
+        """Rows spanning {v : self @ v = 0}, one per free column c: 1 at
+        c and minus column c of the reduced form at the pivots, from
+        integer_kernel on the integer view."""
+        rows = [list(row) for row in self.integer_view()[0]]
+        _, d, _, basis = integer_kernel(rows, self.ncols)
+        return Matrix([[Fraction(x, d) for x in v] for v in basis],
+                      cols=self.ncols)
 
     def solve(self, rhs: Sequence) -> tuple[Fraction, ...]:
         """The unique x with self * x = rhs, from the rref of [self | rhs]."""
@@ -273,23 +299,6 @@ class Matrix:
         if m.nrows != as_int(obj["rows"]):
             raise ValueError("matrix shape does not match its entries")
         return m
-
-
-def kernel_from_rref(reduced: Matrix, pivots: Sequence[int]) -> Matrix:
-    """The kernel basis read off a reduced row echelon form: for each
-    free column c, the vector with 1 at c and minus column c of the
-    reduced rows at the pivots."""
-    n = reduced.ncols
-    rows = []
-    for c in range(n):
-        if c in pivots:
-            continue
-        v = [Fraction(0)] * n
-        v[c] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced.entries[r][c]
-        rows.append(v)
-    return Matrix(rows, cols=n)
 
 
 def cyclic_columns(n: int, indices: Iterable[int]) -> list[int]:

@@ -80,10 +80,13 @@ def solution_matrix(c: PeriodicFrieze) -> SolutionWindow:
     Column b is zero when b is a loop of the shape; otherwise it is the
     b-th dual column with alternating signs, extended superperiodically.
     They decide that c is a frieze (see frieze.is_frieze), and come
-    scaled by L**(n-1), L the lcm of c's integer view, divided out once.
+    scaled by L**(n-1), L the lcm of c's integer view, divided out once;
+    when L is 1, as on every integral frieze, they are passed as ints
+    and SolutionWindow makes each a Fraction, its one coercion.
     """
     n = c.shape.period
     scale = c.integer_view()[1] ** (n - 1)
     return SolutionWindow(n, n - c.shape.balls - 1, tuple(
-        (0,) * n if col is None else tuple(Fraction(x, scale) for x in col)
+        (0,) * n if col is None else
+        col if scale == 1 else [Fraction(x, scale) for x in col]
         for col in _recurrence_solutions(c)))

@@ -15,7 +15,11 @@ criterion and the kernel correspondence with the matrix.  The
 certificate oracles compare every complementary pair of maximal minors,
 and take the rank of every cyclic interval of columns.  A frieze's
 matrix is the kernel of the kernel of one period of the recurrence
-system, and positivity reads each entry's sign twist off its s-set.
+system.  The positive complement and the frieze's matrix are also
+built the way the package built them before its integer kernel: a
+Fraction reduced form, the kernel read off it and one more minor.  The
+sign twist of an entry is counted off its s-set, and the skeleton and
+positivity read it from there.
 """
 import random
 from fractions import Fraction
@@ -23,8 +27,8 @@ from itertools import combinations
 
 from jugglerfrieze import (FriezeReport, Matrix, JugglingFunction,
                            PeriodicFrieze, SolutionWindow, build_frieze_det,
-                           frieze_entry, is_prefrieze, residual,
-                           twist)
+                           build_frieze_twist, frieze_entry, is_prefrieze,
+                           residual, solution_matrix, twist)
 from jugglerfrieze.frieze import (frieze_minor, is_tameness_pair,
                                   tameness_minor)
 from jugglerfrieze.juggling import residue, sign_power
@@ -363,6 +367,24 @@ def system_kernel_matrix(c: PeriodicFrieze) -> Matrix:
     return result
 
 
+def counted_sign(pi: JugglingFunction, a: int, b: int) -> int:
+    """The sign twist of entry (a, b) by its definition, (-1)**|S(b, a)|."""
+    return (-1) ** len(pi.s_set(b, a))
+
+
+def counted_skeleton(pi: JugglingFunction):
+    """JugglingFunction.skeleton by its definition, slot by slot: 1 on
+    the diagonal, the counted sign twist at pi(b), None strictly inside
+    the cone and 0 elsewhere."""
+    n = pi.period
+    return tuple(tuple(1 if a == b
+                       else counted_sign(pi, a, b) if a == pi(b)
+                       else None if pi.inside_cone(a, b)
+                       else 0
+                       for a in range(b, b + n + 1))
+                 for b in range(1, n + 1))
+
+
 def entry_sign_is_positive(c: PeriodicFrieze) -> bool:
     """is_positive with each sign twist taken from its s-set: every
     diagonal entry and every entry strictly inside a cone, times
@@ -372,6 +394,70 @@ def entry_sign_is_positive(c: PeriodicFrieze) -> bool:
         for a in range(b, pi(b) + 1):
             if a != b and not pi.inside_cone(a, b):
                 continue
-            if (-1) ** len(pi.s_set(b, a)) * c.entry(a, b) <= 0:
+            if counted_sign(pi, a, b) * c.entry(a, b) <= 0:
                 return False
     return True
+
+
+def kernel_from_rref(reduced: Matrix, pivots) -> Matrix:
+    """The kernel basis read off a reduced row echelon form: for each
+    free column c, the vector with 1 at c and minus column c of the
+    reduced rows at the pivots."""
+    n = reduced.ncols
+    rows = []
+    for c in range(n):
+        if c in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[c] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -Fraction(reduced.entries[r][c])
+        rows.append(v)
+    return Matrix(rows, cols=n)
+
+
+def rref_complement(m: Matrix) -> Matrix:
+    """positive_complement through a Fraction reduced form: Matrix.rref,
+    the kernel read off it, the minor of m on the pivots as a second
+    determinant, and Fraction scaling of the first row; raises with the
+    package's messages."""
+    k, n = m.nrows, m.ncols
+    reduced, pivots = m.rref()
+    if len(pivots) != k:
+        raise ValueError("matrix does not have full row rank")
+    basis = kernel_from_rref(reduced, pivots)
+    if any(sum(x * y for x, y in zip(row, v))
+           for row in m.entries for v in basis.entries):
+        raise ValueError("kernel basis is not killed by the matrix")
+    d = Fraction(m.minor(range(k), pivots))
+    if k == n and d != 1:
+        raise ValueError(f"complement identity fails on columns "
+                         f"{tuple(range(1, n + 1))}: 1 != {d}")
+    flipped = Matrix([[(-x if j % 2 == 0 else x) for j, x in enumerate(row)]
+                      for row in basis.entries], cols=n)
+    co = sign_power(sum(1 for j in range(0, n, 2) if j not in pivots))
+    return flipped.scale_row(0, d * co)
+
+
+def rref_frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
+    """frieze_to_matrix through Fractions: the n x n span of
+    solution_matrix's window, its kernel read off Matrix.rref, the first
+    row divided by its minor on the first landing schedule, checked by
+    the twist route; raises with the package's messages."""
+    pi = c.shape.dual()
+    n, k = pi.period, pi.balls
+    window = solution_matrix(c)
+    span = Matrix([[window.entry(a, b) for a in range(1, n + 1)]
+                   for b in range(1, n + 1)], cols=n)
+    candidate = kernel_from_rref(*span.rref())
+    if candidate.nrows != k:
+        raise ValueError(f"complement of the solutions has {candidate.nrows}"
+                         f" rows, expected {k}")
+    d = Fraction(candidate.minor(range(k),
+                                 cyclic_columns(n, pi.necklace()[0])))
+    if d == 0:
+        raise ValueError("normalization minor vanishes")
+    result = candidate.scale_row(0, 1 / d)
+    if build_frieze_twist(result, pi) != c:
+        raise ValueError("inversion failed to reproduce the frieze")
+    return result

@@ -1,10 +1,11 @@
 """Seeded random instances for the property suite.
 
 Unimodular matrices for arbitrary shapes are hard to sample directly,
-so random instances come from three sources: the worked-example pool
+so random instances come from four sources: the worked-example pool
 composed with random integer determinant-1 matrices, quiddity-derived
-matrices for two-ball uniform shapes, and plain rejection sampling for
-the properties that only need full rank.
+matrices for two-ball uniform shapes, copies grown from those by
+inserting loops and coloops, and plain rejection sampling for the
+properties that only need full rank.
 """
 import random
 from fractions import Fraction
@@ -71,6 +72,44 @@ def random_unimodular(rng: random.Random):
     else:
         m, pi = rng.choice(UNIMODULAR_POOL)
     return random_determinant_one(rng, m.nrows) * m, pi
+
+
+def _insert_time(pi: JugglingFunction, j: int, throw_at_j: int):
+    """The values of pi with one new moment j (1-based, in [1, n+1]) of
+    the period n+1 throwing to j + throw_at_j: every old time t moves
+    to t + [residue of t >= j] within its period."""
+    n = pi.period
+
+    def moved(t):
+        q, r = divmod(t - 1, n)
+        return q * (n + 1) + r + 1 + (r + 1 >= j)
+
+    return [j + throw_at_j if i == j else moved(pi(i - (i > j)))
+            for i in range(1, n + 2)]
+
+
+def grown(rng: random.Random, m: Matrix, pi: JugglingFunction):
+    """A unimodular (m, pi) grown by one loop or one coloop at a seeded
+    place j: a loop is a zero column and a throw 0 at j; a coloop is a
+    zero column at j in the old rows with the columns before j negated,
+    a new last row with (-1)**k at j and zeros elsewhere, and a throw
+    n + 1 at j.  Both keep the matrix unimodular for the new shape
+    (Knutson-Lam-Speyer, arXiv:1111.3660)."""
+    k, n = m.nrows, m.ncols
+    j = rng.randint(1, n + 1)
+    rows = [list(row) for row in m.entries]
+    if rng.random() < 0.5:
+        values = _insert_time(pi, j, 0)
+        rows = [row[:j - 1] + [0] + row[j - 1:] for row in rows]
+    else:
+        values = _insert_time(pi, j, n + 1)
+        rows = [[-x for x in row[:j - 1]] + [0] + row[j - 1:]
+                for row in rows]
+        rows.append([(-1) ** k if c == j - 1 else 0 for c in range(n + 1)])
+    shape = JugglingFunction(values)
+    out = Matrix(rows, cols=n + 1)
+    assert is_pi_unimodular(out, shape).ok
+    return out, shape
 
 
 def random_full_rank(rng: random.Random, k: int, n: int) -> Matrix:

@@ -157,8 +157,9 @@ def test_necklace_walk_eliminates_once_per_anchor(monkeypatch, tmp_path,
     # anchors each walk, every later schedule is one adjugate update,
     # and no schedule minor is a determinant of its own; the twist route
     # reads its rows off the certificate's walk, so it anchors once
-    calls = {"det": 0, "anchor": 0, "rank": 0}
+    calls = {"det": 0, "anchor": 0, "rank": 0, "kernel": 0}
     det, eliminate = matrices.integer_det, construct.integer_eliminate
+    kernel_eliminate = matrices.integer_eliminate
 
     def counted_det(rows):
         calls["det"] += 1
@@ -169,22 +170,30 @@ def test_necklace_walk_eliminates_once_per_anchor(monkeypatch, tmp_path,
         calls["anchor" if ncols < len(rows[0]) else "rank"] += 1
         return eliminate(rows, ncols)
 
+    def counted_kernel(rows, ncols):
+        # integer_kernel, the one elimination left in matrices
+        calls["kernel"] += 1
+        return kernel_eliminate(rows, ncols)
+
     def counted(run, *args):
-        calls.update(det=0, anchor=0, rank=0)
+        calls.update(det=0, anchor=0, rank=0, kernel=0)
         return run(*args), dict(calls)
 
     monkeypatch.setattr(matrices, "integer_det", counted_det)
+    monkeypatch.setattr(construct, "integer_det", counted_det)
     monkeypatch.setattr(construct, "integer_eliminate", counted_eliminate)
+    monkeypatch.setattr(matrices, "integer_eliminate", counted_kernel)
     m, pi = fx.UNIMOD_4x8, fx.PI_23345357
     assert counted(twist, m, pi) == \
-        (fx.TWIST_4x8, {"det": 0, "anchor": 1, "rank": 0})
+        (fx.TWIST_4x8, {"det": 0, "anchor": 1, "rank": 0, "kernel": 0})
     # one anchor and the certificate's five rank eliminations
     assert counted(build_frieze_twist, m, pi) == \
-        (fx.JUG_FRIEZE, {"det": 0, "anchor": 1, "rank": 5})
-    # invert-F checks its result through the twist route; its one
-    # determinant is the normalisation minor
+        (fx.JUG_FRIEZE, {"det": 0, "anchor": 1, "rank": 5, "kernel": 0})
+    # invert-F eliminates the solutions once for their kernel and checks
+    # its result through the twist route; its one determinant is the
+    # normalisation minor
     assert counted(frieze_to_matrix, fx.JUG_FRIEZE)[1] == \
-        {"det": 1, "anchor": 1, "rank": 5}
+        {"det": 1, "anchor": 1, "rank": 5, "kernel": 1}
     # construct --verify builds both routes on one certificate; the det
     # route pays one determinant per free entry and no elimination
     path = tmp_path / "m.json"
@@ -193,7 +202,7 @@ def test_necklace_walk_eliminates_once_per_anchor(monkeypatch, tmp_path,
         code, got = counted(main, ["construct", str(path), "--siteswap",
                                    "23345357", "--method", method, "--verify"])
         assert code == 0 and capsys.readouterr().err == ""
-        assert (got["anchor"], got["rank"]) == (1, 5)
+        assert (got["anchor"], got["rank"], got["kernel"]) == (1, 5, 0)
 
 
 def test_twist_names_the_first_bad_schedule_minor():
@@ -475,13 +484,23 @@ def test_frieze_to_matrix_from_stored_fixture():
 
 def test_frieze_to_matrix_runs_one_elimination(monkeypatch):
     # the solutions come from the recurrence that decided the frieze;
-    # only their complement is eliminated
-    calls = []
-    rref = Matrix.rref
-    monkeypatch.setattr(Matrix, "rref",
-                        lambda self: calls.append(self) or rref(self))
+    # only their complement is eliminated, by one integer kernel and no
+    # Fraction reduced form
+    calls = {"kernel": 0, "rref": 0}
+    eliminate, rref = matrices.integer_eliminate, Matrix.rref
+
+    def counted_kernel(rows, ncols):
+        calls["kernel"] += 1
+        return eliminate(rows, ncols)
+
+    def counted_rref(self):
+        calls["rref"] += 1
+        return rref(self)
+
+    monkeypatch.setattr(matrices, "integer_eliminate", counted_kernel)
+    monkeypatch.setattr(Matrix, "rref", counted_rref)
     frieze_to_matrix(fx.SL3_H5)
-    assert len(calls) == 1
+    assert calls == {"kernel": 1, "rref": 0}
 
 
 def test_frieze_to_matrix_rejects_non_frieze():

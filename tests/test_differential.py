@@ -26,13 +26,15 @@ from jugglerfrieze.juggling import residue
 from jugglerfrieze.matrices import integer_eliminate
 
 import fixture_data as fx
-from exact_oracles import (_minor, entry_sign_is_positive,
-                           exhaustive_complement, full_product_frieze,
-                           full_window_frieze, gauss_jordan,
-                           interval_rank_certificate, kernel_rows, minor_dual,
-                           minor_report, schedule_adjugates, schedule_twist,
+from exact_oracles import (_minor, counted_sign, counted_skeleton,
+                           entry_sign_is_positive, exhaustive_complement,
+                           full_product_frieze, full_window_frieze,
+                           gauss_jordan, interval_rank_certificate,
+                           kernel_rows, minor_dual, minor_report,
+                           rref_complement, rref_frieze_to_matrix,
+                           schedule_adjugates, schedule_twist,
                            system_kernel_matrix)
-from samplers import (UNIMODULAR_POOL, random_determinant_one,
+from samplers import (UNIMODULAR_POOL, grown, random_determinant_one,
                       random_juggling, random_unimodular)
 
 DATA = Path(__file__).parent / "data"
@@ -555,6 +557,92 @@ def test_frieze_to_matrix_matches_system_kernel_oracle():
                 system_kernel_matrix(v)
             rejected += 1
     assert rejected > 60
+
+
+def _grown_pool(rng, draws):
+    """The sampler pool, seeded unimodular draws, and copies of both
+    grown by one to three loops or coloops."""
+    pairs = list(UNIMODULAR_POOL)
+    pairs += [random_unimodular(rng) for _ in range(draws)]
+    for m, pi in list(pairs):
+        for _ in range(rng.randint(1, 3)):
+            m, pi = grown(rng, m, pi)
+        pairs.append((m, pi))
+    return pairs
+
+
+def test_integer_kernel_matches_rref_oracles():
+    # positive_complement and frieze_to_matrix read their kernel off one
+    # integer elimination; the oracles take the Fraction reduced form,
+    # read the kernel off it and pay one more minor, as the package did
+    rng = random.Random(33)
+    pairs = _grown_pool(rng, draws=12)
+    assert any(pi.loops() for _, pi in pairs)
+    assert any(pi.coloops() for _, pi in pairs)
+    cases = []
+    for m, pi in pairs:
+        cases += [m, twist(m, pi)]
+        if m.nrows > 1:
+            # rank-deficient near-misses: a row doubled, a row of zeros
+            rows = [list(row) for row in m.entries]
+            cases.append(Matrix(rows[:-1] + [[2 * x for x in rows[0]]],
+                                   cols=m.ncols))
+            cases.append(Matrix(rows[:-1] + [[0] * m.ncols], cols=m.ncols))
+    for n in range(1, 5):
+        # square: determinant 1, and 2 after doubling a row
+        m = random_determinant_one(rng, n, steps=2 * n)
+        cases += [m, m.scale_row(0, 2)]
+    texts = set()
+    for m in cases:
+        got, want = (_outcome(positive_complement, m),
+                     _outcome(rref_complement, m))
+        if isinstance(want, str):
+            assert got == want, m
+            texts.add(want.split(" on ")[0])
+        else:
+            assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+            assert got.entries == want.entries, m
+    assert texts == {"ValueError: matrix does not have full row rank",
+                     "ValueError: complement identity fails"}
+    rejected = 0
+    for m, pi in pairs:
+        c = build_frieze_twist(m, pi)
+        got = frieze_to_matrix(c)
+        assert got.entries == rref_frieze_to_matrix(c).entries, c
+        free = [(b, d) for b, col in enumerate(c.shape.skeleton())
+                for d, x in enumerate(col) if x is None]
+        for b, d in rng.sample(free, min(len(free), 2)):
+            cols = [list(col) for col in c.columns]
+            cols[b][d] += rng.choice((1, -1, Fraction(1, 2)))
+            v = PeriodicFrieze(c.shape, cols)
+            want = _outcome(rref_frieze_to_matrix, v)
+            assert want.startswith("ValueError: ")
+            assert _outcome(frieze_to_matrix, v) == want, v
+            rejected += 1
+    assert rejected > 40
+
+
+def test_sign_table_matches_counted_definition():
+    # the shape's one sign table, its skeleton and entry_sign against
+    # (-1)**|S(b, a)| counted off the s-set, on seeded shapes of period
+    # up to 12 with loops and coloops, and their duals
+    rng = random.Random(34)
+    seen = {"loop": 0, "coloop": 0}
+    for _ in range(2000):
+        pi = random_juggling(rng, 12)
+        seen["loop"] += bool(pi.loops())
+        seen["coloop"] += bool(pi.coloops())
+        n = pi.period
+        assert pi.signs() == tuple(
+            tuple(counted_sign(pi, a, b) for a in range(b, b + n + 1))
+            for b in range(1, n + 1)), pi
+        assert pi.skeleton() == counted_skeleton(pi), pi
+        for f in (pi, pi.dual()):
+            for _ in range(3):
+                b = rng.randint(-n, 2 * n)
+                a = b + rng.randint(-2, 2 * n + 2)
+                assert f.entry_sign(a, b) == counted_sign(f, a, b), (f, a, b)
+    assert min(seen.values()) > 500
 
 
 def test_is_positive_matches_entry_sign_oracle():
