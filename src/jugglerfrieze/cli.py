@@ -114,8 +114,10 @@ def cmd_transform(args) -> int:
         m = _load(args.input, Matrix, "matrix")
         if args.op == "complement":
             out = positive_complement(m)
+        elif args.siteswap is None:
+            raise ValueError(f"--op {args.op} needs --siteswap")
         else:
-            pi = parse_siteswap(args.siteswap or "")
+            pi = parse_siteswap(args.siteswap)
             out = (twist if args.op == "twist" else inverse_twist)(m, pi)
     _emit(out.to_json(), args.output)
     return 0

@@ -13,7 +13,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
 from operator import mul
 
 from .juggling import JugglingFunction, residue, sign_power
@@ -117,10 +116,9 @@ def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
     n, k = pi.period, pi.balls
     cert = UnimodularCertificate(
         kind="consecutive" if pi.is_uniform() else "positroid")
-    ints, scales = m.integer_view()
-    scale = prod(scales)
+    ints, scale = m.integer_view()
     for a, (cols, d, adj) in enumerate(_schedule_adjugates(m, pi), start=1):
-        cert.checked_minors.append((cols, Fraction(d, scale)))
+        cert.checked_minors.append((cols, Fraction(d, scale ** k)))
         cert.twist_rows.append(None if adj is None else (
             adj[cols.index(a)] if a in cols else [0] * k))
         # the schedule's landing times in [a, a+n), from their residues
@@ -149,21 +147,20 @@ def twist(m: Matrix, pi: JugglingFunction) -> Matrix:
     the other landing-schedule columns; a loop is not in its own
     schedule, so its column is zero.
 
-    With S the row scales of m's integer view, B the schedule's columns
-    of that view, d = det B and A its adjugate, the column is S times
-    row p of A over d, p the position of a in the schedule.  One walk
-    of the necklace (_schedule_adjugates) gives every d and A; the
-    schedule minor det B / prod S must be 1.
+    With L the scale of m's integer view, B the schedule's columns of
+    that view, d = det B and A its adjugate, the column is L times row p
+    of A over d, p the position of a in the schedule.  One walk of the
+    necklace (_schedule_adjugates) gives every d and A; the schedule
+    minor d / L**k must be 1.
     """
     k = pi.balls
-    scales = m.integer_view()[1]
-    scale = prod(scales)
+    scale = m.integer_view()[1]
     cols = []
     for a, (order, d, adj) in enumerate(_schedule_adjugates(m, pi), start=1):
-        if d != scale:
+        if d != scale ** k:
             raise ValueError(f"landing-schedule minor at {a} is not 1")
         row = adj[order.index(a)] if a in order else [0] * k
-        cols.append([Fraction(s * x, d) for s, x in zip(scales, row)])
+        cols.append([Fraction(scale * x, d) for x in row])
     return Matrix.from_columns(cols)
 
 
@@ -174,7 +171,7 @@ def positive_complement(m: Matrix) -> Matrix:
     One integer_kernel of m's integer view gives its kernel basis, d
     times the reduced-form one, and its pivot columns, the
     lexicographically first basis of its columns; the minor of m there
-    is sign * d over the product of the row scales, read off the same
+    is sign * d / L**k, L the scale of the view, read off the same
     elimination.  Negating the odd-numbered columns of the kernel basis
     and rescaling its first row makes the minor on the free columns, a
     sign since the negated basis is diagonal there, equal to that
@@ -189,21 +186,21 @@ def positive_complement(m: Matrix) -> Matrix:
     becomes a Fraction once, when the result is built.
     """
     k, n = m.nrows, m.ncols
-    ints, scales = m.integer_view()
+    ints, scale = m.integer_view()
     pivots, d, sign, basis = integer_kernel([list(row) for row in ints], n)
     if len(pivots) != k:
         raise ValueError("matrix does not have full row rank")
     if any(sum(map(mul, row, v)) for row in ints for v in basis):
         raise ValueError("kernel basis is not killed by the matrix")
-    scale = prod(scales)
-    if k == n and sign * d != scale:
+    unit = scale ** k
+    if k == n and sign * d != unit:
         raise ValueError(f"complement identity fails on columns "
                          f"{tuple(range(1, n + 1))}: 1 != "
-                         f"{Fraction(sign * d, scale)}")
+                         f"{Fraction(sign * d, unit)}")
     co = sign_power(sum(1 for j in range(0, n, 2) if j not in pivots))
     # the basis is d times the reduced-form kernel; row 0 also takes the
-    # pivot minor sign * d / scale and the sign co
-    dens = [sign * co * scale] + [d] * (len(basis) - 1)
+    # pivot minor sign * d / unit and the sign co
+    dens = [sign * co * unit] + [d] * (len(basis) - 1)
     return Matrix([[Fraction(-x if j % 2 == 0 else x, q)
                     for j, x in enumerate(v)]
                    for v, q in zip(basis, dens)], cols=n)
@@ -245,13 +242,12 @@ def _require_unimodular(m: Matrix, pi: JugglingFunction) -> list:
     return cert.twist_rows
 
 
-def _fill_skeleton(pi: JugglingFunction, entry) -> PeriodicFrieze:
-    """The frieze of the dual shape whose fixed entries are its skeleton
-    and whose free entry (a, b) is entry(a, b)."""
-    dual = pi.dual()
-    return PeriodicFrieze(dual, [
+def _fill_skeleton(shape: JugglingFunction, entry) -> PeriodicFrieze:
+    """The frieze of the given shape whose fixed entries are its
+    skeleton and whose free entry (a, b) is entry(a, b)."""
+    return PeriodicFrieze(shape, [
         [entry(a, b) if x is None else x for a, x in enumerate(fixed, start=b)]
-        for b, fixed in enumerate(dual.skeleton(), start=1)])
+        for b, fixed in enumerate(shape.skeleton(), start=1)])
 
 
 def build_frieze_det(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
@@ -272,27 +268,28 @@ def build_frieze_twist(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
     Free entry (a, b) is twist column residue(a, n) against column b
     of m: entry (residue(a, n), b) of twist(m)^T m, unwrapped around
     the diagonal with its sign flipped on wrapped entries (a > n) when
-    the ball count is even: the certificate's integer twist column
-    against column b of m's integer view, over the product of its row
-    scales.  The fixed entries, which that product matches on certified
-    input, are the output shape's skeleton.
+    the output shape's wrap_exponent is odd: the certificate's integer
+    twist column against column b of m's integer view, over L**k, L the
+    scale of the view.  The fixed entries, which that product matches on
+    certified input, are the output shape's skeleton.
     """
     rows = _require_unimodular(m, pi)
     n = pi.period
-    ints, scales = m.integer_view()
-    scale = prod(scales)
-    wrap_sign = sign_power(pi.balls - 1)
+    ints, scale = m.integer_view()
+    unit = scale ** pi.balls
+    dual = pi.dual()
+    wrap_sign = sign_power(dual.wrap_exponent)
 
     def entry(a: int, b: int) -> Fraction:
         x = sum(t * r[b - 1] for t, r in zip(rows[residue(a, n) - 1], ints))
-        return Fraction(x * wrap_sign if a > n else x, scale)
+        return Fraction(x * wrap_sign if a > n else x, unit)
 
-    return _fill_skeleton(pi, entry)
+    return _fill_skeleton(dual, entry)
 
 
 def frieze_by_det(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
     """build_frieze_det on a matrix already certified for pi."""
-    return _fill_skeleton(pi, lambda a, b: frieze_entry(m, pi, a, b))
+    return _fill_skeleton(pi.dual(), lambda a, b: frieze_entry(m, pi, a, b))
 
 
 def inverse_twist(m: Matrix, pi: JugglingFunction) -> Matrix:
@@ -318,7 +315,7 @@ def frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
     """
     pi = c.shape.dual()
     n, k = pi.period, pi.balls
-    wrap = sign_power(n - c.shape.balls - 1)
+    wrap = sign_power(c.shape.wrap_exponent)
     span = [[0] * n if x is None else
             [wrap * v for v in x[n - b + 1:]] + x[:n - b + 1]
             for b, x in enumerate(_recurrence_solutions(c), start=1)]

@@ -4,9 +4,8 @@ A frieze of shape pi is stored as one fundamental domain: for each
 column b in [1, n] the entries C[a, b] with a in [b, b+n].  The entry
 accessor reduces arbitrary integer positions into this window, so the
 stored object behaves like the full doubly infinite unitriangular
-array with C[a+n, b+n] = C[a, b].  Each frieze also keeps one integer
-view of that window, scaled by one common lcm of its denominators, on
-which its minors and its dual are computed.
+array with C[a+n, b+n] = C[a, b].  Its minors and its dual are
+computed on the window's integer view (matrices.scaled_ints).
 
 A frieze is defined by unit and vanishing minors, and is decided by the
 equivalent linear recurrence: the signed columns of its dual, extended
@@ -18,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .juggling import JugglingFunction, as_int, residue, sign_power
-from .matrices import as_grid, integer_det, rational_to_json
+from .matrices import as_grid, integer_det, rational_to_json, scaled_ints
 
 
 class PeriodicFrieze:
@@ -48,14 +46,9 @@ class PeriodicFrieze:
         return self.columns[residue(b, n) - 1][d]
 
     def integer_view(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The window times one common lcm L of its denominators, as
-        ints, and L; built once per object.  A t x t minor of the view
-        is L**t times the minor of the frieze."""
+        """scaled_ints of the stored window, built once per object."""
         if self._view is None:
-            scale = lcm(*(x.denominator for col in self.columns for x in col))
-            self._view = (tuple(tuple(x.numerator * (scale // x.denominator)
-                                      for x in col) for col in self.columns),
-                          scale)
+            self._view = scaled_ints(self.columns)
         return self._view
 
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
@@ -281,7 +274,7 @@ def _recurrence_solutions(c: PeriodicFrieze) -> list:
     pi = c.shape
     n = pi.period
     window, scale = c.integer_view()
-    wrap = sign_power(n - pi.balls - 1)
+    wrap = sign_power(pi.wrap_exponent)
     # the nonzero scaled entries (a - b', W[a, b']) of each column b'
     support = [[(d, x) for d, x in enumerate(col) if x] for col in window]
     found = []

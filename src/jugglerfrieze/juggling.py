@@ -98,6 +98,13 @@ class JugglingFunction:
     def balls(self) -> int:
         return sum(self.throws) // self.period
 
+    @property
+    def wrap_exponent(self) -> int:
+        """(n - k - 1) mod 2 for k balls: the s of the rule x[a + n] =
+        (-1)**s x[a] obeyed by the solutions of C x = 0 for a frieze C of
+        this shape, and the sign of its wrapped twist-route entries."""
+        return (self.period - self.balls - 1) % 2
+
     def dual(self) -> "JugglingFunction":
         """The dual function a -> pi^{-1}(a) + n, built once per object.
 

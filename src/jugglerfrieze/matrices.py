@@ -1,21 +1,20 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are immutable grids of fractions.Fraction.  Each matrix has one
-integer view, built on first use and kept: every row scaled by the lcm
-of its denominators, and those scale factors.  Determinants and
+Matrices are immutable grids of fractions.Fraction.  Each matrix, like
+each frieze window, keeps one integer view built on first use: the grid
+times one common lcm L of its denominators (scaled_ints), so a t x t
+minor of the view is L**t times the grid's.  Determinants and
 eliminations run on integer rows through two fraction-free kernels,
 Bareiss elimination (integer_det) and Gauss-Jordan (integer_eliminate),
 whose divisions are exact; a kernel is read off the second in integers
-(integer_kernel).  A minor divides by the scales of the rows it takes;
-fractions are built only for results.  The frieze minors of
-frieze.PeriodicFrieze run on the same determinant kernel.  Every value
+(integer_kernel).  Fractions are built only for results.  Every value
 is exact; there is no floating point anywhere in this package.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import lcm
 from typing import Iterable, Sequence
 
 from .juggling import as_int, residue
@@ -50,6 +49,14 @@ def as_grid(rows) -> tuple[tuple[Fraction, ...], ...]:
         if len(grid) == len(rows):
             return grid
     raise TypeError("expected a list of lists")
+
+
+def scaled_ints(grid) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The grid times one common lcm L of its denominators, as ints, and
+    L: a t x t minor of the result is L**t times the grid's."""
+    scale = lcm(*(x.denominator for row in grid for x in row))
+    return (tuple(tuple(x.numerator * (scale // x.denominator) for x in row)
+                  for row in grid), scale)
 
 
 def integer_det(rows: list[list[int]]) -> int:
@@ -215,29 +222,20 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
-    def integer_view(self) -> tuple[tuple[tuple[int, ...], ...],
-                                    tuple[int, ...]]:
-        """Each row times the lcm of its denominators, as ints, and
-        those lcms; built once per object."""
+    def integer_view(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """scaled_ints of the entries, built once per object."""
         if self._view is None:
-            rows, scales = [], []
-            for row in self.entries:
-                s = lcm(*(x.denominator for x in row))
-                rows.append(tuple(x.numerator * (s // x.denominator)
-                                  for x in row))
-                scales.append(s)
-            self._view = (tuple(rows), tuple(scales))
+            self._view = scaled_ints(self.entries)
         return self._view
 
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
         """The determinant on the given 0-based rows and columns: the
-        integer view's minor over the scales of those rows."""
+        integer view's minor over L**t for t rows."""
         if len(rows) != len(cols):
             raise ValueError("determinant of a non-square matrix")
-        ints, scales = self.integer_view()
+        ints, scale = self.integer_view()
         return Fraction(integer_det([[ints[i][j] for j in cols]
-                                     for i in rows]),
-                        prod(scales[i] for i in rows))
+                                     for i in rows]), scale ** len(rows))
 
     def det(self) -> Fraction:
         """Exact determinant; the empty 0x0 matrix has determinant 1."""

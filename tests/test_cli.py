@@ -314,7 +314,8 @@ RATIONAL = DATA / "rational"
     ids=lambda case: case["name"])
 def test_rational_input_golden(case, capsysbinary, monkeypatch):
     # every benchmark input is integral; these keep a denominator in
-    # each route (rows over their own lcm, a frieze over one lcm)
+    # each route, and matrix_mixed.json has rows over 3 and 2, so its
+    # view's one lcm differs from every row's own
     monkeypatch.chdir(RATIONAL)
     code = main(case["argv"])
     captured = capsysbinary.readouterr()

@@ -10,7 +10,6 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
-from math import prod
 from pathlib import Path
 
 import pytest
@@ -119,11 +118,12 @@ def test_solve_matches_gauss_jordan():
         assert m.solve(rhs) == tuple(row[-1] for row in reduced)
 
 
-# Integer views.  A matrix's view scales each row by its own lcm, a
-# frieze's view its whole window by one lcm; minors and eliminations
-# run on the views.  The cases give each row its own denominators, so a
-# minor that divides by the wrong rows' scales is off, and put zeros at
-# the leading pivots, so every elimination swaps rows.
+# Integer views.  A matrix's view, like a frieze's, scales the whole
+# grid by one common lcm L; minors and eliminations run on the views.
+# The cases give each row its own denominators, so L differs from every
+# row's own lcm and a minor that divides by the wrong power of L is
+# off, and put zeros at the leading pivots, so every elimination swaps
+# rows.
 
 _ROW_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13)
 
@@ -174,12 +174,11 @@ def test_elimination_kernel_determinant_matches_gauss_jordan():
     for m in _view_cases(22):
         if m.nrows != m.ncols:
             continue
-        rows = [list(row) for row in m.integer_view()[0]]
+        ints, scale = m.integer_view()
+        rows = [list(row) for row in ints]
         pivots, d, sign = integer_eliminate(rows, m.ncols)
-        scale = 1
-        for s in m.integer_view()[1]:
-            scale *= s
-        det = Fraction(sign * d, scale) if len(pivots) == m.ncols else 0
+        det = (Fraction(sign * d, scale ** m.nrows)
+               if len(pivots) == m.ncols else 0)
         assert det == gauss_jordan(m.entries, m.ncols)[2], m
 
 
@@ -405,15 +404,15 @@ def test_frieze_builds_match_full_window_and_full_product():
     rng = random.Random(8)
     for _ in range(30):
         check(*random_unimodular(rng))
-    # rows over 2 and 3, so the twist route divides by a product of row
-    # scales other than 1, as they are and mixed by a determinant-1 matrix
+    # rows over 2 and 3, so the twist route divides by a power of a view
+    # scale L other than 1, as they are and mixed by a determinant-1 matrix
     for m, pi in UNIMODULAR_POOL:
         k = pi.balls
         scaled = m.scale_row(0, Fraction(3, 2)).scale_row(k - 1,
                                                          Fraction(2, 3))
         mixed = random_determinant_one(rng, k, steps=40) * scaled
         for case in (scaled, mixed):
-            assert k == 1 or prod(case.integer_view()[1]) > 1
+            assert k == 1 or case.integer_view()[1] > 1
             check(case, pi)
 
 
@@ -537,7 +536,7 @@ def test_frieze_to_matrix_matches_system_kernel_oracle():
     rng = random.Random(27)
     cases = _inversion_cases(rng, draws=24)
     assert {c.shape.dual().balls for c, _ in cases} >= {0, 1, 2, 3, 4}
-    assert any(m is not None and m.integer_view()[1] != (1,) * m.nrows
+    assert any(m is not None and m.integer_view()[1] != 1
                for _, m in cases)
     rejected = 0
     for c, m in cases:

@@ -218,3 +218,16 @@ def test_module_doctests():
     import jugglerfrieze.juggling as mod
     result = doctest.testmod(mod)
     assert result.attempted > 0 and result.failed == 0
+
+
+def test_wrap_exponent_reads_the_superperiodic_sign():
+    # (n - k - 1) mod 2 on a shape of k balls; its dual has n - k
+    # balls, so k - 1 there, the sign build_frieze_twist reads
+    rng = random.Random(31)
+    shapes = [parse_siteswap(p) for p in ("000", "333", "4130", "53635514")]
+    shapes += [random_juggling(rng, n) for n in range(1, 9) for _ in range(4)]
+    assert {pi.wrap_exponent for pi in shapes} == {0, 1}
+    for pi in shapes:
+        n, k = pi.period, pi.balls
+        assert pi.wrap_exponent == (n - k - 1) % 2, pi
+        assert pi.dual().wrap_exponent == (k - 1) % 2, pi
