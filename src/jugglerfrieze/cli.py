@@ -12,12 +12,13 @@ import argparse
 import json
 import sys
 
-from .juggling import parse_siteswap, format_siteswap, residue
+from .juggling import JugglingFunction, parse_siteswap, format_siteswap, \
+    residue
 from .matrices import Matrix
 from .frieze import PeriodicFrieze, check_frieze, dual_frieze, \
     is_positive, enumerate_sl2_positive, _recurrence_solutions
 from .construct import build_frieze_det, build_frieze_twist, twist, \
-    inverse_twist, positive_complement, frieze_to_matrix, frieze_by_det
+    inverse_twist, positive_complement, frieze_to_matrix, frieze_entry
 from .recurrence import solution_matrix
 
 
@@ -41,8 +42,11 @@ def _load(path: str, cls, kind: str):
 def _emit(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -72,18 +76,23 @@ def cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
-def _disagreement(routes: dict, method: str, other: str) -> str | None:
-    """Why construct --verify fails: the first entry, column by column,
-    where the frieze routes[method] differs from routes[other], else the
-    recurrence's message when it is not a frieze, else None."""
-    for b, (x_col, y_col) in enumerate(zip(routes[method].columns,
-                                           routes[other].columns), start=1):
-        for a, (x, y) in enumerate(zip(x_col, y_col), start=b):
-            if x != y:
+def _disagreement(c: PeriodicFrieze, m: Matrix, pi: JugglingFunction,
+                  method: str) -> str | None:
+    """Why construct --verify fails: the first free entry of the twist
+    route's frieze c, column by column, that differs from its
+    determinant (frieze_entry), else the recurrence's message when c is
+    not a frieze, else None.  Both routes fill the fixed entries from
+    the same skeleton, so only the free ones can differ."""
+    other = "det" if method == "twist" else "twist"
+    for b, (fixed, col) in enumerate(zip(c.shape.skeleton(), c.columns),
+                                     start=1):
+        for a, (skel, x) in enumerate(zip(fixed, col), start=b):
+            if skel is None and x != (y := frieze_entry(m, pi, a, b)):
+                x, y = (x, y) if method == "twist" else (y, x)
                 return (f"entry ({a}, {b}) is {x} by {method} "
                         f"and {y} by {other}")
     try:
-        _recurrence_solutions(routes[method])
+        _recurrence_solutions(c)
     except ValueError as exc:
         return str(exc)
     return None
@@ -96,17 +105,19 @@ def cmd_construct(args) -> int:
         build = build_frieze_det if args.method == "det" else build_frieze_twist
         _emit(build(m, pi).to_json(), args.output)
         return 0
-    routes = {"twist": build_frieze_twist(m, pi), "det": frieze_by_det(m, pi)}
-    problem = _disagreement(routes, args.method,
-                            "det" if args.method == "twist" else "twist")
+    c = build_frieze_twist(m, pi)
+    problem = _disagreement(c, m, pi, args.method)
     if problem:
         print(f"verification failed: {problem}", file=sys.stderr)
         return 1
-    _emit(routes[args.method].to_json(), args.output)
+    _emit(c.to_json(), args.output)
     return 0
 
 
 def cmd_transform(args) -> int:
+    if args.siteswap is not None and args.op in ("complement", "dual",
+                                                 "invert-F"):
+        raise ValueError(f"--op {args.op} takes no --siteswap")
     if args.op in ("dual", "invert-F"):
         c = _load(args.input, PeriodicFrieze, "frieze")
         out = dual_frieze(c) if args.op == "dual" else frieze_to_matrix(c)

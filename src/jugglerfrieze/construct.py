@@ -259,7 +259,7 @@ def build_frieze_det(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
     for a schedule-exchange determinant.
     """
     _require_unimodular(m, pi)
-    return frieze_by_det(m, pi)
+    return _fill_skeleton(pi.dual(), lambda a, b: frieze_entry(m, pi, a, b))
 
 
 def build_frieze_twist(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
@@ -287,11 +287,6 @@ def build_frieze_twist(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
     return _fill_skeleton(dual, entry)
 
 
-def frieze_by_det(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
-    """build_frieze_det on a matrix already certified for pi."""
-    return _fill_skeleton(pi.dual(), lambda a, b: frieze_entry(m, pi, a, b))
-
-
 def inverse_twist(m: Matrix, pi: JugglingFunction) -> Matrix:
     """A matrix whose twist has the same maximal minors as m.
 
@@ -316,8 +311,7 @@ def frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
     pi = c.shape.dual()
     n, k = pi.period, pi.balls
     wrap = sign_power(c.shape.wrap_exponent)
-    span = [[0] * n if x is None else
-            [wrap * v for v in x[n - b + 1:]] + x[:n - b + 1]
+    span = [[wrap * v for v in x[n - b + 1:]] + x[:n - b + 1]
             for b, x in enumerate(_recurrence_solutions(c), start=1)]
     _, d, _, basis = integer_kernel(span, n)
     if len(basis) != k:

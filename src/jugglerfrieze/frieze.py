@@ -9,9 +9,10 @@ computed on the window's integer view (matrices.scaled_ints).
 
 A frieze is defined by unit and vanishing minors, and is decided by the
 equivalent linear recurrence: the signed columns of its dual, extended
-superperiodically, solve C x = 0 (is_frieze).  That takes O(n**3)
-operations; the minors, O(n**5) in all, are evaluated only to explain
-a failure (check_frieze).
+superperiodically, solve C x = 0 (is_frieze).  Within one period they
+solve it by construction, so only the wrap is evaluated
+(_recurrence_solutions).  That takes O(n**3) operations; the minors,
+O(n**5) in all, are evaluated only to explain a failure (check_frieze).
 """
 from __future__ import annotations
 
@@ -89,6 +90,8 @@ class PeriodicFrieze:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PeriodicFrieze":
+        if not isinstance(obj["siteswap"], list):
+            raise ValueError("siteswap must be a list of integer throws")
         shape = JugglingFunction.from_throws(obj["siteswap"])
         return cls(shape, columns_from_json(obj["columns"], shape.period))
 
@@ -230,9 +233,11 @@ def is_frieze(c: PeriodicFrieze) -> bool:
     x[a+n] = (-1)**(n-k-1) x[a], solves C x = 0
     (Morier-Genoud, Ovsienko, Schwartz, Tabachnikov, arXiv:1309.3880).
     C is n-periodic and x superperiodic, so row a + n of C x is that
-    sign times row a, and the rows [b, b+n) decide it.  This costs
-    O(n**3) in all, against the O(n**5) of the minors that
-    check_frieze evaluates to explain a failure.
+    sign times row a, and the rows [b, b+n) decide it; in them only the
+    terms that wrap round from the period before can fail to cancel
+    (see _recurrence_solutions).  This costs O(n**3) in all, against
+    the O(n**5) of the minors that check_frieze evaluates to explain a
+    failure.
     """
     try:
         _recurrence_solutions(c)
@@ -262,12 +267,18 @@ def _dual_column(window, b: int) -> list[int]:
 
 def _recurrence_solutions(c: PeriodicFrieze) -> list:
     """The solutions x_t = (-1)**t D_t L**(n-1-t), t in [0, n), deciding c
-    (D_t by _dual_column, L the lcm of c's integer view), None at loops;
+    (D_t by _dual_column, L the lcm of c's integer view), zero at loops;
     else a ValueError naming an entry off the skeleton or a row of C x.
 
-    With window W = L C, L**n times row a of C x is the sum over b' in
-    [a-n, a] of W[a, b'] * x_t, t = b' - b reduced into [0, n), signed
-    by the superperiodic rule when b' < b.
+    With window W = L C, L**n times row b+t of C x sums W[b+t, b'] times
+    x at b' over b' in [b+t-n, b+t].  Once the skeleton check has put 1
+    on the diagonal of C, the in-period terms, b' = b+j for j < t, are
+    (-1)**(t-1) L**(n-t) times the last-row expansion that defines D_t
+    (dual_frieze), and the last one, W[b+t, b+t] x_t, is (-1)**t
+    L**(n-t) D_t: for t > 0 they cancel exactly, and for t = 0 they are
+    L**n.  Only the terms that wrap round from b' = b+s-n, s >= t, can
+    fail: x_s times the superperiodic sign and W[b+t, b+s-n], entry
+    n+t-s of column b+s, which is 0 past that column's boundary entry.
     """
     for a, b, x, fixed in _off_skeleton(c):
         raise ValueError(f"not a frieze: entry ({a}, {b}) is {x}, not {fixed}")
@@ -275,28 +286,28 @@ def _recurrence_solutions(c: PeriodicFrieze) -> list:
     n = pi.period
     window, scale = c.integer_view()
     wrap = sign_power(pi.wrap_exponent)
-    # the nonzero scaled entries (a - b', W[a, b']) of each column b'
-    support = [[(d, x) for d, x in enumerate(col) if x] for col in window]
+    # column b of a prefrieze is 0 below its boundary entry at pi(b)
+    ends = [pi(b) - b + 1 for b in range(1, n + 1)]
     found = []
     for b in range(1, n + 1):
         if pi(b) == b:
-            found.append(None)
+            found.append([0] * n)
             continue
         x = [sign_power(t) * d * scale ** (n - 1 - t)
              for t, d in enumerate(_dual_column(window, b))]
-        # x at columns b - n .. b + n - 1, and their support
-        xs = [wrap * v for v in x] + x
-        cols = support[b - 1:] + support[:b - 1]
-        rows = [0] * n  # rows b .. b + n - 1 of C x
-        for p, (v, entries) in enumerate(zip(xs, cols + cols)):
+        # wrap * L**n times rows b .. b + n - 1 of C x: x_0 = L**(n-1)
+        # times the diagonal L at row b, and the wrapped terms
+        rows = [wrap * scale ** n] + [0] * (n - 1)
+        for s, v in enumerate(x):
             if v:
-                for d, w in entries:
-                    if 0 <= p + d - n < n:
-                        rows[p + d - n] += w * v
+                j = (b + s - 1) % n
+                for t, w in enumerate(window[j][n - s:ends[j]]):
+                    rows[t] += w * v
         for a, r in enumerate(rows, start=b):
             if r:
                 raise ValueError(f"not a frieze: row {a} of C x is "
-                                 f"{Fraction(r, scale ** n)} for column {b}")
+                                 f"{Fraction(wrap * r, scale ** n)} "
+                                 f"for column {b}")
         found.append(x)
     return found
 

@@ -87,6 +87,5 @@ def solution_matrix(c: PeriodicFrieze) -> SolutionWindow:
     n = c.shape.period
     scale = c.integer_view()[1] ** (n - 1)
     return SolutionWindow(n, c.shape.wrap_exponent, tuple(
-        (0,) * n if col is None else
         col if scale == 1 else [Fraction(x, scale) for x in col]
         for col in _recurrence_solutions(c)))

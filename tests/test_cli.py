@@ -102,21 +102,31 @@ def test_construct_methods_byte_identical(capsys, files):
 
 
 def test_construct_verify_certifies_once(capsys, files, monkeypatch):
-    # the first build certifies the matrix, the cross-check reuses that
-    calls = []
+    # the twist route certifies the matrix and builds the one frieze;
+    # each of its free entries is checked against its determinant
+    calls, fills, entries = [], [], []
     certify = jugglerfrieze.construct.is_pi_unimodular
+    fill = jugglerfrieze.construct._fill_skeleton
+    entry = jugglerfrieze.cli.frieze_entry
 
     def counted(m, pi):
         calls.append(pi)
         return certify(m, pi)
 
     monkeypatch.setattr(jugglerfrieze.construct, "is_pi_unimodular", counted)
+    monkeypatch.setattr(jugglerfrieze.construct, "_fill_skeleton",
+                        lambda *args: fills.append(1) or fill(*args))
+    monkeypatch.setattr(jugglerfrieze.cli, "frieze_entry",
+                        lambda *args: entries.append(1) or entry(*args))
+    free = sum(x is None for col in fx.JUG_FRIEZE.shape.skeleton()
+               for x in col)
     for method in ("det", "twist"):
         code, out = run(capsys, "construct", files["matrix"], "--siteswap",
                         "23345357", "--method", method, "--verify")
         assert code == 0 and json.loads(out) == fx.JUG_FRIEZE.to_json()
-        assert len(calls) == 1
-        calls.clear()
+        assert (len(calls), len(fills), len(entries)) == (1, 1, free)
+        for counts in (calls, fills, entries):
+            counts.clear()
 
 
 def _with_entry(c, a, b, delta):
@@ -131,9 +141,11 @@ def test_construct_verify_names_the_differing_entry(capsys, files,
     # one: the message names the first, column by column, with both values
     x = fx.JUG_FRIEZE.entry(3, 1)
     wrong = _with_entry(_with_entry(fx.JUG_FRIEZE, 3, 1, 5), 4, 2, 1)
-    for method, other, route in (("det", "twist", "build_frieze_twist"),
-                                 ("twist", "det", "frieze_by_det")):
-        monkeypatch.setattr(jugglerfrieze.cli, route, lambda m, pi: wrong)
+    for method, other, route, value in (
+            ("det", "twist", "build_frieze_twist", lambda m, pi: wrong),
+            ("twist", "det", "frieze_entry",
+             lambda m, pi, a, b: wrong.entry(a, b))):
+        monkeypatch.setattr(jugglerfrieze.cli, route, value)
         code = main(["construct", files["matrix"], "--siteswap", "23345357",
                      "--method", method, "--verify"])
         captured = capsys.readouterr()
@@ -151,8 +163,8 @@ def test_construct_verify_names_the_recurrence_failure(capsys, files,
     assert expected.startswith("not a frieze: row ")
     monkeypatch.setattr(jugglerfrieze.cli, "build_frieze_twist",
                         lambda m, pi: wrong)
-    monkeypatch.setattr(jugglerfrieze.cli, "frieze_by_det",
-                        lambda m, pi: wrong)
+    monkeypatch.setattr(jugglerfrieze.cli, "frieze_entry",
+                        lambda m, pi, a, b: wrong.entry(a, b))
     code = main(["construct", files["matrix"], "--siteswap", "23345357",
                  "--verify"])
     captured = capsys.readouterr()

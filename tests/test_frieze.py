@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from jugglerfrieze.frieze import frieze_minor, tameness_minor, is_tameness_pair
 
 import fixture_data as fx
 from exact_oracles import minor_report, verify_superperiodic_kernel
-from samplers import UNIMODULAR_POOL
+from samplers import UNIMODULAR_POOL, grown
 
 RATIONAL = Path(__file__).parent / "data" / "rational"
 FIXTURE_FRIEZES = [fx.SL3_H5, fx.SL3_H5_DUAL, fx.SL2_H6, fx.JUG_FRIEZE,
@@ -108,6 +109,26 @@ def test_frieze_iff_dual_is_prefrieze():
     assert is_prefrieze(bad)
     assert not is_frieze(bad)
     assert not is_prefrieze(dual_frieze(bad))
+
+
+def test_frieze_iff_it_and_its_dual_are_prefriezes():
+    # the dual characterization, on the fixtures, seeded grown friezes
+    # (loops and coloops) and their duals: unmoved, and with ten seeded
+    # slots, free ones or slots of column 1, moved by 1, -1 or 1/2
+    rng = random.Random(23)
+    grown_friezes = [build_frieze_det(*grown(rng, *pair)) for pair
+                     in rng.choices(UNIMODULAR_POOL, k=4)]
+    outcomes = set()
+    for c in FIXTURE_FRIEZES + grown_friezes + [dual_frieze(c)
+                                                for c in grown_friezes]:
+        slots = [(b, d) for b, col in enumerate(c.shape.skeleton(), start=1)
+                 for d, fixed in enumerate(col) if b == 1 or fixed is None]
+        for v in [c] + [perturbed(c, b, d, rng.choice((1, -1, Fraction(1, 2))))
+                        for b, d in rng.sample(slots, min(10, len(slots)))]:
+            got = is_frieze(v)
+            assert got == (is_prefrieze(v) and is_prefrieze(dual_frieze(v))), v
+            outcomes.add((got, is_prefrieze(v)))
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_dual_fixture_values():

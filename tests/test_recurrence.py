@@ -1,17 +1,20 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
-                           build_frieze_det, dual_frieze, is_frieze,
-                           SolutionWindow, residual, solution_matrix)
+                           build_frieze_det, build_frieze_twist, dual_frieze,
+                           is_frieze, SolutionWindow, residual,
+                           solution_matrix)
 from exact_oracles import (tiling, verify_superperiodic_kernel,
                            kernel_correspondence, recurrence_failure,
                            superperiodic)
 
 import fixture_data as fx
+from samplers import UNIMODULAR_POOL, grown
 
 # the strip of quiddity (3, 2/3, 3, 2/3) and a period-5 one whose
 # second row repeats its first three steps on, both over the lcm 3
@@ -97,13 +100,26 @@ def test_solution_matrix_rejects_non_frieze():
         solution_matrix(PeriodicFrieze(fx.UNIFORM_8_5, cols))
 
 
+def _coloop_friezes():
+    """The first two friezes, seeded, of pool matrices grown by one loop
+    or coloop whose shape has a coloop: 02035 and 647495514."""
+    rng = random.Random(30)
+    found = []
+    while len(found) < 2:
+        c = build_frieze_twist(*grown(rng, *rng.choice(UNIMODULAR_POOL)))
+        if c.shape.coloops():
+            found.append(c)
+    return found
+
+
 def test_solution_matrix_names_the_first_failure():
     # each entry of a period moved by 1 or by -1/2, on integral,
-    # rational and ragged friezes (loops included): the error names the
-    # entry off the skeleton, else the row of C x and its value, as the
-    # definition finds them, and is_frieze agrees
+    # rational and ragged friezes (loops and coloops included): the
+    # error names the entry off the skeleton, else the row of C x and
+    # its value, as the definition finds them, and is_frieze agrees
     fixtures = [fx.SL3_H5, fx.JUG_FRIEZE, RATIONAL_STRIP, RATIONAL_STRIP_5,
-                build_frieze_det(fx.MATRIX_4130, fx.PI_4130)]
+                build_frieze_det(fx.MATRIX_4130, fx.PI_4130),
+                build_frieze_twist(*UNIMODULAR_POOL[4])] + _coloop_friezes()
     words = set()
     for c in fixtures:
         n = c.shape.period
