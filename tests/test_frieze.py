@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -243,6 +244,21 @@ def test_diamond_step_stores_continuants():
     assert passed > 50 and failed > 50
 
 
+def test_enumerate_needs_no_recursion_depth():
+    # the search is a loop over quiddity positions, not one call per
+    # position: at height 200 and bound 2 it walks prefixes of length up
+    # to n = 202, here under a recursion limit 50 frames above this one
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        assert enumerate_sl2_positive(200, 2) == []
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_enumerate_rejects_degenerate_height():
     with pytest.raises(ValueError):
         enumerate_sl2_positive(0, 3)
@@ -334,7 +350,8 @@ def _continuant_strips(h, bound):
 
 
 @pytest.mark.parametrize("h, bound",
-                         [(1, 1), (2, 2), (3, 3), (4, 3), (4, 6), (5, 3)])
+                         [(1, 1), (2, 2), (3, 3), (4, 3), (4, 6), (5, 3),
+                          (6, 2), (6, 3), (7, 2)])
 def test_enumerate_matches_continuant_brute_force(h, bound):
     rows = {tuple(int(col[1]) for col in c.columns)
             for c in enumerate_sl2_positive(h, bound)}
