@@ -80,9 +80,10 @@ def _disagreement(c: PeriodicFrieze, m: Matrix, pi: JugglingFunction,
                   method: str) -> str | None:
     """Why construct --verify fails: the first free entry of the twist
     route's frieze c, column by column, that differs from its
-    determinant (frieze_entry), else the recurrence's message when c is
-    not a frieze, else None.  Both routes fill the fixed entries from
-    the same skeleton, so only the free ones can differ."""
+    determinant (frieze_entry), else the message of the decision by
+    c's dual when c is not a frieze, else None.  Both routes fill the
+    fixed entries from the same skeleton, so only the free ones can
+    differ."""
     other = "det" if method == "twist" else "twist"
     for b, (fixed, col) in enumerate(zip(c.shape.skeleton(), c.columns),
                                      start=1):

@@ -302,11 +302,11 @@ def frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
 
     Returns the unique (up to unimodular row operations, then pinned by
     a normalization) matrix whose frieze is c: the kernel of the n x n
-    integer matrix whose row b is the solution of C x = 0 that decided
-    c at column b (_recurrence_solutions, wrapped by the superperiodic
-    sign, zero at a loop), read at 1..n, by one integer_kernel; the
-    first row is divided by the minor on the first landing schedule,
-    and the result checked by the twist route.
+    integer matrix whose row b is the solution of C x = 0 at column b,
+    the signed dual column that decided c (_recurrence_solutions,
+    wrapped by the superperiodic sign, zero at a loop), read at 1..n,
+    by one integer_kernel; the first row is divided by the minor on the
+    first landing schedule, and the result checked by the twist route.
     """
     pi = c.shape.dual()
     n, k = pi.period, pi.balls

@@ -7,12 +7,12 @@ stored object behaves like the full doubly infinite unitriangular
 array with C[a+n, b+n] = C[a, b].  Its minors and its dual are
 computed on the window's integer view (matrices.scaled_ints).
 
-A frieze is defined by unit and vanishing minors, and is decided by the
-equivalent linear recurrence: the signed columns of its dual, extended
-superperiodically, solve C x = 0 (is_frieze).  Within one period they
-solve it by construction, so only the wrap is evaluated
-(_recurrence_solutions).  That takes O(n**3) operations; the minors,
-O(n**5) in all, are evaluated only to explain a failure (check_frieze).
+A frieze is defined by unit and vanishing minors, and is decided by its
+dual: c is a frieze exactly when c and its dual array are both
+prefriezes, of its shape and of the dual shape (is_frieze).  The dual
+columns take O(n**3) operations in all, and their signs make the
+solutions of C x = 0 (_recurrence_solutions); the minors, O(n**5) in
+all, are evaluated only to explain a failure (check_frieze).
 """
 from __future__ import annotations
 
@@ -199,8 +199,8 @@ def _conditions(pi: JugglingFunction):
 
 
 def check_frieze(c: PeriodicFrieze) -> FriezeReport:
-    """Decide c by the recurrence (see is_frieze); evaluate the
-    determinant conditions only to explain a failure.
+    """Decide c by its dual (see is_frieze); evaluate the determinant
+    conditions only to explain a failure.
 
     A frieze gets a report with no failures whose checked_pairs counts
     the conditions it satisfies.  Anything else gets the full scan of
@@ -225,17 +225,17 @@ def check_frieze(c: PeriodicFrieze) -> FriezeReport:
 
 
 def is_frieze(c: PeriodicFrieze) -> bool:
-    """Whether c is a frieze, decided by the linear recurrence.
+    """Whether c is a frieze, decided by its dual array.
 
-    A prefrieze is a frieze exactly when, for every column b that is
-    not a loop of the shape, the signed dual column
-    x[b+t] = (-1)**t D_t (t in [0, n), see dual_frieze), extended by
-    x[a+n] = (-1)**(n-k-1) x[a], solves C x = 0
-    (Morier-Genoud, Ovsienko, Schwartz, Tabachnikov, arXiv:1309.3880).
-    C is n-periodic and x superperiodic, so row a + n of C x is that
-    sign times row a, and the rows [b, b+n) decide it; in them only the
-    terms that wrap round from the period before can fail to cancel
-    (see _recurrence_solutions).  This costs O(n**3) in all, against
+    c is a frieze exactly when it is a prefrieze of its shape pi and
+    its dual array (dual_frieze) is a prefrieze of pi.dual(): each dual
+    entry (b+t, b), t in [0, n), the minor of c on rows [b+1, b+t] and
+    columns [b, b+t-1], takes the value the dual shape's skeleton fixes
+    there, if it fixes one (slot (b+n, b) is no minor: dual_frieze
+    reads it off that skeleton).  Columns b at a loop of pi are
+    skipped: c is 0 below (b, b) there, so their minors vanish for
+    t > 0, and b is a coloop of the dual, whose skeleton fixes only 0s
+    below its diagonal.  The dual columns cost O(n**3) in all, against
     the O(n**5) of the minors that check_frieze evaluates to explain a
     failure.
     """
@@ -266,49 +266,32 @@ def _dual_column(window, b: int) -> list[int]:
 
 
 def _recurrence_solutions(c: PeriodicFrieze) -> list:
-    """The solutions x_t = (-1)**t D_t L**(n-1-t), t in [0, n), deciding c
-    (D_t by _dual_column, L the lcm of c's integer view), zero at loops;
-    else a ValueError naming an entry off the skeleton or a row of C x.
-
-    With window W = L C, L**n times row b+t of C x sums W[b+t, b'] times
-    x at b' over b' in [b+t-n, b+t].  Once the skeleton check has put 1
-    on the diagonal of C, the in-period terms, b' = b+j for j < t, are
-    (-1)**(t-1) L**(n-t) times the last-row expansion that defines D_t
-    (dual_frieze), and the last one, W[b+t, b+t] x_t, is (-1)**t
-    L**(n-t) D_t: for t > 0 they cancel exactly, and for t = 0 they are
-    L**n.  Only the terms that wrap round from b' = b+s-n, s >= t, can
-    fail: x_s times the superperiodic sign and W[b+t, b+s-n], entry
-    n+t-s of column b+s, which is 0 past that column's boundary entry.
+    """The solutions x_t = (-1)**t D_t L**(n-1-t), t in [0, n), of C x = 0
+    that decided c (D_t by _dual_column, L the lcm of c's integer view),
+    zero at loops; else a ValueError naming the first entry of c off its
+    skeleton, or the first dual entry, column by column, off the dual
+    shape's skeleton, with the minor that gives it (see is_frieze).
     """
     for a, b, x, fixed in _off_skeleton(c):
         raise ValueError(f"not a frieze: entry ({a}, {b}) is {x}, not {fixed}")
     pi = c.shape
     n = pi.period
     window, scale = c.integer_view()
-    wrap = sign_power(pi.wrap_exponent)
-    # column b of a prefrieze is 0 below its boundary entry at pi(b)
-    ends = [pi(b) - b + 1 for b in range(1, n + 1)]
     found = []
-    for b in range(1, n + 1):
+    for b, skeleton in enumerate(pi.dual().skeleton(), start=1):
         if pi(b) == b:
             found.append([0] * n)
             continue
-        x = [sign_power(t) * d * scale ** (n - 1 - t)
-             for t, d in enumerate(_dual_column(window, b))]
-        # wrap * L**n times rows b .. b + n - 1 of C x: x_0 = L**(n-1)
-        # times the diagonal L at row b, and the wrapped terms
-        rows = [wrap * scale ** n] + [0] * (n - 1)
-        for s, v in enumerate(x):
-            if v:
-                j = (b + s - 1) % n
-                for t, w in enumerate(window[j][n - s:ends[j]]):
-                    rows[t] += w * v
-        for a, r in enumerate(rows, start=b):
-            if r:
-                raise ValueError(f"not a frieze: row {a} of C x is "
-                                 f"{Fraction(wrap * r, scale ** n)} "
-                                 f"for column {b}")
-        found.append(x)
+        minors = _dual_column(window, b)
+        # D_t must be L**t times the dual skeleton's fixed value
+        for t, (fixed, d) in enumerate(zip(skeleton, minors)):
+            if fixed is not None and d != fixed * scale ** t:
+                raise ValueError(
+                    f"not a frieze: dual entry ({b + t}, {b}), the minor on "
+                    f"rows {b + 1}..{b + t} and columns {b}..{b + t - 1}, "
+                    f"is {Fraction(d, scale ** t)}, not {fixed}")
+        found.append([sign_power(t) * d * scale ** (n - 1 - t)
+                      for t, d in enumerate(minors)])
     return found
 
 
@@ -324,12 +307,13 @@ def dual_frieze(c: PeriodicFrieze) -> PeriodicFrieze:
         D_t = sum_{j<t} (-1)**(t-1-j) C[b+t, b+j]
                         * prod_{m=j+1}^{t-1} C[b+m, b+m] * D_j,
 
-    so a column costs O(n**2) operations and no division.  The columns
-    of the dual, signed, are the solutions of the recurrence C x = 0
-    (see is_frieze and recurrence.solution_matrix).  The diagonal
-    product keeps the minors exact on arrays whose diagonal is not all
-    1.  D_t is homogeneous of degree t in the entries, so the recurrence
-    runs on c's integer view L*C and D_t is that result over L**t.  The
+    so a column costs O(n**2) operations and no division.  Their fixed
+    entries decide whether c is a frieze (is_frieze), and for a frieze
+    the columns, signed, are the solutions of the recurrence C x = 0
+    (recurrence.solution_matrix).  The diagonal product keeps the
+    minors exact on arrays whose diagonal is not all 1.  D_t is
+    homogeneous of degree t in the entries, so the recurrence runs on
+    c's integer view L*C and D_t is that result over L**t.  The
     minors cannot see slot (b+n, b), so it is read from the dual shape's
     skeleton: 0 unless b is a loop of the shape, and then b is a coloop
     of the dual and the slot holds the dual's boundary sign there,

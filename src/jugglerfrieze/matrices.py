@@ -12,6 +12,7 @@ is exact; there is no floating point anywhere in this package.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -20,17 +21,26 @@ from typing import Iterable, Sequence
 from .juggling import as_int, residue
 
 
+# an optional sign, ASCII digits and an optional "/" and ASCII digits;
+# Fraction alone also reads "1.5", "1e3", "1_000", padding spaces and
+# the digits of other scripts
+_RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def as_rational(x) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact rational.
 
-    Booleans and floats are not exact scalars, and a zero denominator
-    is a ValueError like any other malformed string.
+    Booleans and floats are not exact scalars.  A string is an optional
+    sign and ASCII digits, with an optional "/" and ASCII digits; any
+    other string, and a zero denominator, is a ValueError.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RATIONAL_STRING.fullmatch(x):
+            raise ValueError(f"not an integer or p/q string: {x!r}")
         try:
             return Fraction(x)
         except ZeroDivisionError:

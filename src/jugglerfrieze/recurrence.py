@@ -3,10 +3,10 @@
 Read as a doubly infinite unitriangular matrix, a frieze C defines the
 recurrence C x = 0.  Its solutions satisfy x[a+n] = (-1)**s x[a] for a
 fixed sign exponent s exactly when C is a frieze, and a canonical
-spanning set of solutions is carried by the dual frieze.  This is how
-frieze.is_frieze decides a frieze, and solution_matrix returns the
-columns that decided it.  Everything here works on finite windows; the
-extension rule is total, so no infinite object is ever materialized.
+spanning set of solutions is carried by the dual frieze: solution_matrix
+returns the signed dual columns by which frieze.is_frieze decided C.
+Everything here works on finite windows; the extension rule is total,
+so no infinite object is ever materialized.
 """
 from __future__ import annotations
 
@@ -79,10 +79,12 @@ def solution_matrix(c: PeriodicFrieze) -> SolutionWindow:
 
     Column b is zero when b is a loop of the shape; otherwise it is the
     b-th dual column with alternating signs, extended superperiodically.
-    They decide that c is a frieze (see frieze.is_frieze), and come
-    scaled by L**(n-1), L the lcm of c's integer view, divided out once;
-    when L is 1, as on every integral frieze, they are passed as ints
-    and SolutionWindow makes each a Fraction, its one coercion.
+    They are the dual columns whose skeleton decided that c is a frieze
+    (see frieze.is_frieze), so a non-frieze raises that decision's
+    ValueError.  They come scaled by L**(n-1), L the lcm of c's integer
+    view, divided out once; when L is 1, as on every integral frieze,
+    they are passed as ints and SolutionWindow makes each a Fraction,
+    its one coercion.
     """
     n = c.shape.period
     scale = c.integer_view()[1] ** (n - 1)

@@ -1,16 +1,19 @@
 """Definitional counterparts of the package's fast exact paths.
 
 The package eliminates fraction-free on integer rows, takes the dual
-through a Hessenberg recurrence and decides a frieze by the recurrence
-C x = 0.  The oracles here do the same jobs the plain way, in
+through a Hessenberg recurrence and decides a frieze by the skeleton of
+that dual.  The oracles here do the same jobs the plain way, in
 fractions.Fraction, so the tests can compare the two.
 The landing schedules come from their definition, and each one's
 determinant, adjugate and twist column from its own elimination, where
 the package walks the necklace by exchange.  The frieze of a matrix is
 built at every window slot, or read off the whole product of its twist
 with it.  The minor report evaluates every determinant condition of a
-frieze.  The recurrence oracles restate what a frieze is through the
-solutions of C x = 0: the tiling of a dual, the superperiodic kernel
+frieze, and the dual failure names the first entry of the dual, one
+determinant each, that leaves the dual shape's skeleton.  The
+recurrence oracles restate what a frieze is through the solutions of
+C x = 0, each row summed by its definition and never read off the
+dual's skeleton: the tiling of a dual, the superperiodic kernel
 criterion and the kernel correspondence with the matrix.  The
 certificate oracles compare every complementary pair of maximal minors,
 and take the rank of every cyclic interval of columns.  A frieze's
@@ -268,22 +271,9 @@ def superperiodic(v, k: int):
     return SolutionWindow(n, k - 1, [v] * n).column(1)
 
 
-def verify_superperiodic_kernel(c: PeriodicFrieze) -> bool:
-    """Whether the dual-diagonal candidates, extended superperiodically,
-    genuinely solve C x = 0; equivalent to c being a frieze."""
-    return recurrence_failure(c) is None
-
-
-def recurrence_failure(c: PeriodicFrieze) -> str | None:
-    """The first condition of the recurrence test that c fails, worded
-    as the package words it, or None for a frieze: the first stored
-    entry off the shape's skeleton, column by column, else the first
-    column b that is not a loop and row a in [b, b+n) where C x is not
-    0, x the dual-diagonal minors of column b with alternating signs.
-
-    C is n-periodic and x superperiodic with sign s = (-1)**(n-k-1), so
-    row a + n of C x is s times row a: the rows [b, b+n) decide it.
-    """
+def _skeleton_failure(c: PeriodicFrieze) -> str | None:
+    """The first stored entry of c off its shape's skeleton, column by
+    column, worded as the package words it, or None for a prefrieze."""
     pi = c.shape
     n = pi.period
     for b in range(1, n + 1):
@@ -292,6 +282,23 @@ def recurrence_failure(c: PeriodicFrieze) -> str | None:
             if fixed is not None and c.entry(a, b) != fixed:
                 return (f"not a frieze: entry ({a}, {b}) is {c.entry(a, b)}, "
                         f"not {fixed}")
+    return None
+
+
+def verify_superperiodic_kernel(c: PeriodicFrieze) -> bool:
+    """Whether c is a prefrieze whose dual-diagonal candidates, with
+    alternating signs and extended superperiodically, genuinely solve
+    C x = 0, every row of C x summed by its definition (residual):
+    equivalent to c being a frieze (Morier-Genoud, Ovsienko, Schwartz,
+    Tabachnikov, arXiv:1309.3880).  Columns at a loop are skipped.
+
+    C is n-periodic and x superperiodic with sign s = (-1)**(n-k-1), so
+    row a + n of C x is s times row a: the rows [b, b+n) decide it.
+    """
+    if _skeleton_failure(c) is not None:
+        return False
+    pi = c.shape
+    n = pi.period
     sign = n - pi.balls - 1
     for b in range(1, n + 1):
         if pi(b) == b:
@@ -303,10 +310,29 @@ def recurrence_failure(c: PeriodicFrieze) -> str | None:
             m, d = divmod(a - _b, n)
             return _w[d] * sign_power(sign * m)
 
+        if any(residual(c, x, a) != 0 for a in range(b, b + n)):
+            return False
+    return True
+
+
+def dual_failure(c: PeriodicFrieze) -> str | None:
+    """The first condition of the dual test that c fails, worded as the
+    package words it, or None for a frieze: the first stored entry off
+    the shape's skeleton, else the first minor entry (a, b), a < b + n,
+    of minor_dual(c), column by column, off the dual shape's skeleton,
+    with the rows and columns of its minor."""
+    failure = _skeleton_failure(c)
+    if failure is not None:
+        return failure
+    dual = minor_dual(c)
+    n = c.shape.period
+    for b in range(1, n + 1):
         for a in range(b, b + n):
-            r = residual(c, x, a)
-            if r != 0:
-                return f"not a frieze: row {a} of C x is {r} for column {b}"
+            fixed = dual.shape.skeleton()[b - 1][a - b]
+            if fixed is not None and dual.entry(a, b) != fixed:
+                return (f"not a frieze: dual entry ({a}, {b}), the minor on "
+                        f"rows {b + 1}..{a} and columns {b}..{a - 1}, is "
+                        f"{dual.entry(a, b)}, not {fixed}")
     return None
 
 

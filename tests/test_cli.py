@@ -8,11 +8,11 @@ import sys
 import pytest
 
 import jugglerfrieze
-from jugglerfrieze import build_frieze_det, residue
+from jugglerfrieze import PeriodicFrieze, build_frieze_det, residue
 from jugglerfrieze.cli import main, render_frieze
 
 import fixture_data as fx
-from exact_oracles import recurrence_failure
+from exact_oracles import dual_failure
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -155,12 +155,12 @@ def test_construct_verify_names_the_differing_entry(capsys, files,
         monkeypatch.undo()
 
 
-def test_construct_verify_names_the_recurrence_failure(capsys, files,
-                                                       monkeypatch):
-    # both routes agree on a perturbed array: the recurrence's message
+def test_construct_verify_names_the_dual_failure(capsys, files,
+                                                 monkeypatch):
+    # both routes agree on a perturbed array: the dual entry it breaks
     wrong = _with_entry(fx.JUG_FRIEZE, 3, 1, 1)
-    expected = recurrence_failure(wrong)
-    assert expected.startswith("not a frieze: row ")
+    expected = dual_failure(wrong)
+    assert expected.startswith("not a frieze: dual entry ")
     monkeypatch.setattr(jugglerfrieze.cli, "build_frieze_twist",
                         lambda m, pi: wrong)
     monkeypatch.setattr(jugglerfrieze.cli, "frieze_entry",
@@ -334,6 +334,11 @@ def test_rational_input_golden(case, capsysbinary, monkeypatch):
     assert code == case["exit"]
     assert captured.out == (RATIONAL / f"{case['name']}.out").read_bytes()
     assert captured.err == case["stderr"].encode()
+    if "not a frieze" in case["stderr"]:
+        # the pinned wording is the definitional oracle's, not the program's
+        c = PeriodicFrieze.from_json(
+            json.loads((RATIONAL / case["argv"][1]).read_text()))
+        assert case["stderr"].endswith(f"{dual_failure(c)}\n")
 
 
 def test_render_rejects_bad_periods(capsys, files):

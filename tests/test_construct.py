@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -509,6 +510,21 @@ def test_frieze_to_matrix_rejects_non_frieze():
     bad = PeriodicFrieze(fx.UNIFORM_8_5, cols)
     with pytest.raises(ValueError):
         frieze_to_matrix(bad)
+
+
+@pytest.mark.parametrize("name, patch, message", [
+    # solutions that span nothing leave a complement of all n columns
+    ("_recurrence_solutions", lambda c: [[0] * 8 for _ in range(8)],
+     "complement of the solutions has 8 rows, expected 3"),
+    ("integer_det", lambda rows: 0, "normalization minor vanishes"),
+    ("build_frieze_twist", lambda m, pi: fx.SL3_H5_DUAL,
+     "inversion failed to reproduce the frieze"),
+])
+def test_frieze_to_matrix_self_checks(monkeypatch, name, patch, message):
+    # each self-check of the inversion, reached by corrupting its input
+    monkeypatch.setattr(construct, name, patch)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        frieze_to_matrix(fx.SL3_H5)
 
 
 def test_duality_triangle_on_fixture():

@@ -9,7 +9,7 @@ on their one- and two-entry perturbations.
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
@@ -32,7 +32,7 @@ from exact_oracles import (_minor, counted_sign, counted_skeleton,
                            kernel_rows, minor_dual, minor_report,
                            rref_complement, rref_frieze_to_matrix,
                            schedule_adjugates, schedule_twist,
-                           system_kernel_matrix)
+                           system_kernel_matrix, verify_superperiodic_kernel)
 from samplers import (UNIMODULAR_POOL, grown, random_determinant_one,
                       random_juggling, random_unimodular)
 
@@ -481,30 +481,58 @@ def _entry_variants(c, rng, single, pairs):
         yield PeriodicFrieze(c.shape, cols)
 
 
-def _decision_cases(rng, friezes, draws):
+def _grown_friezes(rng):
+    """Friezes with loops and coloops, each followed by its dual: the
+    rational strip's matrix grown by one, two and three steps of
+    samplers.grown (lcm 3, periods 5 to 7), and two pool matrices grown
+    by one step each."""
+    strip = PeriodicFrieze.from_json(json.loads(
+        (DATA / "rational" / "strip.json").read_text()))
+    m, pi = frieze_to_matrix(strip), strip.shape.dual()
+    small = []
+    for _ in range(3):
+        m, pi = grown(rng, m, pi)
+        small.append(build_frieze_twist(m, pi))
+    large = [build_frieze_twist(*grown(rng, *pair))
+             for pair in rng.sample(UNIMODULAR_POOL, 2)]
+    return ([d for c in small for d in (c, dual_frieze(c))],
+            [d for c in large for d in (c, dual_frieze(c))])
+
+
+def _decision_cases(rng, friezes, draws, large=()):
+    """Each of friezes with its single- and two-entry variants, then
+    draws seeded unimodular friezes and each of large with two-entry
+    variants only."""
     for c in friezes:
         yield c
         yield from _entry_variants(c, rng, single=True, pairs=4)
-    for _ in range(draws):
-        c = build_frieze_det(*random_unimodular(rng))
+    drawn = (build_frieze_det(*random_unimodular(rng)) for _ in range(draws))
+    for c in chain(drawn, large):
         yield c
         yield from _entry_variants(c, rng, single=False, pairs=4)
 
 
 def test_check_frieze_matches_minor_report():
-    # the decision by the recurrence and the minor scan that explains a
-    # failure, against every unit and vanishing minor by definition
+    # the decision by the dual's skeleton and the minor scan that
+    # explains a failure, against every unit and vanishing minor by
+    # definition and against C x = 0 summed row by row
     friezes = _valid_friezes()
-    shapes = [c.shape for c in friezes]
-    assert any(s.loops() for s in shapes) and any(s.coloops() for s in shapes)
+    small, large = _grown_friezes(random.Random(17))
+    for group in (friezes, small + large):
+        assert any(c.shape.loops() for c in group)
+        assert any(c.shape.coloops() for c in group)
     assert any(c.integer_view()[1] > 1 for c in friezes)
+    assert all(c.integer_view()[1] == 3 for c in small)
     found = {True: 0, False: 0}
-    for v in _decision_cases(random.Random(16), friezes, draws=20):
+    for v in chain(_decision_cases(random.Random(16), friezes, draws=20),
+                   _decision_cases(random.Random(18), small, draws=0,
+                                   large=large)):
         expected = minor_report(v)
         assert check_frieze(v).to_json() == expected.to_json()
-        assert is_frieze(v) == expected.ok
+        assert is_frieze(v) == expected.ok == verify_superperiodic_kernel(v)
         found[expected.ok] += 1
-    assert found[True] >= len(friezes) + 20 and found[False] > 1000
+    assert found[True] >= len(friezes) + 20 + len(small) + len(large)
+    assert found[False] > 1000
 
 
 def _inversion_cases(rng, draws):

@@ -115,13 +115,21 @@ def test_frieze_iff_dual_is_prefrieze():
 def test_frieze_iff_it_and_its_dual_are_prefriezes():
     # the dual characterization, on the fixtures, seeded grown friezes
     # (loops and coloops) and their duals: unmoved, and with ten seeded
-    # slots, free ones or slots of column 1, moved by 1, -1 or 1/2
+    # slots, free ones or slots of column 1, moved by 1, -1 or 1/2; and
+    # the strips of quiddity 1, ..., 1 on uniform(n, 2), of monodromy
+    # (-I)**(n/3): at n = 6 the dual entries the dual skeleton fixes to 0
+    # all vanish, and only the dual boundary entry, -1 where the skeleton
+    # puts 1, tells it from the frieze it is at n = 9
     rng = random.Random(23)
     grown_friezes = [build_frieze_det(*grown(rng, *pair)) for pair
                      in rng.choices(UNIMODULAR_POOL, k=4)]
+    all_ones = [PeriodicFrieze(JugglingFunction.uniform(n, 2),
+                               [[1, 1, 1] + [0] * (n - 2)] * n)
+                for n in (6, 9)]
+    assert [is_frieze(c) for c in all_ones] == [False, True]
     outcomes = set()
-    for c in FIXTURE_FRIEZES + grown_friezes + [dual_frieze(c)
-                                                for c in grown_friezes]:
+    for c in (FIXTURE_FRIEZES + grown_friezes
+              + [dual_frieze(c) for c in grown_friezes] + all_ones):
         slots = [(b, d) for b, col in enumerate(c.shape.skeleton(), start=1)
                  for d, fixed in enumerate(col) if b == 1 or fixed is None]
         for v in [c] + [perturbed(c, b, d, rng.choice((1, -1, Fraction(1, 2))))

@@ -1,11 +1,14 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
-                           SolutionWindow, cyclic_submatrix, parse_siteswap)
+                           SolutionWindow, cyclic_submatrix,
+                           frieze_from_quiddity, parse_siteswap, residual)
+from jugglerfrieze.matrices import as_rational
 
 import fixture_data as fx
 
@@ -191,6 +194,51 @@ def test_direct_construction_is_as_strict_as_json(build, error, match):
     # get the same rejections as files do
     with pytest.raises(error, match=match):
         build()
+
+
+@pytest.mark.parametrize("text", [
+    "1.5", "1e3", "1_000", " 2/4 ", "\u0663", "\uff11", "", "/2", "1/-2",
+    "1/2/3", "- 1", "0x10", "1/\u0663"])
+def test_entry_strings_outside_the_grammar_are_rejected(text):
+    # Fraction alone reads most of these; an entry string is an optional
+    # sign and ASCII digits, with an optional "/" and ASCII digits
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"not an integer or p/q string: {text!r}") + "$"):
+        as_rational(text)
+
+
+def test_entry_strings_in_the_grammar_are_read():
+    for text, value in (("-3", -3), ("+4/6", Fraction(2, 3)), ("007", 7),
+                        ("-0/5", 0), ("12/1", 12)):
+        assert as_rational(text) == value
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "zero denominator in '2/0'") + "$"):
+        as_rational("2/0")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: JugglingFunction([]), ValueError, "empty pattern",
+                 id="empty-juggling-function"),
+    pytest.param(lambda: JugglingFunction.uniform(3, 4), ValueError,
+                 "ball count must lie in [0, period]", id="too-many-balls"),
+    pytest.param(lambda: frieze_from_quiddity([1, 1]), ValueError,
+                 "quiddity needs period at least 3", id="short-quiddity"),
+    pytest.param(lambda: fx.JUG_FRIEZE.minor([1, 2], [1]), ValueError,
+                 "determinant of a non-square matrix", id="frieze-minor"),
+    pytest.param(lambda: fx.CONSEC_3x8 * fx.CONSEC_3x8, ValueError,
+                 "dimension mismatch", id="product"),
+    pytest.param(lambda: fx.CONSEC_3x8.solve([1, 2, 3]), ValueError,
+                 "solve needs a square matrix", id="solve-non-square"),
+    pytest.param(lambda: Matrix.identity(3).solve([1, 2]), ValueError,
+                 "dimension mismatch", id="solve-short-rhs"),
+    pytest.param(lambda: SolutionWindow(2, 0, [[1, 0], [1]]), ValueError,
+                 "need one full window per column", id="short-window-column"),
+    pytest.param(lambda: residual(fx.JUG_FRIEZE, 3, 1), TypeError,
+                 "x must be a mapping or a callable", id="residual-of-int"),
+])
+def test_raise_paths_name_their_cause(call, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        call()
 
 
 def test_rank_kernel_projection_identity():

@@ -10,7 +10,7 @@ from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            is_frieze, SolutionWindow, residual,
                            solution_matrix)
 from exact_oracles import (tiling, verify_superperiodic_kernel,
-                           kernel_correspondence, recurrence_failure,
+                           kernel_correspondence, dual_failure,
                            superperiodic)
 
 import fixture_data as fx
@@ -115,8 +115,9 @@ def _coloop_friezes():
 def test_solution_matrix_names_the_first_failure():
     # each entry of a period moved by 1 or by -1/2, on integral,
     # rational and ragged friezes (loops and coloops included): the
-    # error names the entry off the skeleton, else the row of C x and
-    # its value, as the definition finds them, and is_frieze agrees
+    # error names the entry off the skeleton, else the dual entry off
+    # the dual shape's skeleton and its value, as the definition finds
+    # them, and is_frieze agrees
     fixtures = [fx.SL3_H5, fx.JUG_FRIEZE, RATIONAL_STRIP, RATIONAL_STRIP_5,
                 build_frieze_det(fx.MATRIX_4130, fx.PI_4130),
                 build_frieze_twist(*UNIMODULAR_POOL[4])] + _coloop_friezes()
@@ -128,7 +129,7 @@ def test_solution_matrix_names_the_first_failure():
                 cols = [list(col) for col in c.columns]
                 cols[b][d] += 1 if (b + d) % 2 else Fraction(-1, 2)
                 bad = PeriodicFrieze(c.shape, cols)
-                expected = recurrence_failure(bad)
+                expected = dual_failure(bad)
                 assert is_frieze(bad) == (expected is None)
                 if expected is None:
                     continue
@@ -136,7 +137,7 @@ def test_solution_matrix_names_the_first_failure():
                     solution_matrix(bad)
                 assert str(err.value) == expected
                 words.add(expected.split()[3])
-    assert words == {"entry", "row"}
+    assert words == {"entry", "dual"}
 
 
 def test_solution_diagonal_normalization():
