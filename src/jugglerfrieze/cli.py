@@ -5,6 +5,8 @@ enumerate.  JSON is the only interchange format; the ASCII renderer is
 presentation-only.  Exit codes: 0 success, 1 a mathematical check
 failed, 2 bad input or usage: main reports a ValueError from any layer
 as "error: ..." with exit 2, except that solve on a non-frieze exits 1.
+Results may have integers of any size; a number in an input file may
+have at most MAX_DIGITS digits.
 """
 from __future__ import annotations
 
@@ -21,13 +23,21 @@ from .construct import build_frieze_det, build_frieze_twist, twist, \
     inverse_twist, positive_complement, frieze_to_matrix, frieze_entry
 from .recurrence import solution_matrix
 
+# Python's default cap on int <-> str conversion, which main lifts
+MAX_DIGITS = sys.int_info.default_max_str_digits
+_DIGITS_TO_ZERO = str.maketrans("123456789", "0" * 9)
+
 
 def _load(path: str, cls, kind: str):
     """cls.from_json of the JSON file at path; a failure to read or
-    decode it is a ValueError that names the path."""
+    decode it, or a run of more than MAX_DIGITS digits in it, is a
+    ValueError that names the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            text = fh.read()
+        if "0" * (MAX_DIGITS + 1) in text.translate(_DIGITS_TO_ZERO):
+            raise ValueError(f"a number has more than {MAX_DIGITS} digits")
+        obj = json.loads(text)
         if not isinstance(obj, dict):
             raise TypeError("not a JSON object")
         return cls.from_json(obj)
@@ -251,13 +261,18 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     """Run one subcommand; the parser is built once, at import, and
-    each call parses into a fresh namespace."""
+    each call parses into a fresh namespace.  Python's cap on int <-> str
+    conversion is lifted for the call and restored afterwards."""
     args = _PARSER.parse_args(argv)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from .frieze import PeriodicFrieze, _recurrence_solutions
 class UnimodularCertificate:
     """Evidence for (or against) unimodularity of a matrix."""
 
-    kind: str  # "consecutive" for uniform shapes, else "positroid"
     checked_minors: list = field(default_factory=list)
     rank_violations: list = field(default_factory=list)
     twist_rows: list = field(default_factory=list, init=False, repr=False,
@@ -114,8 +113,7 @@ def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
     rank of [a, b] is the number of pivots at offset at most b - a.
     """
     n, k = pi.period, pi.balls
-    cert = UnimodularCertificate(
-        kind="consecutive" if pi.is_uniform() else "positroid")
+    cert = UnimodularCertificate()
     ints, scale = m.integer_view()
     for a, (cols, d, adj) in enumerate(_schedule_adjugates(m, pi), start=1):
         cert.checked_minors.append((cols, Fraction(d, scale ** k)))

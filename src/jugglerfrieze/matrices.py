@@ -181,14 +181,6 @@ class Matrix:
         self._view = None
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[0] * ncols for _ in range(nrows)], cols=ncols)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "Matrix":
         return cls(columns).transpose()
 
@@ -210,12 +202,6 @@ class Matrix:
         cols = [other.column(j) for j in range(other.ncols)]
         return Matrix([[sum(a * b for a, b in zip(row, col)) for col in cols]
                        for row in self.entries], cols=other.ncols)
-
-    def scale_row(self, i: int, factor) -> "Matrix":
-        f = as_rational(factor)
-        rows = [tuple(f * x for x in row) if r == i else row
-                for r, row in enumerate(self.entries)]
-        return Matrix(rows, cols=self.ncols)
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
         return Matrix([[self.entries[i][j] for j in cols] for i in rows],
@@ -260,9 +246,6 @@ class Matrix:
         return (Matrix([[Fraction(x, d) for x in row] for row in rows],
                        cols=self.ncols),
                 pivots)
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
 
     def kernel_basis(self) -> "Matrix":
         """Rows spanning {v : self @ v = 0}, one per free column c: 1 at

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable
 
 from .juggling import as_int, residue, sign_power
 from .matrices import as_grid, as_rational
@@ -58,19 +58,10 @@ class SolutionWindow:
                    columns_from_json(obj["columns"], n))
 
 
-def residual(c: PeriodicFrieze, x, a: int) -> Fraction:
-    """Row a of C x: the sum of C[a, b] x[b] over the support band."""
-    if callable(x):
-        get = x
-    elif isinstance(x, Mapping):
-        def get(b, _m=x):
-            if b not in _m:
-                raise ValueError(f"sequence not defined at {b}")
-            return _m[b]
-    else:
-        raise TypeError("x must be a mapping or a callable")
+def residual(c: PeriodicFrieze, x: Callable, a: int) -> Fraction:
+    """Row a of C x: the sum of C[a, b] x(b) over the support band."""
     n = c.shape.period
-    return sum((c.entry(a, b) * as_rational(get(b))
+    return sum((c.entry(a, b) * as_rational(x(b))
                 for b in range(a - n, a + 1)), Fraction(0))
 
 

@@ -22,7 +22,8 @@ system.  The positive complement and the frieze's matrix are also
 built the way the package built them before its integer kernel: a
 Fraction reduced form, the kernel read off it and one more minor.  The
 sign twist of an entry is counted off its s-set, and the skeleton and
-positivity read it from there.
+positivity read it from there.  The tests' identity, zero and row-scaled
+matrices are built here, and their rank is the oracle RREF's.
 """
 import random
 from fractions import Fraction
@@ -35,7 +36,8 @@ from jugglerfrieze import (FriezeReport, Matrix, JugglingFunction,
 from jugglerfrieze.frieze import (frieze_minor, is_tameness_pair,
                                   tameness_minor)
 from jugglerfrieze.juggling import residue, sign_power
-from jugglerfrieze.matrices import cyclic_columns, cyclic_submatrix
+from jugglerfrieze.matrices import (as_rational, cyclic_columns,
+                                    cyclic_submatrix)
 
 
 def gauss_jordan(rows, ncols):
@@ -89,6 +91,26 @@ def kernel_rows(rows, ncols):
 
 def _minor(rows, cols):
     return gauss_jordan([[row[j] for j in cols] for row in rows], len(cols))[2]
+
+
+def rank(m: Matrix) -> int:
+    """The number of pivots of the oracle RREF."""
+    return len(gauss_jordan(m.entries, m.ncols)[1])
+
+
+def identity(n: int) -> Matrix:
+    return Matrix([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def zero(nrows: int, ncols: int) -> Matrix:
+    return Matrix([[0] * ncols for _ in range(nrows)], cols=ncols)
+
+
+def scale_row(m: Matrix, i: int, factor) -> Matrix:
+    """m with row i times the exact scalar factor."""
+    f = as_rational(factor)
+    return Matrix([[f * x for x in row] if r == i else row
+                   for r, row in enumerate(m.entries)], cols=m.ncols)
 
 
 def exhaustive_complement(m: Matrix) -> Matrix:
@@ -344,7 +366,7 @@ def kernel_correspondence(m: Matrix, pi: JugglingFunction, rng=None) -> bool:
     k, n = m.nrows, m.ncols
     f = build_frieze_det(m, pi)
     kernel = m.kernel_basis()
-    if kernel.nrows != n - k or m.rank() != k:
+    if kernel.nrows != n - k or rank(m) != k:
         return False
     check_range = range(1, 2 * n + 1)
     for v in kernel.entries:
@@ -462,7 +484,7 @@ def rref_complement(m: Matrix) -> Matrix:
     flipped = Matrix([[(-x if j % 2 == 0 else x) for j, x in enumerate(row)]
                       for row in basis.entries], cols=n)
     co = sign_power(sum(1 for j in range(0, n, 2) if j not in pivots))
-    return flipped.scale_row(0, d * co)
+    return scale_row(flipped, 0, d * co)
 
 
 def rref_frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
@@ -483,7 +505,7 @@ def rref_frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
                                  cyclic_columns(n, pi.necklace()[0])))
     if d == 0:
         raise ValueError("normalization minor vanishes")
-    result = candidate.scale_row(0, 1 / d)
+    result = scale_row(candidate, 0, 1 / d)
     if build_frieze_twist(result, pi) != c:
         raise ValueError("inversion failed to reproduce the frieze")
     return result

@@ -14,6 +14,7 @@ from jugglerfrieze import (JugglingFunction, Matrix, enumerate_sl2_positive,
                            frieze_to_matrix, is_pi_unimodular)
 
 import fixture_data as fx
+from exact_oracles import rank
 
 # (matrix, shape) pool; every entry is checked unimodular on import
 UNIMODULAR_POOL = [
@@ -115,5 +116,5 @@ def grown(rng: random.Random, m: Matrix, pi: JugglingFunction):
 def random_full_rank(rng: random.Random, k: int, n: int) -> Matrix:
     while True:
         m = Matrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)])
-        if m.rank() == k:
+        if rank(m) == k:
             return m

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 import jugglerfrieze
 from jugglerfrieze import PeriodicFrieze, build_frieze_det, residue
+from jugglerfrieze import cli
 from jugglerfrieze.cli import main, render_frieze
 
 import fixture_data as fx
@@ -410,6 +412,40 @@ def test_malformed_input_exits_2(case, capsys, monkeypatch):
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
     assert captured.err == case.get("err", captured.err)
+
+
+def test_results_of_any_size_from_inputs_of_bounded_size(capsys, tmp_path):
+    # uniform(4, 2) with two entries of 2,501 digits: the minors of its
+    # report and of its dual pass Python's 4,300-digit cap on int <-> str
+    # conversion, which main lifts for the call and then restores
+    cap = sys.get_int_max_str_digits()
+    cols = {str(b): [1, 10 ** 2500 if b < 3 else 1, 1, 0, 0]
+            for b in range(1, 5)}
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"siteswap": [2, 2, 2, 2], "columns": cols}))
+    assert main(["check", str(big)]) == 1
+    captured = capsys.readouterr()
+    assert '"is_frieze": false' in captured.out and captured.err == ""
+    assert max(map(len, re.findall("[0-9]+", captured.out))) > cap
+    for argv, code, prefix in ((["solve"], 1, ""),
+                               (["transform", "--op", "invert-F"], 2,
+                                "error: ")):
+        assert main(argv[:1] + [str(big)] + argv[1:]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(prefix + "not a frieze: dual entry")
+        assert "Traceback" not in captured.err
+    assert sys.get_int_max_str_digits() == cap
+    # a number of an input file may have MAX_DIGITS digits, as a JSON
+    # integer or in a "p/q" string; the corpus pins one more digit
+    digits = "1" + "0" * (cli.MAX_DIGITS - 1)
+    for entry in (digits, f'"1/{digits}"'):
+        edge = tmp_path / "edge.json"
+        edge.write_text('{"siteswap": [0, 0, 0], "columns": {"1": [1, '
+                        + entry + ', 0, 0], "2": [1, 0, 0, 0], '
+                        '"3": [1, 0, 0, 0]}}')
+        assert main(["check", str(edge)]) == 1
+        assert capsys.readouterr().err == ""
 
 
 def _bad_input_exits_2(capsys, tmp_path, doc, *argv):

@@ -14,7 +14,7 @@ from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
 from jugglerfrieze.cli import main
 
 import fixture_data as fx
-from exact_oracles import gauss_jordan
+from exact_oracles import gauss_jordan, identity, scale_row
 from samplers import random_determinant_one, random_full_rank
 
 
@@ -27,7 +27,7 @@ def with_entry(m, i, j, value):
 def test_consecutively_unimodular():
     assert is_consecutively_unimodular(fx.CONSEC_3x8)
     assert is_consecutively_unimodular(fx.TWIST_3x8)
-    assert is_consecutively_unimodular(Matrix.identity(4))
+    assert is_consecutively_unimodular(identity(4))
     assert not is_consecutively_unimodular(with_entry(fx.CONSEC_3x8, 0, 1, 12))
     with pytest.raises(ValueError):
         is_consecutively_unimodular(fx.CONSEC_3x8.transpose())
@@ -68,7 +68,7 @@ def test_consecutively_unimodular_matches_window_definition():
 
 def test_pi_unimodular_fixture():
     cert = is_pi_unimodular(fx.UNIMOD_4x8, fx.PI_23345357)
-    assert cert.ok and cert.kind == "positroid"
+    assert cert.ok and not fx.PI_23345357.is_uniform()
     assert [cols for cols, _ in cert.checked_minors] == list(fx.NECKLACE_23345357)
     assert all(d == 1 for _, d in cert.checked_minors)
 
@@ -76,13 +76,13 @@ def test_pi_unimodular_fixture():
 def test_pi_unimodular_uniform_delegates_to_consecutive():
     rng = random.Random(21)
     pi = JugglingFunction.uniform(6, 3)
+    assert pi.is_uniform()
     mats = [fx.CONSEC_3x8.submatrix(range(3), range(6))]
     for _ in range(10):
         mats.append(Matrix([[rng.randint(-2, 2) for _ in range(6)]
                             for _ in range(3)]))
     for m in mats:
         cert = is_pi_unimodular(m, pi)
-        assert cert.kind == "consecutive"
         consec = is_consecutively_unimodular(m)
         assert cert.ok == (consec and not cert.rank_violations)
         if cert.ok:
@@ -149,7 +149,7 @@ def test_twist_preserves_unimodularity():
 
 def test_twist_requires_unit_minors():
     with pytest.raises(ValueError):
-        twist(fx.CONSEC_3x8.scale_row(0, 2), fx.UNIFORM_8_3)
+        twist(scale_row(fx.CONSEC_3x8, 0, 2), fx.UNIFORM_8_3)
 
 
 def test_necklace_walk_eliminates_once_per_anchor(monkeypatch, tmp_path,
@@ -300,7 +300,7 @@ def test_inverse_twist_square_case():
 
 def test_inverse_twist_rejects_bad_input():
     with pytest.raises(ValueError):
-        inverse_twist(fx.UNIMOD_4x8.scale_row(0, 3), fx.PI_23345357)
+        inverse_twist(scale_row(fx.UNIMOD_4x8, 0, 3), fx.PI_23345357)
 
 
 def test_frieze_entry_spot_values():
@@ -431,7 +431,7 @@ def test_twist_product_is_the_skeleton_at_fixed_entries():
 
 def test_build_frieze_rejects_non_unimodular():
     with pytest.raises(ValueError):
-        build_frieze_det(fx.CONSEC_3x8.scale_row(1, 5), fx.UNIFORM_8_3)
+        build_frieze_det(scale_row(fx.CONSEC_3x8, 1, 5), fx.UNIFORM_8_3)
 
 
 def test_left_multiplication_invariance():

@@ -28,11 +28,12 @@ import fixture_data as fx
 from exact_oracles import (_minor, counted_sign, counted_skeleton,
                            entry_sign_is_positive, exhaustive_complement,
                            full_product_frieze, full_window_frieze,
-                           gauss_jordan, interval_rank_certificate,
-                           kernel_rows, minor_dual, minor_report,
+                           gauss_jordan, identity, interval_rank_certificate,
+                           kernel_rows, minor_dual, minor_report, rank,
                            rref_complement, rref_frieze_to_matrix,
-                           schedule_adjugates, schedule_twist,
-                           system_kernel_matrix, verify_superperiodic_kernel)
+                           scale_row, schedule_adjugates, schedule_twist,
+                           schedules, system_kernel_matrix,
+                           verify_superperiodic_kernel, zero)
 from samplers import (UNIMODULAR_POOL, grown, random_determinant_one,
                       random_juggling, random_unimodular)
 
@@ -49,7 +50,7 @@ def _dense(rng, k, n):
 
 def _rank_deficient(rng, k, n):
     r = rng.randint(0, min(k, n) - 1)
-    return _dense(rng, k, r) * _dense(rng, r, n) if r else Matrix.zero(k, n)
+    return _dense(rng, k, r) * _dense(rng, r, n) if r else zero(k, n)
 
 
 def _with_zero_rows(rng, k, n):
@@ -83,7 +84,7 @@ def test_cases_cover_the_hard_shapes():
     cases = _matrix_cases(11)
     assert any(m.nrows == 0 for m in cases)
     assert any(m.ncols == 0 and m.nrows > 0 for m in cases)
-    assert any(0 < m.rank() < min(m.nrows, m.ncols) for m in cases)
+    assert any(0 < rank(m) < min(m.nrows, m.ncols) for m in cases)
     assert any(any(x.denominator > 1 for row in m.entries for x in row)
                for m in cases)
     assert any(m.det() == 0 for m in _square_cases(12) if m.nrows > 0)
@@ -94,8 +95,8 @@ def test_rref_rank_kernel_match_gauss_jordan():
         reduced, pivots = m.rref()
         oracle, oracle_pivots, _ = gauss_jordan(m.entries, m.ncols)
         assert reduced == Matrix(oracle, cols=m.ncols)
+        # equal pivots give equal ranks
         assert pivots == oracle_pivots
-        assert m.rank() == len(oracle_pivots)
         assert m.kernel_basis() == Matrix(kernel_rows(m.entries, m.ncols),
                                           cols=m.ncols)
 
@@ -270,7 +271,7 @@ def _complement_cases(seed):
         cases.append(m)
         if n > 1:
             r = Fraction(rng.choice((2, 3, 5)), rng.choice((3, 7)))
-            cases.append(m.scale_row(0, r).scale_row(n - 1, 1 / r))
+            cases.append(scale_row(scale_row(m, 0, r), n - 1, 1 / r))
     return cases
 
 
@@ -312,7 +313,7 @@ def _walk_cases(seed):
     for _ in range(30):
         m, pi = random_unimodular(rng)
         r = Fraction(rng.choice((1, 2, -3, 5)), rng.choice((2, 3, 7)))
-        cases.append((m.scale_row(rng.randrange(m.nrows), r), pi))
+        cases.append((scale_row(m, rng.randrange(m.nrows), r), pi))
     cases += [(fx.MATRIX_000, fx.IDENTITY_3), (Matrix([], cols=1),
                                                  parse_siteswap("0"))]
     for n in range(1, 5):
@@ -370,7 +371,49 @@ def test_unimodular_certificate_matches_interval_ranks():
     # both the rank bounds and the minors decide some cases
     assert sum(bool(c.rank_violations) for c in certs) > 10
     assert any(c.bad_minors() and not c.rank_violations for c in certs)
-    assert any(c.ok and c.kind == "positroid" for c in certs)
+    assert any(c.ok and not pi.is_uniform()
+               for c, (_, pi) in zip(certs, cases))
+
+
+def test_certified_unit_perturbations_keep_the_frieze_up_to_sl_k():
+    # a frieze fixes its matrix up to left multiplication by SL_k
+    # (Knutson-Lam-Speyer, arXiv:1111.3660), so a +-1 change to one entry
+    # need not fail the certificate or change the frieze: on 4400,
+    # m = [[1, 0, 0, 0], [0, 1, 0, 0]] with entry (0, 1) raised is
+    # [[1, 1], [0, 1]] m.  A certified m' keeps the frieze of m exactly
+    # when m' = g m, g solved on the first schedule's columns B of m from
+    # g B = B'; both minors on B are 1, so det g = 1
+    rng = random.Random(29)
+    pairs = []
+    for m, pi in UNIMODULAR_POOL:
+        pairs.append((m, pi))
+        for _ in range(2):
+            m, pi = grown(rng, m, pi)
+            pairs.append((m, pi))
+    outcomes = {"uncertified": 0, "certified": 0}
+    for m, pi in pairs:
+        k, n = m.nrows, m.ncols
+        frieze = build_frieze_twist(m, pi)
+        first = [j - 1 for j in schedules(pi)[0]]
+        for i, j, delta in product(range(k), range(n), (1, -1)):
+            rows = [list(row) for row in m.entries]
+            rows[i][j] += delta
+            perturbed = Matrix(rows, cols=n)
+            if not is_pi_unimodular(perturbed, pi).ok:
+                outcomes["uncertified"] += 1
+                continue
+            outcomes["certified"] += 1
+            # [B^T | B'^T] reduces to [I | g^T]
+            reduced = gauss_jordan([[m[r, c] for r in range(k)]
+                                    + [rows[r][c] for r in range(k)]
+                                    for c in first], k)[0]
+            g = [[reduced[c][k + r] for c in range(k)] for r in range(k)]
+            assert gauss_jordan(g, k)[2] == 1
+            gm = [[sum(g[r][s] * m[s, c] for s in range(k)) for c in range(n)]
+                  for r in range(k)]
+            assert (build_frieze_twist(perturbed, pi) == frieze) == \
+                (gm == rows), (m, pi, i, j, delta)
+    assert len(pairs) == 27 and min(outcomes.values()) > 0, outcomes
 
 
 def _array(rng, shape, rational):
@@ -408,8 +451,8 @@ def test_frieze_builds_match_full_window_and_full_product():
     # scale L other than 1, as they are and mixed by a determinant-1 matrix
     for m, pi in UNIMODULAR_POOL:
         k = pi.balls
-        scaled = m.scale_row(0, Fraction(3, 2)).scale_row(k - 1,
-                                                         Fraction(2, 3))
+        scaled = scale_row(scale_row(m, 0, Fraction(3, 2)), k - 1,
+                           Fraction(2, 3))
         mixed = random_determinant_one(rng, k, steps=40) * scaled
         for case in (scaled, mixed):
             assert k == 1 or case.integer_view()[1] > 1
@@ -544,7 +587,7 @@ def _inversion_cases(rng, draws):
         (DATA / "rational" / "strip.json").read_text()))
     pairs = [(fx.CONSEC_3x8, fx.UNIFORM_8_3), (fx.UNIMOD_4x8, fx.PI_23345357),
              (fx.MATRIX_003, fx.PI_003), (fx.MATRIX_000, fx.IDENTITY_3),
-             (Matrix.identity(3), parse_siteswap("333"))]
+             (identity(3), parse_siteswap("333"))]
     for i in range(draws):
         m, pi = random_unimodular(rng)
         if i % 2 and m.nrows > 1:
@@ -618,7 +661,7 @@ def test_integer_kernel_matches_rref_oracles():
     for n in range(1, 5):
         # square: determinant 1, and 2 after doubling a row
         m = random_determinant_one(rng, n, steps=2 * n)
-        cases += [m, m.scale_row(0, 2)]
+        cases += [m, scale_row(m, 0, 2)]
     texts = set()
     for m in cases:
         got, want = (_outcome(positive_complement, m),
