@@ -2,7 +2,8 @@
 
 A k x n matrix whose landing-schedule minors are all 1 and whose
 interval ranks respect the juggling function determines a frieze of
-the dual shape, through one determinant per free entry or through the
+the dual shape, through one determinant per free entry, of size
+min(k, n - k) by the positive complement when 2k > n, or through the
 twist: the necklace walk that certifies the matrix yields its twist
 columns, and each free entry is one integer dot product with one, so
 construct --verify and invert-F walk once.  Both directions live here,
@@ -183,11 +184,20 @@ def positive_complement(m: Matrix) -> Matrix:
     has no rows and one minor, 1, so det m must be 1.  Each entry
     becomes a Fraction once, when the result is built.
     """
+    comp = _build_complement(m)
+    if comp is None:
+        raise ValueError("matrix does not have full row rank")
+    return comp
+
+
+def _build_complement(m: Matrix) -> Matrix | None:
+    """positive_complement of m, or None when m's rank is below its row
+    count."""
     k, n = m.nrows, m.ncols
     ints, scale = m.integer_view()
     pivots, d, sign, basis = integer_kernel([list(row) for row in ints], n)
     if len(pivots) != k:
-        raise ValueError("matrix does not have full row rank")
+        return None
     if any(sum(map(mul, row, v)) for row in ints for v in basis):
         raise ValueError("kernel basis is not killed by the matrix")
     unit = scale ** k
@@ -208,7 +218,15 @@ def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:
     """Entry (a, b) of the frieze of m, for arbitrary integers a, b: the
     signed minor of m on the schedule at a with a exchanged for b, the
     schedule read from the necklace by a's residue and the sign from the
-    dual's sign table (entry_sign)."""
+    dual's sign table (entry_sign).
+
+    The minor is taken on the smaller side of the Grassmann duality:
+    for a k x n matrix with n < 2k < 2n, it is the (n - k)-minor of m's
+    positive complement on the complementary columns, the complement
+    built once per matrix (_smaller_side); otherwise it is the k x k
+    minor of m itself (a square m has a complement only when its
+    determinant is 1).
+    """
     n = pi.period
     if pi(a) == a:
         if a == b:
@@ -219,11 +237,31 @@ def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:
     if not b <= a < b + n:
         return Fraction(0)
     ra, rb = residue(a, n), residue(b, n)
-    rest = [x for x in pi.necklace()[ra - 1] if x != ra]
+    sched = pi.necklace()[ra - 1]
+    rest = [x for x in sched if x != ra]
     if rb in rest:
         return Fraction(0)
-    return pi.dual().entry_sign(a, b) * m.minor(range(m.nrows),
-                                                cyclic_columns(n, rest + [rb]))
+    sign = pi.dual().entry_sign(a, b)
+    k = len(sched)
+    if n < 2 * k < 2 * n and (m.nrows, m.ncols) == (k, n):
+        taken = {*rest, rb}
+        co = [j - 1 for j in range(1, n + 1) if j not in taken]
+        return sign * _smaller_side(m).minor(range(n - k), co)
+    return sign * m.minor(range(m.nrows), cyclic_columns(n, rest + [rb]))
+
+
+def _smaller_side(m: Matrix) -> Matrix:
+    """m's positive complement, built once per object and kept in its
+    _complement slot; a k x n matrix of rank below k, whose maximal
+    minors are all 0, gets the (n - k) x n zero matrix, whose maximal
+    minors are 0 too."""
+    if m._complement is None:
+        comp = _build_complement(m)
+        if comp is None:
+            n = m.ncols
+            comp = Matrix([[0] * n for _ in range(n - m.nrows)], cols=n)
+        m._complement = comp
+    return m._complement
 
 
 def _require_unimodular(m: Matrix, pi: JugglingFunction) -> list:
@@ -254,7 +292,8 @@ def build_frieze_det(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
 
     frieze_entry gives the same value at a fixed entry of a
     unimodular matrix, so only the slots the shape leaves free pay
-    for a schedule-exchange determinant.
+    for a schedule-exchange determinant, of size min(k, n - k): when
+    2k > n, a minor of m's positive complement, built once per matrix.
     """
     _require_unimodular(m, pi)
     return _fill_skeleton(pi.dual(), lambda a, b: frieze_entry(m, pi, a, b))

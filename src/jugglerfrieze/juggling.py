@@ -271,7 +271,23 @@ def parse_siteswap(text: str) -> JugglingFunction:
         parts = [p.strip() for p in text.split(",")]
         if not all(_is_ascii_digits(p) for p in parts):
             raise SiteswapError(f"bad throw list {text!r}")
-        throws = [int(p) for p in parts]
+        n = len(parts)
+        throws = []
+        for i, p in enumerate(parts, start=1):
+            digits = p.lstrip("0")
+            # a throw with more digits than n is above n: refused here,
+            # as int() would take time quadratic in its length and the
+            # message would print every digit
+            if len(digits) > len(str(n)):
+                if max(throws, default=0) <= n:
+                    raise SiteswapError(f"throw at position {i} has "
+                                        f"{len(digits)} digits, outside "
+                                        f"[0, {n}]")
+                # an earlier throw above n is named first: JugglingFunction
+                # checks the throws in order, so the rest may be zeros
+                throws += [0] * (n - len(throws))
+                break
+            throws.append(int(p))
     elif _is_ascii_digits(text):
         throws = [int(ch) for ch in text]
     else:

@@ -163,7 +163,9 @@ def rational_to_json(x: Fraction):
 class Matrix:
     """An immutable rows x cols grid of rationals."""
 
-    __slots__ = ("entries", "nrows", "ncols", "_view")
+    # _complement holds the positive complement that construct.frieze_entry
+    # builds on first use, as _view holds the integer view
+    __slots__ = ("entries", "nrows", "ncols", "_view", "_complement")
 
     def __init__(self, rows: Sequence[Sequence], cols: int | None = None):
         data = as_grid(rows)
@@ -179,6 +181,7 @@ class Matrix:
         self.nrows = len(data)
         self.ncols = width
         self._view = None
+        self._complement = None
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "Matrix":

@@ -7,7 +7,8 @@ fractions.Fraction, so the tests can compare the two.
 The landing schedules come from their definition, and each one's
 determinant, adjugate and twist column from its own elimination, where
 the package walks the necklace by exchange.  The frieze of a matrix is
-built at every window slot, or read off the whole product of its twist
+built at every window slot, each entry the plain minor of m on an
+exchanged landing schedule, or read off the whole product of its twist
 with it.  The minor report evaluates every determinant condition of a
 frieze, and the dual failure names the first entry of the dual, one
 determinant each, that leaves the dual shape's skeleton.  The
@@ -31,7 +32,7 @@ from itertools import combinations
 
 from jugglerfrieze import (FriezeReport, Matrix, JugglingFunction,
                            PeriodicFrieze, SolutionWindow, build_frieze_det,
-                           build_frieze_twist, frieze_entry, is_prefrieze,
+                           build_frieze_twist, is_prefrieze,
                            residual, solution_matrix, twist)
 from jugglerfrieze.frieze import (frieze_minor, is_tameness_pair,
                                   tameness_minor)
@@ -201,12 +202,32 @@ def schedule_twist(m: Matrix, pi: JugglingFunction):
     return Matrix.from_columns(cols)
 
 
+def exchange_minor(m: Matrix, pi: JugglingFunction, a: int, b: int):
+    """Entry (a, b) of the frieze of m by its definition: the k x k minor
+    of m, by gauss_jordan, on the landing schedule at a with a exchanged
+    for b (0 when b is already in it), signed by the dual's sign table.
+    Outside the window b <= a < b + n the entry is 0, except in the row
+    of a loop a of pi, which holds 1 at b = a and the sign at b = a - n.
+    """
+    n = pi.period
+    sign = pi.dual().entry_sign(a, b)
+    if pi(a) == a:
+        return Fraction(1 if a == b else sign if a == b + n else 0)
+    if not b <= a < b + n:
+        return Fraction(0)
+    cols = {residue(t, n) for t in pi.landing_schedule(a) if t != a}
+    if residue(b, n) in cols:
+        return Fraction(0)
+    cols.add(residue(b, n))
+    return sign * _minor(m.entries, sorted(c - 1 for c in cols))
+
+
 def full_window_frieze(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
-    """The frieze of a unimodular m with frieze_entry at every one of the
-    n(n+1) window slots, fixed ones included."""
+    """The frieze of a unimodular m with exchange_minor at every one of
+    the n(n+1) window slots, fixed ones included."""
     n = pi.period
     return PeriodicFrieze(pi.dual(), [
-        [frieze_entry(m, pi, a, b) for a in range(b, b + n + 1)]
+        [exchange_minor(m, pi, a, b) for a in range(b, b + n + 1)]
         for b in range(1, n + 1)])
 
 

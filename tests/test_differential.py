@@ -17,18 +17,19 @@ import pytest
 from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            build_frieze_det, build_frieze_twist,
                            check_frieze, dual_frieze,
-                           frieze_to_matrix, is_frieze, is_pi_unimodular,
-                           is_positive, parse_siteswap, positive_complement,
-                           twist)
+                           frieze_entry, frieze_to_matrix, is_frieze,
+                           is_pi_unimodular, is_positive, parse_siteswap,
+                           positive_complement, twist)
 from jugglerfrieze.construct import _schedule_adjugates
 from jugglerfrieze.juggling import residue
 from jugglerfrieze.matrices import integer_eliminate
 
 import fixture_data as fx
 from exact_oracles import (_minor, counted_sign, counted_skeleton,
-                           entry_sign_is_positive, exhaustive_complement,
-                           full_product_frieze, full_window_frieze,
-                           gauss_jordan, identity, interval_rank_certificate,
+                           entry_sign_is_positive, exchange_minor,
+                           exhaustive_complement, full_product_frieze,
+                           full_window_frieze, gauss_jordan, identity,
+                           interval_rank_certificate,
                            kernel_rows, minor_dual, minor_report, rank,
                            rref_complement, rref_frieze_to_matrix,
                            scale_row, schedule_adjugates, schedule_twist,
@@ -431,8 +432,8 @@ def _array(rng, shape, rational):
 
 def test_frieze_builds_match_full_window_and_full_product():
     # the builds compute only the free slots and take the fixed ones
-    # from the skeleton; the oracles compute every slot by frieze_entry,
-    # or read the free ones off the whole product twist(m)^T m
+    # from the skeleton; the oracles compute every slot by its exchange
+    # minor, or read the free ones off the whole product twist(m)^T m
     def check(m, pi):
         assert is_pi_unimodular(m, pi).ok
         expected = full_window_frieze(m, pi)
@@ -457,6 +458,64 @@ def test_frieze_builds_match_full_window_and_full_product():
         for case in (scaled, mixed):
             assert k == 1 or case.integer_view()[1] > 1
             check(case, pi)
+
+
+def _entry_cases(rng):
+    """Pairs for frieze_entry: the pool, seeded draws and grown steps,
+    their positive complements (so 2k > n), and of each one variant in
+    turn: a +-1 perturbation, rows over 2 and 3, and rank below k; then
+    k = 0, k = n and small-entry matrices on random shapes."""
+    pairs = list(UNIMODULAR_POOL) + [random_unimodular(rng) for _ in range(2)]
+    for m, pi in UNIMODULAR_POOL[6:]:
+        pairs.append(grown(rng, *grown(rng, m, pi)))
+    pairs.append(grown(rng, *UNIMODULAR_POOL[0]))
+    pairs += [(positive_complement(m), pi.dual()) for m, pi in list(pairs)]
+    cases = list(pairs)
+    for t, (m, pi) in enumerate(pairs):
+        k, n = m.nrows, m.ncols
+        rows = [list(row) for row in m.entries]
+        if t % 3 == 0:
+            rows[rng.randrange(k)][rng.randrange(n)] += rng.choice((1, -1))
+        elif t % 3 == 1:
+            rows[0] = [x * Fraction(3, 2) for x in rows[0]]
+            rows[-1] = [x / 3 - y for x, y in zip(rows[-1], rows[0])]
+        else:
+            rows[-1] = [x * Fraction(-2, 3) for x in rows[0]] if k > 1 \
+                else [0] * n
+        cases.append((Matrix(rows, cols=n), pi))
+    for n in range(1, 4):
+        cases.append((Matrix([], cols=n), JugglingFunction.uniform(n, 0)))
+        cases.append((_dense(rng, n, n), JugglingFunction.uniform(n, n)))
+    for _ in range(8):
+        pi = random_juggling(rng, 7)
+        k, n = pi.balls, pi.period
+        cases.append((Matrix([[rng.choice((0, 1, -1, 2)) for _ in range(n)]
+                              for _ in range(k)], cols=n), pi))
+    return cases
+
+
+def test_frieze_entry_matches_exchange_minor():
+    # frieze_entry takes a k-minor with 2k > n (k < n) as the (n-k)-minor
+    # of m's positive complement on the complementary columns, built once
+    # and kept on m; the oracle takes the k x k minor of m itself, at
+    # every window slot, and the complement is built exactly on that side
+    seen = {"2k > n": 0, "2k <= n": 0, "loops": 0, "rank < k": 0,
+            "2k > n, rank < k": 0, "rational": 0}
+    for m, pi in _entry_cases(random.Random(24)):
+        k, n = m.nrows, m.ncols
+        for b in range(1, n + 1):
+            for a in range(b, b + n + 1):
+                assert frieze_entry(m, pi, a, b) == \
+                    exchange_minor(m, pi, a, b), (m, pi, a, b)
+        larger = n < 2 * k < 2 * n
+        assert (m._complement is not None) == larger
+        deficient = rank(m) < k
+        seen["2k > n" if larger else "2k <= n"] += 1
+        seen["loops"] += bool(pi.loops())
+        seen["rank < k"] += deficient
+        seen["2k > n, rank < k"] += larger and deficient
+        seen["rational"] += m.integer_view()[1] > 1
+    assert min(seen.values()) >= 2, seen
 
 
 def test_dual_frieze_matches_minor_oracle():

@@ -39,6 +39,19 @@ def test_parse_rejects_empty_and_garbage():
 def test_parse_rejects_throw_above_period():
     with pytest.raises(SiteswapError):
         parse_siteswap("7,0")
+    # a throw with more digits than the period is refused by its digit
+    # count, unless an earlier throw above the period is named first;
+    # leading zeros do not count
+    for text, message in (
+            ("1," + "9" * 100_000, "throw at position 2 has 100000 digits, "
+                                   "outside [0, 2]"),
+            ("5,999,1", "throw at position 1 has height 5, outside [0, 3]"),
+            ("1,0,099", "throw at position 3 has 2 digits, outside [0, 3]"),
+            ("1,0,004", "throw at position 3 has height 4, outside [0, 3]")):
+        with pytest.raises(SiteswapError) as err:
+            parse_siteswap(text)
+        assert str(err.value) == message
+    assert parse_siteswap("0001,1,1").throws == (1, 1, 1)
 
 
 def test_comma_form_matches_digit_form():
