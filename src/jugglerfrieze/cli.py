@@ -86,22 +86,19 @@ def cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
-def _disagreement(c: PeriodicFrieze, m: Matrix, pi: JugglingFunction,
-                  method: str) -> str | None:
+def _disagreement(c: PeriodicFrieze, m: Matrix,
+                  pi: JugglingFunction) -> str | None:
     """Why construct --verify fails: the first free entry of the twist
     route's frieze c, column by column, that differs from its
     determinant (frieze_entry), else the message of the decision by
     c's dual when c is not a frieze, else None.  Both routes fill the
     fixed entries from the same skeleton, so only the free ones can
     differ."""
-    other = "det" if method == "twist" else "twist"
     for b, (fixed, col) in enumerate(zip(c.shape.skeleton(), c.columns),
                                      start=1):
         for a, (skel, x) in enumerate(zip(fixed, col), start=b):
             if skel is None and x != (y := frieze_entry(m, pi, a, b)):
-                x, y = (x, y) if method == "twist" else (y, x)
-                return (f"entry ({a}, {b}) is {x} by {method} "
-                        f"and {y} by {other}")
+                return f"entry ({a}, {b}) is {x} by twist and {y} by det"
     try:
         _recurrence_solutions(c)
     except ValueError as exc:
@@ -117,7 +114,7 @@ def cmd_construct(args) -> int:
         _emit(build(m, pi).to_json(), args.output)
         return 0
     c = build_frieze_twist(m, pi)
-    problem = _disagreement(c, m, pi, args.method)
+    problem = _disagreement(c, m, pi)
     if problem:
         print(f"verification failed: {problem}", file=sys.stderr)
         return 1
@@ -154,9 +151,8 @@ def cmd_solve(args) -> int:
         return 1
     payload = window.to_json()
     if args.basis is not None:
-        a, n = args.basis, c.shape.period
-        sched = sorted(c.shape.necklace()[residue(a, n) - 1],
-                       key=lambda r: (r - a) % n)
+        n = c.shape.period
+        sched = [residue(b, n) for b in c.shape.landing_schedule(args.basis)]
         payload["schedule"] = sched
         payload["basis_columns"] = {str(r): payload["columns"][str(r)]
                                     for r in sched}
@@ -165,18 +161,20 @@ def cmd_solve(args) -> int:
 
 
 def render_frieze(c: PeriodicFrieze, periods: int = 1) -> str:
-    """Fixed-width diamond strip; G marks the diagonal, B the boundary."""
+    """Fixed-width diamond strip of the slots whose skeleton value is
+    not 0: G marks the diagonal, B the boundary, and the free entries
+    are unmarked."""
     pi = c.shape
     n = pi.period
     depth = max(pi(b) - b for b in range(1, n + 1))
+    skeleton = pi.skeleton()
     cells = {}
     for b in range(1, periods * n + 1):
         top = pi(b) - b
-        for d in range(0, top + 1):
-            a = b + d
-            marker = ("G" if a == b else "") + ("B" if a == pi(b) else "")
-            if marker or pi.inside_cone(a, b):
-                cells[(d, 2 * b + d)] = marker + str(c.entry(a, b))
+        for d, fixed in enumerate(skeleton[residue(b, n) - 1]):
+            if fixed != 0:
+                marker = ("G" if d == 0 else "") + ("B" if d == top else "")
+                cells[(d, 2 * b + d)] = marker + str(c.entry(b + d, b))
     width = max(len(t) for t in cells.values()) + 1
     slots = range(2, 2 * periods * n + depth + 1)
     lines = []

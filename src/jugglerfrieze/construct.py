@@ -2,12 +2,14 @@
 
 A k x n matrix whose landing-schedule minors are all 1 and whose
 interval ranks respect the juggling function determines a frieze of
-the dual shape, through one determinant per free entry, of size
-min(k, n - k) by the positive complement when 2k > n, or through the
-twist: the necklace walk that certifies the matrix yields its twist
-columns, and each free entry is one integer dot product with one, so
-construct --verify and invert-F walk once.  Both directions live here,
-with positive complements and the inverse twist.
+the dual shape, through one determinant per free entry (frieze_entry,
+of size min(k, n - k) by the positive complement it keeps on the matrix
+when 2k > n), or through the twist: the necklace walk that certifies
+the matrix yields its twist columns, and each free entry is one integer
+dot product with one, so construct --verify and invert-F walk once.
+The walk and frieze_entry refuse a matrix that is not k x n through one
+shape check (_shape_balls).  Both directions live here, with positive
+complements and the inverse twist.
 """
 from __future__ import annotations
 
@@ -49,6 +51,15 @@ def is_consecutively_unimodular(m: Matrix) -> bool:
     return n == 0 or is_pi_unimodular(m, JugglingFunction.uniform(n, k)).ok
 
 
+def _shape_balls(m: Matrix, pi: JugglingFunction) -> int:
+    """pi's ball count k, the length of a necklace entry, once m is
+    k x n for pi's period n; else the ValueError that names both shapes."""
+    n, k = pi.period, len(pi.necklace()[0])
+    if (m.nrows, m.ncols) != (k, n):
+        raise ValueError(f"matrix is {m.nrows}x{m.ncols}, shape needs {k}x{n}")
+    return k
+
+
 def _schedule_adjugates(m: Matrix, pi: JugglingFunction):
     """Walk the necklace: for a = 1..n yield the schedule L_a, the
     integer determinant d of B, its columns of m's integer view in
@@ -65,11 +76,9 @@ def _schedule_adjugates(m: Matrix, pi: JugglingFunction):
     column to its sorted position q moves row p to q and flips both
     signs by (-1)**(p - q).  Loops and coloops change nothing; after a
     zero minor the next changed schedule is eliminated afresh.  A matrix
-    that is not k x n fails before the first schedule.
+    that is not k x n fails before the first schedule (_shape_balls).
     """
-    n, k = pi.period, pi.balls
-    if (m.nrows, m.ncols) != (k, n):
-        raise ValueError(f"matrix is {m.nrows}x{m.ncols}, shape needs {k}x{n}")
+    n, k = pi.period, _shape_balls(m, pi)
     ints = m.integer_view()[0]
     d, adj, prev = 0, None, None
     for a, cols in enumerate(pi.necklace(), start=1):
@@ -218,16 +227,18 @@ def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:
     """Entry (a, b) of the frieze of m, for arbitrary integers a, b: the
     signed minor of m on the schedule at a with a exchanged for b, the
     schedule read from the necklace by a's residue and the sign from the
-    dual's sign table (entry_sign).
+    dual's sign table (entry_sign).  A matrix that is not k x n for pi
+    fails first, as in _schedule_adjugates (_shape_balls).
 
     The minor is taken on the smaller side of the Grassmann duality:
-    for a k x n matrix with n < 2k < 2n, it is the (n - k)-minor of m's
-    positive complement on the complementary columns, the complement
-    built once per matrix (_smaller_side); otherwise it is the k x k
-    minor of m itself (a square m has a complement only when its
+    for n < 2k < 2n, it is the (n - k)-minor of m's positive complement
+    on the complementary columns, the complement built once per matrix
+    (_build_complement) and kept in m._complement, or False there when
+    m's rank is below k, so that every minor is 0; otherwise it is the
+    k x k minor of m itself (a square m has a complement only when its
     determinant is 1).
     """
-    n = pi.period
+    k, n = _shape_balls(m, pi), pi.period
     if pi(a) == a:
         if a == b:
             return Fraction(1)
@@ -237,31 +248,20 @@ def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:
     if not b <= a < b + n:
         return Fraction(0)
     ra, rb = residue(a, n), residue(b, n)
-    sched = pi.necklace()[ra - 1]
-    rest = [x for x in sched if x != ra]
+    rest = [x for x in pi.necklace()[ra - 1] if x != ra]
     if rb in rest:
         return Fraction(0)
     sign = pi.dual().entry_sign(a, b)
-    k = len(sched)
-    if n < 2 * k < 2 * n and (m.nrows, m.ncols) == (k, n):
+    if n < 2 * k < 2 * n:
+        if m._complement is None:
+            comp = _build_complement(m)
+            m._complement = False if comp is None else comp
+        if m._complement is False:
+            return Fraction(0)
         taken = {*rest, rb}
         co = [j - 1 for j in range(1, n + 1) if j not in taken]
-        return sign * _smaller_side(m).minor(range(n - k), co)
-    return sign * m.minor(range(m.nrows), cyclic_columns(n, rest + [rb]))
-
-
-def _smaller_side(m: Matrix) -> Matrix:
-    """m's positive complement, built once per object and kept in its
-    _complement slot; a k x n matrix of rank below k, whose maximal
-    minors are all 0, gets the (n - k) x n zero matrix, whose maximal
-    minors are 0 too."""
-    if m._complement is None:
-        comp = _build_complement(m)
-        if comp is None:
-            n = m.ncols
-            comp = Matrix([[0] * n for _ in range(n - m.nrows)], cols=n)
-        m._complement = comp
-    return m._complement
+        return sign * m._complement.minor(range(n - k), co)
+    return sign * m.minor(range(k), cyclic_columns(n, rest + [rb]))
 
 
 def _require_unimodular(m: Matrix, pi: JugglingFunction) -> list:
@@ -293,7 +293,8 @@ def build_frieze_det(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
     frieze_entry gives the same value at a fixed entry of a
     unimodular matrix, so only the slots the shape leaves free pay
     for a schedule-exchange determinant, of size min(k, n - k): when
-    2k > n, a minor of m's positive complement, built once per matrix.
+    2k > n, a minor of m's positive complement, which frieze_entry
+    builds once per matrix and keeps on it.
     """
     _require_unimodular(m, pi)
     return _fill_skeleton(pi.dual(), lambda a, b: frieze_entry(m, pi, a, b))

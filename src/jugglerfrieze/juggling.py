@@ -120,17 +120,6 @@ class JugglingFunction:
             self._dual = dual
         return self._dual
 
-    def inside_cone(self, a: int, b: int) -> bool:
-        """Whether (a, b) lies strictly inside column b's cone: b < a <
-        pi(b), and the ball landing at a was thrown before b.  These are
-        the frieze entries that the shape leaves free.
-
-        >>> pi = parse_siteswap("53635514")
-        >>> [a for a in range(1, 9) if pi.inside_cone(a, 1)]
-        [2, 3, 4]
-        """
-        return self.inverse(a) < b < a < self(b)
-
     def s_set(self, a: int, b: int) -> tuple[int, ...]:
         """Sorted set of moments i with a < i whose ball lands before b."""
         return tuple(i for i in range(a + 1, b) if self(i) < b)
@@ -257,7 +246,9 @@ def parse_siteswap(text: str) -> JugglingFunction:
     """Parse a siteswap pattern.
 
     A contiguous digit string means one throw per digit; throws above 9
-    need the comma-separated form.  Only ASCII digits are throws.
+    need the comma-separated form.  Only ASCII digits are throws; the
+    first other throw is named by its position and at most its first
+    16 characters, so the message does not grow with the input.
 
     >>> parse_siteswap("53635514").values
     (6, 5, 9, 7, 10, 11, 8, 12)
@@ -267,31 +258,28 @@ def parse_siteswap(text: str) -> JugglingFunction:
     text = text.strip()
     if not text:
         raise SiteswapError("empty pattern")
-    if "," in text:
-        parts = [p.strip() for p in text.split(",")]
-        if not all(_is_ascii_digits(p) for p in parts):
-            raise SiteswapError(f"bad throw list {text!r}")
-        n = len(parts)
-        throws = []
-        for i, p in enumerate(parts, start=1):
-            digits = p.lstrip("0")
-            # a throw with more digits than n is above n: refused here,
-            # as int() would take time quadratic in its length and the
-            # message would print every digit
-            if len(digits) > len(str(n)):
-                if max(throws, default=0) <= n:
-                    raise SiteswapError(f"throw at position {i} has "
-                                        f"{len(digits)} digits, outside "
-                                        f"[0, {n}]")
-                # an earlier throw above n is named first: JugglingFunction
-                # checks the throws in order, so the rest may be zeros
-                throws += [0] * (n - len(throws))
-                break
-            throws.append(int(p))
-    elif _is_ascii_digits(text):
-        throws = [int(ch) for ch in text]
-    else:
-        raise SiteswapError(f"bad pattern {text!r}")
+    parts = [p.strip() for p in text.split(",")] if "," in text else list(text)
+    for i, p in enumerate(parts, start=1):
+        if not _is_ascii_digits(p):
+            shown = repr(p[:16]) + ("..." if len(p) > 16 else "")
+            raise SiteswapError(f"bad throw at position {i}: {shown}")
+    n = len(parts)
+    throws = []
+    for i, p in enumerate(parts, start=1):
+        digits = p.lstrip("0")
+        # a throw with more digits than n is above n: refused here, as
+        # int() would take time quadratic in its length and the message
+        # would print every digit
+        if len(digits) > len(str(n)):
+            if max(throws, default=0) <= n:
+                raise SiteswapError(f"throw at position {i} has "
+                                    f"{len(digits)} digits, outside "
+                                    f"[0, {n}]")
+            # an earlier throw above n is named first: JugglingFunction
+            # checks the throws in order, so the rest may be zeros
+            throws += [0] * (n - len(throws))
+            break
+        throws.append(int(p))
     return JugglingFunction.from_throws(throws)
 
 

@@ -164,7 +164,8 @@ class Matrix:
     """An immutable rows x cols grid of rationals."""
 
     # _complement holds the positive complement that construct.frieze_entry
-    # builds on first use, as _view holds the integer view
+    # builds on first use, or False when the rank is below the row count,
+    # as _view holds the integer view
     __slots__ = ("entries", "nrows", "ncols", "_view", "_complement")
 
     def __init__(self, rows: Sequence[Sequence], cols: int | None = None):

@@ -448,7 +448,7 @@ def counted_skeleton(pi: JugglingFunction):
     n = pi.period
     return tuple(tuple(1 if a == b
                        else counted_sign(pi, a, b) if a == pi(b)
-                       else None if pi.inside_cone(a, b)
+                       else None if pi.inverse(a) < b < a < pi(b)
                        else 0
                        for a in range(b, b + n + 1))
                  for b in range(1, n + 1))
@@ -461,7 +461,7 @@ def entry_sign_is_positive(c: PeriodicFrieze) -> bool:
     pi = c.shape
     for b in range(1, pi.period + 1):
         for a in range(b, pi(b) + 1):
-            if a != b and not pi.inside_cone(a, b):
+            if a != b and not pi.inverse(a) < b < a < pi(b):
                 continue
             if counted_sign(pi, a, b) * c.entry(a, b) <= 0:
                 return False

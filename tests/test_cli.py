@@ -71,6 +71,17 @@ def test_siteswap_non_ascii_digits_exit_2(capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_siteswap_bad_throw_message_is_short(capsys):
+    # the first bad throw is named by its position and a short prefix,
+    # not by echoing the whole argument
+    assert main(["siteswap", "1," + "9" * 100_000 + "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(captured.err.encode()) < 200
+
+
 def test_check_pass_fail_malformed(capsys, files, tmp_path):
     code, out = run(capsys, "check", files["frieze"])
     assert code == 0
@@ -162,21 +173,24 @@ def _with_entry(c, a, b, delta):
 
 def test_construct_verify_names_the_differing_entry(capsys, files,
                                                     monkeypatch):
-    # the cross-check route is off at the free entry (3, 1) and at a later
-    # one: the message names the first, column by column, with both values
+    # one route is off at the free entry (3, 1) and at a later one: the
+    # message names the first, column by column, with the twist value
+    # first whatever --method says
     x = fx.JUG_FRIEZE.entry(3, 1)
     wrong = _with_entry(_with_entry(fx.JUG_FRIEZE, 3, 1, 5), 4, 2, 1)
-    for method, other, route, value in (
-            ("det", "twist", "build_frieze_twist", lambda m, pi: wrong),
-            ("twist", "det", "frieze_entry",
-             lambda m, pi, a, b: wrong.entry(a, b))):
+    for route, value, twist_x, det_x in (
+            ("build_frieze_twist", lambda m, pi: wrong, x + 5, x),
+            ("frieze_entry", lambda m, pi, a, b: wrong.entry(a, b),
+             x, x + 5)):
         monkeypatch.setattr(jugglerfrieze.cli, route, value)
-        code = main(["construct", files["matrix"], "--siteswap", "23345357",
-                     "--method", method, "--verify"])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert captured.err == (f"verification failed: entry (3, 1) is {x} "
-                                f"by {method} and {x + 5} by {other}\n")
+        for method in ("det", "twist"):
+            code = main(["construct", files["matrix"], "--siteswap",
+                         "23345357", "--method", method, "--verify"])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err == (f"verification failed: entry (3, 1) is "
+                                    f"{twist_x} by twist and {det_x} by "
+                                    f"det\n")
         monkeypatch.undo()
 
 
@@ -337,10 +351,25 @@ def test_solve_rejects_non_frieze(capsys, files, tmp_path):
     assert run(capsys, "solve", str(bad))[0] == 1
 
 
-def test_render_golden(capsys, files):
-    code, out = run(capsys, "render", files["frieze"], "--periods", "2")
+def _render_golden(capsys, name):
+    # each golden's input is committed next to it, so CI renders the
+    # same bytes through the console script
+    code, out = run(capsys, "render", str(DATA / f"render_{name}.json"),
+                    "--periods", "2")
     assert code == 0
-    assert out == (DATA / "render_53635514.txt").read_text()
+    assert out == (DATA / f"render_{name}.txt").read_text()
+
+
+def test_render_golden(capsys):
+    doc = json.loads((DATA / "render_53635514.json").read_text())
+    assert PeriodicFrieze.from_json(doc) == fx.JUG_FRIEZE
+    _render_golden(capsys, "53635514")
+
+
+def test_render_golden_with_loop_and_coloop(capsys):
+    # 4130 has a loop (4) and a coloop (1): GB marks the loop's column,
+    # and the coloop's boundary lies a full period below its diagonal
+    _render_golden(capsys, "4130")
 
 
 RATIONAL = DATA / "rational"

@@ -312,6 +312,27 @@ def test_frieze_entry_spot_values():
     assert frieze_entry(m, pi, 1, 4) == 0
 
 
+def test_frieze_entry_refuses_a_matrix_of_the_wrong_shape():
+    # the walk's shape rule, checked before any slot is read: a free
+    # slot, a loop's slot (4 is a loop of 4130) and a slot outside the
+    # window all raise it, as build_frieze_det does
+    cases = [(Matrix([[1, 0, 0, 0, 1], [0, 1, 1, 0, 0]]),
+              JugglingFunction.uniform(4, 2), "2x5", "2x4"),
+             (Matrix([[1, 0, 0], [0, 1, 1]]),
+              JugglingFunction.uniform(4, 2), "2x3", "2x4"),
+             (Matrix([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]),
+              fx.PI_4130, "3x4", "2x4")]
+    for m, pi, got, need in cases:
+        message = f"matrix is {got}, shape needs {need}"
+        for a, b in ((2, 1), (4, 4), (4, 0), (1, 2), (9, 1)):
+            with pytest.raises(ValueError) as exc:
+                frieze_entry(m, pi, a, b)
+            assert str(exc.value) == message, (m, pi, a, b)
+        with pytest.raises(ValueError) as exc:
+            build_frieze_det(m, pi)
+        assert str(exc.value) == message
+
+
 def test_build_frieze_fixtures():
     assert build_frieze_det(fx.UNIMOD_4x8, fx.PI_23345357) == fx.JUG_FRIEZE
     built = build_frieze_det(fx.CONSEC_3x8, fx.UNIFORM_8_3)
