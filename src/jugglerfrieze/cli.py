@@ -20,18 +20,21 @@ from .matrices import Matrix
 from .frieze import PeriodicFrieze, check_frieze, dual_frieze, \
     is_positive, enumerate_sl2_positive, _recurrence_solutions
 from .construct import build_frieze_det, build_frieze_twist, twist, \
-    inverse_twist, positive_complement, frieze_to_matrix, frieze_entry
+    inverse_twist, positive_complement, frieze_to_matrix, frieze_entries
 from .recurrence import solution_matrix
 
 # Python's default cap on int <-> str conversion, which main lifts
 MAX_DIGITS = sys.int_info.default_max_str_digits
+# render draws at most this many window slots, periods * n * (n + 1)
+MAX_RENDER_CELLS = 10 ** 6
 _DIGITS_TO_ZERO = str.maketrans("123456789", "0" * 9)
 
 
 def _load(path: str, cls, kind: str):
     """cls.from_json of the JSON file at path; a failure to read or
-    decode it, or a run of more than MAX_DIGITS digits in it, is a
-    ValueError that names the path."""
+    decode it, a run of more than MAX_DIGITS digits in it, or nesting
+    deeper than the interpreter's recursion limit, is a ValueError that
+    names the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -47,6 +50,9 @@ def _load(path: str, cls, kind: str):
         raise ValueError(f"bad {kind} file {path}: missing key {exc}") from None
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad {kind} file {path}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"bad {kind} file {path}: JSON nested too "
+                         f"deeply") from None
 
 
 def _emit(obj: dict, out: str | None) -> None:
@@ -89,15 +95,16 @@ def cmd_check(args) -> int:
 def _disagreement(c: PeriodicFrieze, m: Matrix,
                   pi: JugglingFunction) -> str | None:
     """Why construct --verify fails: the first free entry of the twist
-    route's frieze c, column by column, that differs from its
-    determinant (frieze_entry), else the message of the decision by
-    c's dual when c is not a frieze, else None.  Both routes fill the
-    fixed entries from the same skeleton, so only the free ones can
-    differ."""
+    route's frieze c, column by column, that differs from its exchange
+    minor (one reader frieze_entries for the matrix), else the message
+    of the decision by c's dual when c is not a frieze, else None.  Both
+    routes fill the fixed entries from the same skeleton, so only the
+    free ones can differ."""
+    entry = frieze_entries(m, pi)
     for b, (fixed, col) in enumerate(zip(c.shape.skeleton(), c.columns),
                                      start=1):
         for a, (skel, x) in enumerate(zip(fixed, col), start=b):
-            if skel is None and x != (y := frieze_entry(m, pi, a, b)):
+            if skel is None and x != (y := entry(a, b)):
                 return f"entry ({a}, {b}) is {x} by twist and {y} by det"
     try:
         _recurrence_solutions(c)
@@ -188,6 +195,11 @@ def cmd_render(args) -> int:
     if args.periods < 1:
         raise ValueError("--periods must be positive")
     c = _load(args.frieze, PeriodicFrieze, "frieze")
+    n = c.shape.period
+    cells = args.periods * n * (n + 1)
+    if cells > MAX_RENDER_CELLS:
+        raise ValueError(f"--periods {args.periods} at period {n} is "
+                         f"{cells} cells, more than {MAX_RENDER_CELLS}")
     print(render_frieze(c, args.periods))
     return 0
 

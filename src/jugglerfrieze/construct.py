@@ -2,24 +2,27 @@
 
 A k x n matrix whose landing-schedule minors are all 1 and whose
 interval ranks respect the juggling function determines a frieze of
-the dual shape, through one determinant per free entry (frieze_entry,
-of size min(k, n - k) by the positive complement it keeps on the matrix
-when 2k > n), or through the twist: the necklace walk that certifies
-the matrix yields its twist columns, and each free entry is one integer
-dot product with one, so construct --verify and invert-F walk once.
-The walk and frieze_entry refuse a matrix that is not k x n through one
-shape check (_shape_balls).  Both directions live here, with positive
+the dual shape, through exchange minors or through the twist.  The
+minor route (frieze_entries) takes one cofactor vector per schedule,
+the signed maximal minors of min(k, n - k) integer rows from one
+elimination, by the positive complement it keeps on the matrix when
+2k > n, and reads each of the schedule's entries off it by Cramer.
+The twist route reads the twist columns off the necklace walk that
+certifies the matrix, and each free entry is one integer dot product
+with one, so construct --verify and invert-F walk once.  The walk and
+frieze_entries refuse a matrix that is not k x n through one shape
+check (_shape_balls).  Both directions live here, with positive
 complements and the inverse twist.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
 from .juggling import JugglingFunction, residue, sign_power
-from .matrices import (Matrix, cyclic_columns, integer_det,
+from .matrices import (Matrix, cyclic_columns, integer_cross, integer_det,
                        integer_eliminate, integer_kernel)
 from .frieze import PeriodicFrieze, _recurrence_solutions
 
@@ -223,45 +226,84 @@ def _build_complement(m: Matrix) -> Matrix | None:
                    for v, q in zip(basis, dens)], cols=n)
 
 
-def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:
-    """Entry (a, b) of the frieze of m, for arbitrary integers a, b: the
-    signed minor of m on the schedule at a with a exchanged for b, the
-    schedule read from the necklace by a's residue and the sign from the
-    dual's sign table (entry_sign).  A matrix that is not k x n for pi
-    fails first, as in _schedule_adjugates (_shape_balls).
+def frieze_entries(m: Matrix, pi: JugglingFunction):
+    """The reader entry(a, b) of the frieze of m, for arbitrary integers
+    a, b: the signed minor of m on the schedule at a with a exchanged
+    for b, the schedule read from the necklace by a's residue and the
+    sign from the dual's sign table (entry_sign).  A matrix that is not
+    k x n for pi fails here, before any entry, as in _schedule_adjugates
+    (_shape_balls).
 
-    The minor is taken on the smaller side of the Grassmann duality:
-    for n < 2k < 2n, it is the (n - k)-minor of m's positive complement
-    on the complementary columns, the complement built once per matrix
-    (_build_complement) and kept in m._complement, or False there when
-    m's rank is below k, so that every minor is 0; otherwise it is the
-    k x k minor of m itself (a square m has a complement only when its
-    determinant is 1).
+    Every exchange minor of one schedule L_a comes from one integer
+    vector, the signed maximal minors of r x (r + 1) integer rows
+    (integer_cross), built on the first entry that needs it and kept
+    for the reader's life.  For 2k <= n or k = n the rows are the
+    columns of L_a - a in m's integer view, r = k - 1, and the minor is
+    (-1)**q times the vector's dot product with column b, q the
+    position of b in the sorted exchanged schedule.  For n < 2k < 2n
+    the minor is taken on the smaller side of the Grassmann duality, as
+    the (n - k)-minor of m's positive complement on the complementary
+    columns: the rows are the complement's rows on the columns outside
+    L_a - a, r = n - k, and the minor is the vector's entry at b's
+    position j there times (-1)**j.  The complement is built once per
+    matrix (_build_complement) and kept in m._complement, or False there
+    when m's rank is below k, so that every minor is 0.  Each entry is
+    one Fraction, its sign in the numerator, over L**t, L the scale of
+    the integer view it is read from and t that view's row count.
     """
     k, n = _shape_balls(m, pi), pi.period
-    if pi(a) == a:
-        if a == b:
-            return Fraction(1)
-        if a == b + n:
-            return Fraction(pi.dual().entry_sign(a, b))
-        return Fraction(0)
-    if not b <= a < b + n:
-        return Fraction(0)
-    ra, rb = residue(a, n), residue(b, n)
-    rest = [x for x in pi.necklace()[ra - 1] if x != ra]
-    if rb in rest:
-        return Fraction(0)
-    sign = pi.dual().entry_sign(a, b)
-    if n < 2 * k < 2 * n:
-        if m._complement is None:
-            comp = _build_complement(m)
-            m._complement = False if comp is None else comp
-        if m._complement is False:
+    dual, necklace = pi.dual(), pi.necklace()
+    wide = n < 2 * k < 2 * n
+    if wide and m._complement is None:
+        comp = _build_complement(m)
+        m._complement = False if comp is None else comp
+    source = m._complement if wide else m
+    if source is not False:
+        ints, scale = source.integer_view()
+        unit = scale ** source.nrows
+        columns = list(zip(*ints))
+    vectors = {}
+
+    def entry(a: int, b: int) -> Fraction:
+        if pi(a) == a:
+            if a == b:
+                return Fraction(1)
+            if a == b + n:
+                return Fraction(dual.entry_sign(a, b))
             return Fraction(0)
-        taken = {*rest, rb}
-        co = [j - 1 for j in range(1, n + 1) if j not in taken]
-        return sign * m._complement.minor(range(n - k), co)
-    return sign * m.minor(range(k), cyclic_columns(n, rest + [rb]))
+        if not b <= a < b + n or source is False:
+            return Fraction(0)
+        ra, rb = residue(a, n), residue(b, n)
+        sched = necklace[ra - 1]
+        if rb != ra and rb in sched:
+            return Fraction(0)
+        # the position of rb among the schedule's columns other than ra
+        q = bisect_left(sched, rb) - (ra < rb)
+        cross = vectors.get(ra)
+        if cross is None:
+            rest = [j - 1 for j in sched if j != ra]
+            if wide:
+                outside = sorted(set(range(n)).difference(rest))
+                rows = [[row[j] for j in outside] for row in ints]
+            else:
+                rows = [list(columns[j]) for j in rest]
+            cross = vectors[ra] = integer_cross(rows, len(rows) + 1)
+        if wide:
+            # rb's position among the columns outside the others
+            q = rb - 1 - q
+            x = cross[q]
+        else:
+            x = sum(map(mul, cross, columns[rb - 1]))
+        return Fraction(sign_power(q) * dual.entry_sign(a, b) * x, unit)
+
+    return entry
+
+
+def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:
+    """Entry (a, b) of the frieze of m, for arbitrary integers a, b: one
+    call of the reader frieze_entries(m, pi), which owns the rule, so a
+    single entry pays the elimination of its whole schedule."""
+    return frieze_entries(m, pi)(a, b)
 
 
 def _require_unimodular(m: Matrix, pi: JugglingFunction) -> list:
@@ -287,17 +329,18 @@ def _fill_skeleton(shape: JugglingFunction, entry) -> PeriodicFrieze:
 
 
 def build_frieze_det(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
-    """The frieze of m, one determinant per free entry; fixed entries
+    """The frieze of m, one cofactor vector per schedule; fixed entries
     are the skeleton on certified input.
 
-    frieze_entry gives the same value at a fixed entry of a
-    unimodular matrix, so only the slots the shape leaves free pay
-    for a schedule-exchange determinant, of size min(k, n - k): when
-    2k > n, a minor of m's positive complement, which frieze_entry
-    builds once per matrix and keeps on it.
+    The reader frieze_entries gives the same value at a fixed entry of
+    a unimodular matrix, so only the slots the shape leaves free are
+    read from it: one elimination of min(k, n - k) rows per schedule
+    that has a free slot, then one dot product or one look-up per slot.
+    When n < 2k < 2n the rows are those of m's positive complement,
+    which the reader builds once per matrix and keeps on it.
     """
     _require_unimodular(m, pi)
-    return _fill_skeleton(pi.dual(), lambda a, b: frieze_entry(m, pi, a, b))
+    return _fill_skeleton(pi.dual(), frieze_entries(m, pi))
 
 
 def build_frieze_twist(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:

@@ -7,8 +7,10 @@ minor of the view is L**t times the grid's.  Determinants and
 eliminations run on integer rows through two fraction-free kernels,
 Bareiss elimination (integer_det) and Gauss-Jordan (integer_eliminate),
 whose divisions are exact; a kernel is read off the second in integers
-(integer_kernel).  Fractions are built only for results.  Every value
-is exact; there is no floating point anywhere in this package.
+(integer_kernel), and so are all r + 1 signed maximal minors of r
+integer rows (integer_cross).  Fractions are built only for results.
+Every value is exact; there is no floating point anywhere in this
+package.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
-from .juggling import as_int, residue
+from .juggling import as_int, residue, sign_power
 
 
 # an optional sign, ASCII digits and an optional "/" and ASCII digits;
@@ -34,6 +36,12 @@ def as_rational(x) -> Fraction:
     sign and ASCII digits, with an optional "/" and ASCII digits; any
     other string, and a zero denominator, is a ValueError.
     """
+    # exact type tests first: they skip the ABC dispatch of isinstance
+    # for the common case, and a subclass still meets the checks below
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
@@ -156,6 +164,26 @@ def integer_kernel(rows: list[list[int]], ncols: int) -> tuple[
     return pivots, d, sign, basis
 
 
+def integer_cross(rows: list[list[int]], ncols: int) -> list[int]:
+    """The signed maximal minors c_j = (-1)**j det(rows without column
+    j), j < ncols, of ncols - 1 integer rows, from one integer_kernel of
+    them (in place); by Cramer, the dot product of c with a row x is
+    the determinant of x stacked on the rows.  Below full rank every c_j
+    is 0.
+
+    At full rank the kernel is one vector, d at the one free column f
+    and d times the reduced form elsewhere; c is in the kernel too, and
+    c_f = (-1)**f sign * d, the minor on the pivot columns, so c is that
+    vector times (-1)**f sign.  No rows (ncols = 1) give c = (1,).
+    """
+    pivots, d, sign, basis = integer_kernel(rows, ncols)
+    if len(pivots) < ncols - 1:
+        return [0] * ncols
+    (f,) = set(range(ncols)).difference(pivots)
+    sign *= sign_power(f)
+    return [sign * x for x in basis[0]]
+
+
 def rational_to_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -163,7 +191,7 @@ def rational_to_json(x: Fraction):
 class Matrix:
     """An immutable rows x cols grid of rationals."""
 
-    # _complement holds the positive complement that construct.frieze_entry
+    # _complement holds the positive complement that construct.frieze_entries
     # builds on first use, or False when the rank is below the row count,
     # as _view holds the integer view
     __slots__ = ("entries", "nrows", "ncols", "_view", "_complement")

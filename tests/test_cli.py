@@ -116,29 +116,34 @@ def test_construct_methods_byte_identical(capsys, files):
 
 def test_construct_verify_certifies_once(capsys, files, monkeypatch):
     # the twist route certifies the matrix and builds the one frieze;
-    # each of its free entries is checked against its determinant
-    calls, fills, entries = [], [], []
+    # one reader checks each of its free entries against its minor
+    calls, fills, readers, entries = [], [], [], []
     certify = jugglerfrieze.construct.is_pi_unimodular
     fill = jugglerfrieze.construct._fill_skeleton
-    entry = jugglerfrieze.cli.frieze_entry
+    reader = jugglerfrieze.cli.frieze_entries
 
     def counted(m, pi):
         calls.append(pi)
         return certify(m, pi)
 
+    def counted_reader(m, pi):
+        readers.append(1)
+        entry = reader(m, pi)
+        return lambda a, b: entries.append(1) or entry(a, b)
+
     monkeypatch.setattr(jugglerfrieze.construct, "is_pi_unimodular", counted)
     monkeypatch.setattr(jugglerfrieze.construct, "_fill_skeleton",
                         lambda *args: fills.append(1) or fill(*args))
-    monkeypatch.setattr(jugglerfrieze.cli, "frieze_entry",
-                        lambda *args: entries.append(1) or entry(*args))
+    monkeypatch.setattr(jugglerfrieze.cli, "frieze_entries", counted_reader)
     free = sum(x is None for col in fx.JUG_FRIEZE.shape.skeleton()
                for x in col)
     for method in ("det", "twist"):
         code, out = run(capsys, "construct", files["matrix"], "--siteswap",
                         "23345357", "--method", method, "--verify")
         assert code == 0 and json.loads(out) == fx.JUG_FRIEZE.to_json()
-        assert (len(calls), len(fills), len(entries)) == (1, 1, free)
-        for counts in (calls, fills, entries):
+        assert (len(calls), len(fills), len(readers), len(entries)) == \
+            (1, 1, 1, free)
+        for counts in (calls, fills, readers, entries):
             counts.clear()
 
 
@@ -175,13 +180,13 @@ def test_construct_verify_names_the_differing_entry(capsys, files,
                                                     monkeypatch):
     # one route is off at the free entry (3, 1) and at a later one: the
     # message names the first, column by column, with the twist value
-    # first whatever --method says
+    # first whatever --method says; the det side is wrong through the
+    # reader it reads every entry from
     x = fx.JUG_FRIEZE.entry(3, 1)
     wrong = _with_entry(_with_entry(fx.JUG_FRIEZE, 3, 1, 5), 4, 2, 1)
     for route, value, twist_x, det_x in (
             ("build_frieze_twist", lambda m, pi: wrong, x + 5, x),
-            ("frieze_entry", lambda m, pi, a, b: wrong.entry(a, b),
-             x, x + 5)):
+            ("frieze_entries", lambda m, pi: wrong.entry, x, x + 5)):
         monkeypatch.setattr(jugglerfrieze.cli, route, value)
         for method in ("det", "twist"):
             code = main(["construct", files["matrix"], "--siteswap",
@@ -202,8 +207,8 @@ def test_construct_verify_names_the_dual_failure(capsys, files,
     assert expected.startswith("not a frieze: dual entry ")
     monkeypatch.setattr(jugglerfrieze.cli, "build_frieze_twist",
                         lambda m, pi: wrong)
-    monkeypatch.setattr(jugglerfrieze.cli, "frieze_entry",
-                        lambda m, pi, a, b: wrong.entry(a, b))
+    monkeypatch.setattr(jugglerfrieze.cli, "frieze_entries",
+                        lambda m, pi: wrong.entry)
     code = main(["construct", files["matrix"], "--siteswap", "23345357",
                  "--verify"])
     captured = capsys.readouterr()

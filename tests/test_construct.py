@@ -14,7 +14,7 @@ from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
 from jugglerfrieze.cli import main
 
 import fixture_data as fx
-from exact_oracles import gauss_jordan, identity, scale_row
+from exact_oracles import exchange_minor, gauss_jordan, identity, scale_row
 from samplers import random_determinant_one, random_full_rank
 
 
@@ -158,9 +158,10 @@ def test_necklace_walk_eliminates_once_per_anchor(monkeypatch, tmp_path,
     # anchors each walk, every later schedule is one adjugate update,
     # and no schedule minor is a determinant of its own; the twist route
     # reads its rows off the certificate's walk, so it anchors once
-    calls = {"det": 0, "anchor": 0, "rank": 0, "kernel": 0}
+    calls = {"det": 0, "anchor": 0, "rank": 0, "kernel": 0, "cross": 0}
     det, eliminate = matrices.integer_det, construct.integer_eliminate
     kernel_eliminate = matrices.integer_eliminate
+    cross = construct.integer_cross
 
     def counted_det(rows):
         calls["det"] += 1
@@ -176,34 +177,52 @@ def test_necklace_walk_eliminates_once_per_anchor(monkeypatch, tmp_path,
         calls["kernel"] += 1
         return kernel_eliminate(rows, ncols)
 
+    def counted_cross(rows, ncols):
+        calls["cross"] += 1
+        return cross(rows, ncols)
+
     def counted(run, *args):
-        calls.update(det=0, anchor=0, rank=0, kernel=0)
+        calls.update(det=0, anchor=0, rank=0, kernel=0, cross=0)
         return run(*args), dict(calls)
 
     monkeypatch.setattr(matrices, "integer_det", counted_det)
     monkeypatch.setattr(construct, "integer_det", counted_det)
     monkeypatch.setattr(construct, "integer_eliminate", counted_eliminate)
     monkeypatch.setattr(matrices, "integer_eliminate", counted_kernel)
+    monkeypatch.setattr(construct, "integer_cross", counted_cross)
     m, pi = fx.UNIMOD_4x8, fx.PI_23345357
-    assert counted(twist, m, pi) == \
-        (fx.TWIST_4x8, {"det": 0, "anchor": 1, "rank": 0, "kernel": 0})
+    assert counted(twist, m, pi) == (fx.TWIST_4x8, {
+        "det": 0, "anchor": 1, "rank": 0, "kernel": 0, "cross": 0})
     # one anchor and the certificate's five rank eliminations
-    assert counted(build_frieze_twist, m, pi) == \
-        (fx.JUG_FRIEZE, {"det": 0, "anchor": 1, "rank": 5, "kernel": 0})
+    assert counted(build_frieze_twist, m, pi) == (fx.JUG_FRIEZE, {
+        "det": 0, "anchor": 1, "rank": 5, "kernel": 0, "cross": 0})
     # invert-F eliminates the solutions once for their kernel and checks
     # its result through the twist route; its one determinant is the
     # normalisation minor
     assert counted(frieze_to_matrix, fx.JUG_FRIEZE)[1] == \
-        {"det": 1, "anchor": 1, "rank": 5, "kernel": 1}
+        {"det": 1, "anchor": 1, "rank": 5, "kernel": 1, "cross": 0}
     # construct --verify builds both routes on one certificate; the det
-    # route pays one determinant per free entry and no elimination
+    # side reads each free entry off one cofactor vector per schedule,
+    # one kernel elimination each, and takes no determinant
+    schedules = _free_schedules(pi)
+    assert schedules == 7
     path = tmp_path / "m.json"
     path.write_text(json.dumps(m.to_json()))
     for method in ("det", "twist"):
         code, got = counted(main, ["construct", str(path), "--siteswap",
                                    "23345357", "--method", method, "--verify"])
         assert code == 0 and capsys.readouterr().err == ""
-        assert (got["anchor"], got["rank"], got["kernel"]) == (1, 5, 0)
+        assert got == {"det": 0, "anchor": 1, "rank": 5,
+                       "kernel": schedules, "cross": schedules}
+
+
+def _free_schedules(pi):
+    """How many schedules L_a have a free entry (a, b) in the frieze of
+    a matrix shaped by pi, one residue a per schedule."""
+    n = pi.period
+    return len({residue(a, n)
+                for b, fixed in enumerate(pi.dual().skeleton(), start=1)
+                for a, x in enumerate(fixed, start=b) if x is None})
 
 
 def test_twist_names_the_first_bad_schedule_minor():
@@ -368,9 +387,12 @@ def test_zero_ball_routes_agree():
 
 
 def test_builds_compute_only_the_free_entries(monkeypatch):
-    # uniform(18, 16) has a 2-ball dual with one free slot per column:
-    # the det route pays n frieze_entry calls, not n(n+1), and the twist
-    # route one dot product per free slot, with no matrix product
+    # the det route eliminates once per schedule that has a free entry
+    # and takes no determinant: uniform(18, 16), whose 2-ball dual has
+    # one free slot per column, reads its 18 entries off 18 cofactor
+    # vectors of its positive complement (2k > n); the twist route pays
+    # one dot product per free slot, with no matrix product and no
+    # elimination beyond its certificate
     n = 18
     pi = JugglingFunction.uniform(n, 16)
     # columns (1, 0), (n-2, 1), (n-3, 1), ..., (0, 1): every cyclically
@@ -380,24 +402,45 @@ def test_builds_compute_only_the_free_entries(monkeypatch):
     m = (random_determinant_one(random.Random(41), 16)
          * positive_complement(strip))
     assert is_pi_unimodular(m, pi).ok
-    calls = {"frieze_entry": 0, "__mul__": 0}
-    entry, mul = construct.frieze_entry, Matrix.__mul__
+    calls = {"integer_cross": 0, "integer_det": 0, "__mul__": 0}
+    cross, det, mul = construct.integer_cross, matrices.integer_det, \
+        Matrix.__mul__
 
-    def counted_entry(*args):
-        calls["frieze_entry"] += 1
-        return entry(*args)
+    def counted_cross(rows, ncols):
+        calls["integer_cross"] += 1
+        return cross(rows, ncols)
+
+    def counted_det(rows):
+        calls["integer_det"] += 1
+        return det(rows)
 
     def counted_mul(self, other):
         calls["__mul__"] += 1
         return mul(self, other)
 
-    monkeypatch.setattr(construct, "frieze_entry", counted_entry)
+    monkeypatch.setattr(construct, "integer_cross", counted_cross)
+    monkeypatch.setattr(matrices, "integer_det", counted_det)
+    monkeypatch.setattr(construct, "integer_det", counted_det)
     monkeypatch.setattr(Matrix, "__mul__", counted_mul)
     f = build_frieze_twist(m, pi)
-    assert calls == {"frieze_entry": 0, "__mul__": 0}
+    assert calls == {"integer_cross": 0, "integer_det": 0, "__mul__": 0}
     assert build_frieze_det(m, pi) == f
     free = sum(x is None for col in pi.dual().skeleton() for x in col)
-    assert calls == {"frieze_entry": n, "__mul__": 0} and free == n
+    assert free == _free_schedules(pi) == n
+    assert calls == {"integer_cross": n, "integer_det": 0, "__mul__": 0}
+    # a seeded full-rank uniform(24, 12) matrix (2k = n): its 264 free
+    # entries come from 24 vectors of its own columns, not from 264
+    # determinants of size 12
+    pi = JugglingFunction.uniform(24, 12)
+    m = random_full_rank(random.Random(24), 12, 24)
+    calls.update(integer_cross=0)
+    c = construct._fill_skeleton(pi.dual(), construct.frieze_entries(m, pi))
+    free = [(a, b) for b, fixed in enumerate(pi.dual().skeleton(), start=1)
+            for a, x in enumerate(fixed, start=b) if x is None]
+    assert len(free) == 264 and _free_schedules(pi) == 24
+    assert calls == {"integer_cross": 24, "integer_det": 0, "__mul__": 0}
+    for a, b in free[::60]:
+        assert c.entry(a, b) == exchange_minor(m, pi, a, b)
 
 
 def test_loop_slot_is_sign_of_ball_count():

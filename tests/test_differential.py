@@ -10,6 +10,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import chain, product
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -20,9 +21,9 @@ from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            frieze_entry, frieze_to_matrix, is_frieze,
                            is_pi_unimodular, is_positive, parse_siteswap,
                            positive_complement, twist)
-from jugglerfrieze.construct import _schedule_adjugates
+from jugglerfrieze.construct import _schedule_adjugates, frieze_entries
 from jugglerfrieze.juggling import residue
-from jugglerfrieze.matrices import integer_eliminate
+from jugglerfrieze.matrices import integer_cross, integer_eliminate
 
 import fixture_data as fx
 from exact_oracles import (_minor, counted_sign, counted_skeleton,
@@ -495,18 +496,26 @@ def _entry_cases(rng):
 
 
 def test_frieze_entry_matches_exchange_minor():
-    # frieze_entry takes a k-minor with 2k > n (k < n) as the (n-k)-minor
-    # of m's positive complement on the complementary columns, built once
-    # and kept on m; the oracle takes the k x k minor of m itself, at
-    # every window slot, and the complement is built exactly on that side
+    # one reader per matrix reads every window slot off one cofactor
+    # vector per schedule; with 2k > n (k < n) the vector is taken on
+    # m's positive complement, built once and kept on m; the oracle
+    # takes the k x k minor of m itself at each slot, and frieze_entry,
+    # a one-slot reader, agrees at seeded slots of any period shift
+    rng = random.Random(25)
     seen = {"2k > n": 0, "2k <= n": 0, "loops": 0, "rank < k": 0,
-            "2k > n, rank < k": 0, "rational": 0}
+            "2k > n, rank < k": 0, "rational": 0, "k = 0": 0, "k = n": 0}
     for m, pi in _entry_cases(random.Random(24)):
         k, n = m.nrows, m.ncols
+        entry = frieze_entries(m, pi)
         for b in range(1, n + 1):
             for a in range(b, b + n + 1):
-                assert frieze_entry(m, pi, a, b) == \
-                    exchange_minor(m, pi, a, b), (m, pi, a, b)
+                assert entry(a, b) == exchange_minor(m, pi, a, b), \
+                    (m, pi, a, b)
+        for _ in range(2):
+            b = rng.randint(-2 * n, 2 * n)
+            a = b + rng.randint(-1, n + 1)
+            assert frieze_entry(m, pi, a, b) == \
+                exchange_minor(m, pi, a, b), (m, pi, a, b)
         larger = n < 2 * k < 2 * n
         assert (m._complement is not None) == larger
         deficient = rank(m) < k
@@ -515,7 +524,37 @@ def test_frieze_entry_matches_exchange_minor():
         seen["rank < k"] += deficient
         seen["2k > n, rank < k"] += larger and deficient
         seen["rational"] += m.integer_view()[1] > 1
+        seen["k = 0"] += k == 0
+        seen["k = n"] += k == n
     assert min(seen.values()) >= 2, seen
+
+
+def test_integer_cross_matches_minors_by_definition():
+    # the r + 1 signed maximal minors of r x (r + 1) integer rows from
+    # one elimination, against each minor by gauss_jordan, on seeded
+    # rows of full rank and with a row doubled, zeroed or combined; the
+    # dot product with a row x is the determinant of x over the rows
+    rng = random.Random(26)
+    seen = {"full": 0, "deficient": 0}
+    for r in chain(range(7), range(7)):
+        rows = [[rng.randint(-9, 9) for _ in range(r + 1)] for _ in range(r)]
+        variants = [rows]
+        if r > 1:
+            variants += [rows[:-1] + [[2 * x for x in rows[0]]],
+                         rows[:-1] + [[0] * (r + 1)],
+                         rows[:-1] + [[x - 3 * y for x, y in
+                                       zip(rows[0], rows[1])]]]
+        for case in variants:
+            got = integer_cross([list(row) for row in case], r + 1)
+            want = [(-1) ** j * _minor(case, [c for c in range(r + 1)
+                                              if c != j])
+                    for j in range(r + 1)]
+            assert got == want and all(type(x) is int for x in got), case
+            x = [rng.randint(-9, 9) for _ in range(r + 1)]
+            assert sum(map(mul, got, x)) == _minor([x] + case, range(r + 1))
+            seen["full" if any(got) else "deficient"] += 1
+    assert integer_cross([], 1) == [1]
+    assert seen["deficient"] >= 10 and seen["full"] >= 10, seen
 
 
 def test_dual_frieze_matches_minor_oracle():

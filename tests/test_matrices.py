@@ -1,5 +1,6 @@
 import random
 import re
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
 
@@ -216,6 +217,35 @@ def test_entry_strings_in_the_grammar_are_read():
     with pytest.raises(ValueError, match="^" + re.escape(
             "zero denominator in '2/0'") + "$"):
         as_rational("2/0")
+
+
+class _Half(Fraction):
+    pass
+
+
+class _Small(IntEnum):
+    TWO = 2
+
+
+def test_as_rational_type_table():
+    # exact int and Fraction are tested by type first; a subclass of
+    # either, a bool and everything else meet the checks after them
+    half, sub = Fraction(1, 2), _Half(1, 2)
+    for x, value, same in ((3, Fraction(3), False), (half, half, True),
+                           (sub, half, True), (_Small.TWO, Fraction(2), False),
+                           ("-3/6", Fraction(-1, 2), False)):
+        got = as_rational(x)
+        assert got == value and isinstance(got, Fraction)
+        assert (got is x) == same
+        assert type(got) is (type(x) if same else Fraction)
+    for x, error, message in (
+            (True, TypeError, "not an exact scalar: True"),
+            (False, TypeError, "not an exact scalar: False"),
+            (1.5, TypeError, "not an exact scalar: 1.5"),
+            ("1.5", ValueError, "not an integer or p/q string: '1.5'"),
+            ("1/0", ValueError, "zero denominator in '1/0'")):
+        with pytest.raises(error, match="^" + re.escape(message) + "$"):
+            as_rational(x)
 
 
 @pytest.mark.parametrize("call, error, message", [
