@@ -27,6 +27,10 @@ from .recurrence import solution_matrix
 MAX_DIGITS = sys.int_info.default_max_str_digits
 # render draws at most this many window slots, periods * n * (n + 1)
 MAX_RENDER_CELLS = 10 ** 6
+# enumerate searches strips of at most this height: its rows take
+# O(height**2) memory, 79 MB and 4.8 s at this height with --bound 2
+# (in process, 2-vCPU VM)
+MAX_ENUMERATE_HEIGHT = 2000
 _DIGITS_TO_ZERO = str.maketrans("123456789", "0" * 9)
 
 
@@ -205,6 +209,9 @@ def cmd_render(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.height > MAX_ENUMERATE_HEIGHT:
+        raise ValueError(f"--height {args.height} is more than "
+                         f"{MAX_ENUMERATE_HEIGHT}")
     friezes = enumerate_sl2_positive(args.height, args.bound)
     print(f"count {len(friezes)}")
     if args.dump:

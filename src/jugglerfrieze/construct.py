@@ -7,12 +7,16 @@ minor route (frieze_entries) takes one cofactor vector per schedule,
 the signed maximal minors of min(k, n - k) integer rows from one
 elimination, by the positive complement it keeps on the matrix when
 2k > n, and reads each of the schedule's entries off it by Cramer.
-The twist route reads the twist columns off the necklace walk that
-certifies the matrix, and each free entry is one integer dot product
-with one, so construct --verify and invert-F walk once.  The walk and
-frieze_entries refuse a matrix that is not k x n through one shape
-check (_shape_balls).  Both directions live here, with positive
-complements and the inverse twist.
+The necklace walk that certifies the matrix keeps, for each schedule,
+every exchange minor of the columns outside it, at k(n - k) integer
+updates per exchange; the twist route reads each free entry off it,
+and twist reads its columns off it through the adjugate of the first
+schedule, so construct --verify and invert-F walk once.  invert-F reads
+the matrix off the frieze's own rows on the first schedule by one
+elimination, and the twist route's rebuild of the frieze decides it.
+The walk and frieze_entries refuse a matrix that is not k x n through
+one shape check (_shape_balls).  Both directions live here, with
+positive complements and the inverse twist.
 """
 from __future__ import annotations
 
@@ -22,9 +26,9 @@ from fractions import Fraction
 from operator import mul
 
 from .juggling import JugglingFunction, residue, sign_power
-from .matrices import (Matrix, cyclic_columns, integer_cross, integer_det,
-                       integer_eliminate, integer_kernel)
-from .frieze import PeriodicFrieze, _recurrence_solutions
+from .matrices import (Matrix, integer_cross, integer_eliminate,
+                       integer_kernel)
+from .frieze import PeriodicFrieze, _recurrence_solutions, is_prefrieze
 
 
 @dataclass
@@ -33,8 +37,8 @@ class UnimodularCertificate:
 
     checked_minors: list = field(default_factory=list)
     rank_violations: list = field(default_factory=list)
-    twist_rows: list = field(default_factory=list, init=False, repr=False,
-                             compare=False)
+    exchange_rows: list = field(default_factory=list, init=False,
+                                repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -63,75 +67,135 @@ def _shape_balls(m: Matrix, pi: JugglingFunction) -> int:
     return k
 
 
-def _schedule_adjugates(m: Matrix, pi: JugglingFunction):
+def _schedule_solve(ints, cols, extra) -> tuple[int, list | None]:
+    """(d, Y): d = det B for B the columns cols (1-based, ascending) of
+    the integer rows ints, and Y = adj(B) X as k rows, for X the matrix
+    whose row i is extra[i]; Y is None when d is 0.
+
+    One integer_eliminate of [B P | X] leaves +-d [I | P^-1 B^-1 X], P
+    ordering B's columns by how many entries they have, fewest first,
+    so that a pivot in a column of one entry, as in a reduced form or a
+    positive complement, leaves the other rows alone.  Row t of the
+    result is then row order[t] of B^-1 X, and det P is the parity of
+    the pairs of unequal counts the stable sort moved past each other.
+    """
+    k = len(cols)
+    counts = [sum(1 for row in ints if row[j - 1]) for j in cols]
+    order = sorted(range(k), key=counts.__getitem__)
+    rows = [[row[cols[i] - 1] for i in order] + x
+            for row, x in zip(ints, extra)]
+    pivots, last, sign = integer_eliminate(rows, k)
+    if len(pivots) < k:
+        return 0, None
+    sign *= sign_power(sum(x > y for t, x in enumerate(counts)
+                           for y in counts[t + 1:]))
+    adj = [None] * k
+    for i, row in zip(order, rows):
+        adj[i] = [sign * x for x in row[k:]]
+    return sign * last, adj
+
+
+def _necklace_charts(m: Matrix, pi: JugglingFunction):
     """Walk the necklace: for a = 1..n yield the schedule L_a, the
     integer determinant d of B, its columns of m's integer view in
-    ascending residue order, and the adjugate A of B (A B = d I), or
-    None for A when d is 0.
+    ascending residue order, the slots, and the chart on L_a, k rows
+    whose entry (i, s) is y_j[i] for j the column in slot s,
+    y_j = adj(B) m_j, or None for the chart when d is 0.  Column j
+    outside L_a has slot slots[j - 1] < n - k, and a column of L_a has
+    slot n - k.  By Cramer, y_j[i] is the minor of the view on L_a with
+    its i-th column exchanged for column j.  The slots and the chart
+    are the walk's own: the next step changes them.
 
-    One elimination of [B^T | I] starts the walk: its right half is
-    d B^-T up to sign.  Its rows are columns of m, so sparse columns,
-    such as the identity columns of a positive complement, are rows the
-    elimination leaves alone.  An exchange puts u, the column landing
-    at pi(a - 1), at the position p of a - 1; with v = A u, the new
-    determinant is v_p, row p of A stays and every other row i becomes
-    (v_p A_i - v_i A_p) / d, exact as in Bareiss.  Moving the new
-    column to its sorted position q moves row p to q and flips both
-    signs by (-1)**(p - q).  Loops and coloops change nothing; after a
-    zero minor the next changed schedule is eliminated afresh.  A matrix
-    that is not k x n fails before the first schedule (_shape_balls).
+    One elimination of [B | outside columns] starts the walk
+    (_schedule_solve).  An exchange puts u, the column landing at
+    pi(a - 1), at the position p of a - 1; with v = y_u, u's own chart
+    column, the new determinant is v_p, row p stays and every other row
+    i becomes (v_p y_i - v_i y_p) / d, exact as in Bareiss, and u's slot
+    goes to the leaving column a - 1, whose new y is -v_i at i and d at
+    p.  Moving the new column to its sorted position q moves row p to q
+    and flips both signs by (-1)**(p - q).  So an exchange costs
+    k(n - k) and takes no dot product.  Loops and coloops change
+    nothing; after a zero minor the next changed schedule is eliminated
+    afresh.  A matrix that is not k x n fails before the first schedule
+    (_shape_balls).
     """
     n, k = pi.period, _shape_balls(m, pi)
     ints = m.integer_view()[0]
-    d, adj, prev = 0, None, None
+    d, chart, prev = 0, None, None
     for a, cols in enumerate(pi.necklace(), start=1):
         if cols != prev and not d:
-            rows = [[row[j - 1] for row in ints]
-                    + [int(i == r) for i in range(k)]
-                    for r, j in enumerate(cols)]
-            pivots, last, sign = integer_eliminate(rows, k)
-            d = sign * last if len(pivots) == k else 0
-            adj = ([[sign * row[k + i] for row in rows] for i in range(k)]
-                   if d else None)
+            inside = set(cols)
+            out = [j for j in range(1, n + 1) if j not in inside]
+            slots = [n - k] * n
+            for s, j in enumerate(out):
+                slots[j - 1] = s
+            d, chart = _schedule_solve(
+                ints, cols, [[row[j - 1] for j in out] for row in ints])
         elif cols != prev:
             new = residue(pi(a - 1), n)
             p, q = prev.index(a - 1), cols.index(new)
-            u = [row[new - 1] for row in ints]
-            v = [sum(map(mul, r, u)) for r in adj]
+            s = slots[new - 1]
+            v = [row[s] for row in chart]
             # the sign of the re-sort rides on the divisor
             sign = sign_power(p - q)
-            top, vp, div = adj[p], v[p], d * sign
-            adj = [[sign * x for x in top] if i == p
-                   else [(vp * x - vi * y) // div for x, y in zip(r, top)]
-                   for i, (r, vi) in enumerate(zip(adj, v))]
-            adj.insert(q, adj.pop(p))
+            top, vp, div = chart[p], v[p], d * sign
+            chart = [[sign * x for x in top] if i == p
+                     else [(vp * x - vi * y) // div for x, y in zip(r, top)]
+                     for i, (r, vi) in enumerate(zip(chart, v))]
+            for r, vi in zip(chart, v):
+                r[s] = -sign * vi
+            chart[p][s] = sign * d
+            chart.insert(q, chart.pop(p))
+            slots[new - 1], slots[a - 2] = n - k, s
             d = sign * vp
             if not d:
-                adj = None
+                chart = None
         prev = cols
-        yield cols, d, adj
+        yield cols, d, slots, chart
+
+
+def _exchange_rows(m: Matrix, pi: JugglingFunction):
+    """For a = 1..n: the schedule L_a, its determinant d, as the walk
+    (_necklace_charts) yields them, and the exchange row of a, row p of
+    the chart on L_a for p the position of a there, read at every
+    column b = 1..n: the minor of m's integer view on L_a with a
+    exchanged for b, y_b[p] outside L_a, d at a and 0 at the rest of
+    L_a.  At a loop, which is not in its own schedule, the row is 0;
+    where d is 0 it is None."""
+    n = pi.period
+    for a, (cols, d, slots, chart) in enumerate(_necklace_charts(m, pi),
+                                                start=1):
+        if chart is None:
+            row = None
+        elif a in cols:
+            # slot n - k, a column of L_a, reads the 0 appended here
+            row = list(map((chart[cols.index(a)] + [0]).__getitem__, slots))
+            row[a - 1] = d
+        else:
+            row = [0] * n
+        yield cols, d, row
 
 
 def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
     """Check the landing-schedule minors and the interval rank bounds.
 
-    Each necklace entry a gives one minor and, from its adjugate, column
-    a of the twist of m's integer view times that minor (None if it is
-    0), read off one walk of the necklace (_schedule_adjugates) and kept
-    as twist_rows.  The rank of the columns in a cyclic interval [a, b]
-    may not exceed the number of balls landing in it, a running count
-    over b.  Where such a bound can bind for a start column a, one
-    elimination of m's columns read cyclically from a answers every b
-    at once: its pivots are the lexicographically first basis, so the
-    rank of [a, b] is the number of pivots at offset at most b - a.
+    Each necklace entry a gives one minor and its exchange row, the
+    minors of m's integer view on L_a with a exchanged for each column
+    (None if the minor is 0), read off one walk of the necklace
+    (_exchange_rows) and kept as exchange_rows.  The rank of the
+    columns in a cyclic interval [a, b] may not exceed the number of
+    balls landing in it, a running count over b.  Where such a bound can
+    bind for a start column a, one elimination of m's columns read
+    cyclically from a answers every b at once: its pivots are the
+    lexicographically first basis, so the rank of [a, b] is the number
+    of pivots at offset at most b - a.
     """
     n, k = pi.period, pi.balls
     cert = UnimodularCertificate()
     ints, scale = m.integer_view()
-    for a, (cols, d, adj) in enumerate(_schedule_adjugates(m, pi), start=1):
+    for a, (cols, d, row) in enumerate(_exchange_rows(m, pi), start=1):
         cert.checked_minors.append((cols, Fraction(d, scale ** k)))
-        cert.twist_rows.append(None if adj is None else (
-            adj[cols.index(a)] if a in cols else [0] * k))
+        cert.exchange_rows.append(row)
         # the schedule's landing times in [a, a+n), from their residues
         lands = {r if r >= a else r + n for r in cols}
         bounds = []
@@ -159,19 +223,29 @@ def twist(m: Matrix, pi: JugglingFunction) -> Matrix:
     schedule, so its column is zero.
 
     With L the scale of m's integer view, B the schedule's columns of
-    that view, d = det B and A its adjugate, the column is L times row p
-    of A over d, p the position of a in the schedule.  One walk of the
-    necklace (_schedule_adjugates) gives every d and A; the schedule
-    minor d / L**k must be 1.
+    that view and d = det B, the column is L times row p of adj(B) over
+    d, p the position of a in the schedule.  That row r is read off a's
+    exchange row from one walk of the necklace (_exchange_rows): on the
+    columns of L_1 the row is r B_1, so r is it times adj(B_1) / d_1,
+    one k x k product per column, with adj(B_1) from one elimination
+    of [B_1 | I] at the first schedule (_schedule_solve).  Every
+    schedule minor d / L**k must be 1.
     """
     k = pi.balls
-    scale = m.integer_view()[1]
-    cols = []
-    for a, (order, d, adj) in enumerate(_schedule_adjugates(m, pi), start=1):
-        if d != scale ** k:
+    ints, scale = m.integer_view()
+    unit = scale ** k
+    cols, first, adj = [], None, None
+    for a, (order, d, row) in enumerate(_exchange_rows(m, pi), start=1):
+        if d != unit:
             raise ValueError(f"landing-schedule minor at {a} is not 1")
-        row = adj[order.index(a)] if a in order else [0] * k
-        cols.append([Fraction(scale * x, d) for x in row])
+        if adj is None:
+            first = [j - 1 for j in order]
+            identity = [[int(i == t) for t in range(k)] for i in range(k)]
+            # the columns of adj(B_1), for C-level dot products
+            adj = list(zip(*_schedule_solve(ints, order, identity)[1]))
+        head = [row[j] for j in first]
+        cols.append([Fraction(scale * (sum(map(mul, head, col)) // unit),
+                              unit) for col in adj])
     return Matrix.from_columns(cols)
 
 
@@ -231,7 +305,7 @@ def frieze_entries(m: Matrix, pi: JugglingFunction):
     a, b: the signed minor of m on the schedule at a with a exchanged
     for b, the schedule read from the necklace by a's residue and the
     sign from the dual's sign table (entry_sign).  A matrix that is not
-    k x n for pi fails here, before any entry, as in _schedule_adjugates
+    k x n for pi fails here, before any entry, as in the necklace walk
     (_shape_balls).
 
     Every exchange minor of one schedule L_a comes from one integer
@@ -317,7 +391,7 @@ def _require_unimodular(m: Matrix, pi: JugglingFunction) -> list:
         raise ValueError("matrix is not unimodular for this juggling "
                          f"function: bad minors {minors or 'none'}; "
                          f"rank violations {ranks or 'none'}")
-    return cert.twist_rows
+    return cert.exchange_rows
 
 
 def _fill_skeleton(shape: JugglingFunction, entry) -> PeriodicFrieze:
@@ -344,25 +418,25 @@ def build_frieze_det(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
 
 
 def build_frieze_twist(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
-    """The same frieze via the twist, an integer dot product per free entry.
+    """The same frieze via the twist, one look-up per free entry.
 
     Free entry (a, b) is twist column residue(a, n) against column b
     of m: entry (residue(a, n), b) of twist(m)^T m, unwrapped around
     the diagonal with its sign flipped on wrapped entries (a > n) when
-    the output shape's wrap_exponent is odd: the certificate's integer
-    twist column against column b of m's integer view, over L**k, L the
-    scale of the view.  The fixed entries, which that product matches on
-    certified input, are the output shape's skeleton.
+    the output shape's wrap_exponent is odd.  That pairing is y_b[p]
+    over the schedule minor, p the position of a in L_a: entry b of the
+    certificate's exchange row of residue(a, n), over L**k, L the scale
+    of m's integer view.  The fixed entries, which that product matches
+    on certified input, are the output shape's skeleton.
     """
     rows = _require_unimodular(m, pi)
     n = pi.period
-    ints, scale = m.integer_view()
-    unit = scale ** pi.balls
+    unit = m.integer_view()[1] ** pi.balls
     dual = pi.dual()
     wrap_sign = sign_power(dual.wrap_exponent)
 
     def entry(a: int, b: int) -> Fraction:
-        x = sum(t * r[b - 1] for t, r in zip(rows[residue(a, n) - 1], ints))
+        x = rows[residue(a, n) - 1][b - 1]
         return Fraction(x * wrap_sign if a > n else x, unit)
 
     return _fill_skeleton(dual, entry)
@@ -382,32 +456,53 @@ def frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
     """Invert the frieze construction.
 
     Returns the unique (up to unimodular row operations, then pinned by
-    a normalization) matrix whose frieze is c: the kernel of the n x n
-    integer matrix whose row b is the solution of C x = 0 at column b,
-    the signed dual column that decided c (_recurrence_solutions,
-    wrapped by the superperiodic sign, zero at a loop), read at 1..n,
-    by one integer_kernel; the first row is divided by the minor on the
-    first landing schedule, and the result checked by the twist route.
+    a normalization) matrix whose frieze is c.  Entry (a, b) of the
+    frieze of m pairs twist column a with column b of m, so row a of c's
+    integer view, read at b = 1..n as C[a, b] for b <= a and as
+    C[a + n, b] times the wrap sign for b > a, is Y_a = L t_a m, L the
+    view's scale, pi = c.shape.dual().  The twist columns on the first
+    landing schedule L_1 are a basis, their minor being 1, so the rows
+    Y_a, a in L_1, span m's rows.  One integer_eliminate of them,
+    columns read from n down to 1, leaves d times the reduced form on
+    the lexicographically last column basis F, whose rows by ascending
+    pivot are the matrix, the first divided by its minor on L_1.  That
+    minor is det Y_L1 / det Y_F.  On L_1's own columns the rows are
+    lower triangular with L on the diagonal: for a < b in L_1, b is in
+    L_a, so twist column a pairs to 0 with m_b.  And det Y_F is the
+    elimination's signed pivot d.  So the first row is over +-L**k, and
+    no determinant is taken.  The twist route rebuilds the frieze of
+    the result, certificate first, and a match decides c.  Where the
+    route fails, c is decided by its dual (_recurrence_solutions), whose
+    message names a non-frieze; on a frieze the route's own error
+    stands.  An array off its shape's skeleton is named so before the
+    route, whose walk could re-anchor at every schedule of a matrix
+    read off it.
     """
+    if not is_prefrieze(c):
+        _recurrence_solutions(c)
     pi = c.shape.dual()
-    n, k = pi.period, pi.balls
+    n, first = pi.period, pi.necklace()[0]
+    k = len(first)
     wrap = sign_power(c.shape.wrap_exponent)
-    span = [[wrap * v for v in x[n - b + 1:]] + x[:n - b + 1]
-            for b, x in enumerate(_recurrence_solutions(c), start=1)]
-    _, d, _, basis = integer_kernel(span, n)
-    if len(basis) != k:
-        raise ValueError(f"complement of the solutions has {len(basis)}"
-                         f" rows, expected {k}")
-    # the basis is d times the candidate, whose minor is this over d**k
-    first = cyclic_columns(n, pi.necklace()[0])
-    minor = integer_det([[v[j] for j in first] for v in basis])
-    if minor == 0:
-        raise ValueError("normalization minor vanishes")
-    rows = [[Fraction(x, d) for x in v] for v in basis]
-    if rows:
-        lift = d ** (k - 1)
-        rows[0] = [Fraction(x * lift, minor) for x in basis[0]]
-    result = Matrix(rows, cols=n)
-    if build_frieze_twist(result, pi) != c:
-        raise ValueError("inversion failed to reproduce the frieze")
+    window, scale = c.integer_view()
+    # window[b - 1][a - b] is L C[a, b] for b <= a <= b + n
+    rows = [[window[b - 1][a - b] if b <= a
+             else wrap * window[b - 1][a + n - b] for b in range(n, 0, -1)]
+            for a in first]
+    try:
+        pivots, d, sign = integer_eliminate(rows, n)
+        if len(pivots) != k:
+            raise ValueError(f"the rows of the first landing schedule "
+                             f"have rank {len(pivots)}, not {k}")
+        # Y_F has the pivot columns in descending order: re-sorting them
+        # takes k(k - 1)/2 transpositions
+        unit = sign * sign_power(k * (k - 1) // 2) * scale ** k
+        result = Matrix([[Fraction(x, unit if i == 0 else d)
+                          for x in reversed(row)]
+                         for i, row in enumerate(reversed(rows))], cols=n)
+        if build_frieze_twist(result, pi) != c:
+            raise ValueError("inversion failed to reproduce the frieze")
+    except ValueError:
+        _recurrence_solutions(c)
+        raise
     return result

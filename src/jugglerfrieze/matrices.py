@@ -111,10 +111,13 @@ def integer_eliminate(rows: list[list[int]],
     rows, in place; later columns ride along as right-hand sides.
 
     Each step replaces every other row by (pv*row - f*pivot_row) // prev,
-    an exact division.  Returns the pivot columns, the last pivot d and
-    the sign of the row swaps.  Afterwards every pivot equals d, so the
-    reduced form is the rows over d; on a square nonsingular matrix
-    sign * d is the determinant.
+    an exact division.  A pivot row whose pivot is -prev is negated
+    first, so that the step leaves the rows with f = 0 alone, as in the
+    signed identity columns of a positive complement.  Returns the pivot
+    columns, the last pivot d and the sign of the row swaps and
+    negations.  Afterwards every pivot equals d, so the reduced form is
+    the rows over d; on a square nonsingular matrix sign * d is the
+    determinant.
     """
     pivots = []
     prev = 1
@@ -133,6 +136,9 @@ def integer_eliminate(rows: list[list[int]],
             rows[r], rows[p] = top, rows[r]
             sign = -sign
         pv = top[c]
+        if pv == -prev:
+            top = rows[r] = [-x for x in top]
+            pv, sign = prev, -sign
         for i, row in enumerate(rows):
             f = row[c]
             # with f = 0 and pv = prev the step leaves the row as it is

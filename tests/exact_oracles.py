@@ -5,11 +5,11 @@ through a Hessenberg recurrence and decides a frieze by the skeleton of
 that dual.  The oracles here do the same jobs the plain way, in
 fractions.Fraction, so the tests can compare the two.
 The landing schedules come from their definition, and each one's
-determinant, adjugate and twist column from its own elimination, where
-the package walks the necklace by exchange.  The frieze of a matrix is
-built at every window slot, each entry the plain minor of m on an
-exchanged landing schedule, or read off the whole product of its twist
-with it.  The minor report evaluates every determinant condition of a
+determinant, exchange minors and twist column from their own
+eliminations, where the package walks the necklace by exchange.  The
+frieze of a matrix is built at every window slot, each entry the plain
+minor of m on an exchanged landing schedule, or read off the whole
+product of its twist with it.  The minor report evaluates every determinant condition of a
 frieze, and the dual failure names the first entry of the dual, one
 determinant each, that leaves the dual shape's skeleton.  The
 recurrence oracles restate what a frieze is through the solutions of
@@ -19,8 +19,10 @@ criterion and the kernel correspondence with the matrix.  The
 certificate oracles compare every complementary pair of maximal minors,
 and take the rank of every cyclic interval of columns.  A frieze's
 matrix is the kernel of the kernel of one period of the recurrence
-system.  The positive complement and the frieze's matrix are also
-built the way the package built them before its integer kernel: a
+system, and also the integer kernel of the solutions that decided it,
+the way the package inverted a frieze before it read the matrix off
+the frieze's rows.  The positive complement and the frieze's matrix are
+also built the way the package built them before its integer kernel: a
 Fraction reduced form, the kernel read off it and one more minor.  The
 sign twist of an entry is counted off its s-set, and the skeleton and
 positivity read it from there.  The tests' identity, zero and row-scaled
@@ -34,11 +36,12 @@ from jugglerfrieze import (FriezeReport, Matrix, JugglingFunction,
                            PeriodicFrieze, SolutionWindow, build_frieze_det,
                            build_frieze_twist, is_prefrieze,
                            residual, solution_matrix, twist)
-from jugglerfrieze.frieze import (frieze_minor, is_tameness_pair,
-                                  tameness_minor)
+from jugglerfrieze.frieze import (_recurrence_solutions, frieze_minor,
+                                  is_tameness_pair, tameness_minor)
 from jugglerfrieze.juggling import residue, sign_power
 from jugglerfrieze.matrices import (as_rational, cyclic_columns,
-                                    cyclic_submatrix)
+                                    cyclic_submatrix, integer_det,
+                                    integer_kernel)
 
 
 def gauss_jordan(rows, ncols):
@@ -170,20 +173,23 @@ def schedules(pi: JugglingFunction):
             for a in range(1, n + 1)]
 
 
-def schedule_adjugates(m: Matrix, pi: JugglingFunction):
-    """What the necklace walk yields, one schedule at a time: for each
-    L_a, its columns of m's integer view B, d = det B and the adjugate
-    d B^-1 from one Gauss-Jordan solve of [B | I], None when d = 0."""
+def schedule_charts(m: Matrix, pi: JugglingFunction):
+    """What the necklace walk yields, one schedule at a time, by
+    determinants: for each L_a, its columns, d = det B for B those
+    columns of m's integer view, and for each column j outside L_a the
+    vector y_j whose entry i is the determinant of B with its column i
+    replaced by column j, as {j: y_j}, or None when d = 0."""
     ints = m.integer_view()[0]
+    n = m.ncols
     out = []
     for cols in schedules(pi):
-        k = len(cols)
-        rows = [[row[j - 1] for j in cols] + [int(i == r) for i in range(k)]
-                for r, row in enumerate(ints)]
-        reduced, _, det = gauss_jordan(rows, k)
-        out.append((cols, det,
-                    [[det * x for x in row[k:]] for row in reduced]
-                    if det else None))
+        at = [j - 1 for j in cols]
+        d = _minor(ints, at)
+        chart = None if d == 0 else {
+            j: [_minor(ints, at[:i] + [j - 1] + at[i + 1:])
+                for i in range(len(at))]
+            for j in range(1, n + 1) if j not in cols}
+        out.append((cols, d, chart))
     return out
 
 
@@ -506,6 +512,39 @@ def rref_complement(m: Matrix) -> Matrix:
                       for row in basis.entries], cols=n)
     co = sign_power(sum(1 for j in range(0, n, 2) if j not in pivots))
     return scale_row(flipped, 0, d * co)
+
+
+def solutions_kernel_matrix(c: PeriodicFrieze) -> Matrix:
+    """frieze_to_matrix by the kernel of the solutions, as the package
+    inverted a frieze before it read the matrix off the frieze's rows:
+    the n x n integer matrix whose row b is the signed dual column that
+    decided c (_recurrence_solutions, wrapped by the superperiodic sign,
+    zero at a loop), read at 1..n, its kernel by one integer_kernel, the
+    first row divided by the minor on the first landing schedule, and
+    the result checked by the twist route; raises with the messages
+    the package gave then, a non-frieze with the dual's."""
+    pi = c.shape.dual()
+    n, k = pi.period, pi.balls
+    wrap = sign_power(c.shape.wrap_exponent)
+    span = [[wrap * v for v in x[n - b + 1:]] + x[:n - b + 1]
+            for b, x in enumerate(_recurrence_solutions(c), start=1)]
+    _, d, _, basis = integer_kernel(span, n)
+    if len(basis) != k:
+        raise ValueError(f"complement of the solutions has {len(basis)}"
+                         f" rows, expected {k}")
+    # the basis is d times the candidate, whose minor is this over d**k
+    first = cyclic_columns(n, pi.necklace()[0])
+    minor = integer_det([[v[j] for j in first] for v in basis])
+    if minor == 0:
+        raise ValueError("normalization minor vanishes")
+    rows = [[Fraction(x, d) for x in v] for v in basis]
+    if rows:
+        lift = d ** (k - 1)
+        rows[0] = [Fraction(x * lift, minor) for x in basis[0]]
+    result = Matrix(rows, cols=n)
+    if build_frieze_twist(result, pi) != c:
+        raise ValueError("inversion failed to reproduce the frieze")
+    return result
 
 
 def rref_frieze_to_matrix(c: PeriodicFrieze) -> Matrix:

@@ -154,22 +154,27 @@ def test_twist_requires_unit_minors():
 
 def test_necklace_walk_eliminates_once_per_anchor(monkeypatch, tmp_path,
                                                   capsys):
-    # twist and the certificate walk the necklace: one elimination
-    # anchors each walk, every later schedule is one adjugate update,
-    # and no schedule minor is a determinant of its own; the twist route
-    # reads its rows off the certificate's walk, so it anchors once
-    calls = {"det": 0, "anchor": 0, "rank": 0, "kernel": 0, "cross": 0}
+    # twist and the certificate walk the necklace: one elimination of
+    # [B | outside columns] anchors each walk, every later schedule is one
+    # exchange of the chart, and no schedule minor is a determinant of its
+    # own; twist also solves [B_1 | I] once for adj(B_1), and the twist
+    # route reads its entries off the certificate's walk
+    calls = {"det": 0, "solve": 0, "eliminate": 0, "kernel": 0, "cross": 0}
     det, eliminate = matrices.integer_det, construct.integer_eliminate
     kernel_eliminate = matrices.integer_eliminate
-    cross = construct.integer_cross
+    solve, cross = construct._schedule_solve, construct.integer_cross
 
     def counted_det(rows):
         calls["det"] += 1
         return det(rows)
 
+    def counted_solve(ints, cols, extra):
+        calls["solve"] += 1
+        return solve(ints, cols, extra)
+
     def counted_eliminate(rows, ncols):
-        # an anchor eliminates [B^T | I] on its left half only
-        calls["anchor" if ncols < len(rows[0]) else "rank"] += 1
+        # every elimination in construct, a solve's own included
+        calls["eliminate"] += 1
         return eliminate(rows, ncols)
 
     def counted_kernel(rows, ncols):
@@ -182,25 +187,30 @@ def test_necklace_walk_eliminates_once_per_anchor(monkeypatch, tmp_path,
         return cross(rows, ncols)
 
     def counted(run, *args):
-        calls.update(det=0, anchor=0, rank=0, kernel=0, cross=0)
+        calls.update(det=0, solve=0, eliminate=0, kernel=0, cross=0)
         return run(*args), dict(calls)
 
     monkeypatch.setattr(matrices, "integer_det", counted_det)
-    monkeypatch.setattr(construct, "integer_det", counted_det)
+    monkeypatch.setattr(construct, "_schedule_solve", counted_solve)
     monkeypatch.setattr(construct, "integer_eliminate", counted_eliminate)
     monkeypatch.setattr(matrices, "integer_eliminate", counted_kernel)
     monkeypatch.setattr(construct, "integer_cross", counted_cross)
     m, pi = fx.UNIMOD_4x8, fx.PI_23345357
     assert counted(twist, m, pi) == (fx.TWIST_4x8, {
-        "det": 0, "anchor": 1, "rank": 0, "kernel": 0, "cross": 0})
+        "det": 0, "solve": 2, "eliminate": 2, "kernel": 0, "cross": 0})
     # one anchor and the certificate's five rank eliminations
     assert counted(build_frieze_twist, m, pi) == (fx.JUG_FRIEZE, {
-        "det": 0, "anchor": 1, "rank": 5, "kernel": 0, "cross": 0})
-    # invert-F eliminates the solutions once for their kernel and checks
-    # its result through the twist route; its one determinant is the
-    # normalisation minor
+        "det": 0, "solve": 1, "eliminate": 6, "kernel": 0, "cross": 0})
+    # a zero minor at schedules 5 and 7 re-anchors at 6 and 8
+    broken = with_entry(m, 2, 7, 0)
+    minors = [d for _, d in is_pi_unimodular(broken, pi).checked_minors]
+    assert minors == [1, 1, 1, 1, 0, 3, 0, 1]
+    assert counted(is_pi_unimodular, broken, pi)[1] == {
+        "det": 0, "solve": 3, "eliminate": 8, "kernel": 0, "cross": 0}
+    # invert-F eliminates the frieze's rows once and checks its result
+    # through the twist route, with no determinant and no kernel
     assert counted(frieze_to_matrix, fx.JUG_FRIEZE)[1] == \
-        {"det": 1, "anchor": 1, "rank": 5, "kernel": 1, "cross": 0}
+        {"det": 0, "solve": 1, "eliminate": 7, "kernel": 0, "cross": 0}
     # construct --verify builds both routes on one certificate; the det
     # side reads each free entry off one cofactor vector per schedule,
     # one kernel elimination each, and takes no determinant
@@ -212,7 +222,7 @@ def test_necklace_walk_eliminates_once_per_anchor(monkeypatch, tmp_path,
         code, got = counted(main, ["construct", str(path), "--siteswap",
                                    "23345357", "--method", method, "--verify"])
         assert code == 0 and capsys.readouterr().err == ""
-        assert got == {"det": 0, "anchor": 1, "rank": 5,
+        assert got == {"det": 0, "solve": 1, "eliminate": 6,
                        "kernel": schedules, "cross": schedules}
 
 
@@ -420,7 +430,6 @@ def test_builds_compute_only_the_free_entries(monkeypatch):
 
     monkeypatch.setattr(construct, "integer_cross", counted_cross)
     monkeypatch.setattr(matrices, "integer_det", counted_det)
-    monkeypatch.setattr(construct, "integer_det", counted_det)
     monkeypatch.setattr(Matrix, "__mul__", counted_mul)
     f = build_frieze_twist(m, pi)
     assert calls == {"integer_cross": 0, "integer_det": 0, "__mul__": 0}
@@ -548,24 +557,43 @@ def test_frieze_to_matrix_from_stored_fixture():
 
 
 def test_frieze_to_matrix_runs_one_elimination(monkeypatch):
-    # the solutions come from the recurrence that decided the frieze;
-    # only their complement is eliminated, by one integer kernel and no
-    # Fraction reduced form
-    calls = {"kernel": 0, "rref": 0}
-    eliminate, rref = matrices.integer_eliminate, Matrix.rref
+    # the rows of the frieze on the first landing schedule are
+    # eliminated once, and the twist route's walk that checks the result
+    # anchors once; no kernel, determinant, Fraction reduced form or dual
+    # decision on a frieze, and one dual decision on a non-frieze
+    calls = {"eliminate": 0, "kernel": 0, "det": 0, "rref": 0, "dual": 0}
+    eliminate, kernel = construct.integer_eliminate, matrices.integer_eliminate
+    det, rref = matrices.integer_det, Matrix.rref
+    decide = construct._recurrence_solutions
 
-    def counted_kernel(rows, ncols):
-        calls["kernel"] += 1
-        return eliminate(rows, ncols)
+    def counter(name, run):
+        def counted(*args):
+            calls[name] += 1
+            return run(*args)
+        return counted
 
-    def counted_rref(self):
-        calls["rref"] += 1
-        return rref(self)
-
-    monkeypatch.setattr(matrices, "integer_eliminate", counted_kernel)
-    monkeypatch.setattr(Matrix, "rref", counted_rref)
+    monkeypatch.setattr(construct, "integer_eliminate",
+                        counter("eliminate", eliminate))
+    monkeypatch.setattr(matrices, "integer_eliminate",
+                        counter("kernel", kernel))
+    monkeypatch.setattr(matrices, "integer_det", counter("det", det))
+    monkeypatch.setattr(Matrix, "rref", counter("rref", rref))
+    monkeypatch.setattr(construct, "_recurrence_solutions",
+                        counter("dual", decide))
     frieze_to_matrix(fx.SL3_H5)
-    assert calls == {"kernel": 1, "rref": 0}
+    assert calls == {"eliminate": 2, "kernel": 0, "det": 0, "rref": 0,
+                     "dual": 0}
+    # a free entry moved: the route runs and fails, and the dual names
+    # the failure; a fixed entry moved: the dual names it before the
+    # route eliminates anything
+    for d, eliminations in ((2, 2), (6, 0)):
+        cols = [list(c) for c in fx.SL3_H5.columns]
+        cols[0][d] += 1
+        bad = PeriodicFrieze(fx.UNIFORM_8_5, cols)
+        calls.update(eliminate=0, dual=0)
+        with pytest.raises(ValueError, match="^not a frieze: "):
+            frieze_to_matrix(bad)
+        assert (calls["eliminate"], calls["dual"]) == (eliminations, 1), d
 
 
 def test_frieze_to_matrix_rejects_non_frieze():
@@ -577,15 +605,21 @@ def test_frieze_to_matrix_rejects_non_frieze():
 
 
 @pytest.mark.parametrize("name, patch, message", [
-    # solutions that span nothing leave a complement of all n columns
-    ("_recurrence_solutions", lambda c: [[0] * 8 for _ in range(8)],
-     "complement of the solutions has 8 rows, expected 3"),
-    ("integer_det", lambda rows: 0, "normalization minor vanishes"),
+    # rows that span nothing
+    ("integer_eliminate", lambda rows, ncols: ((), 1, 1),
+     "the rows of the first landing schedule have rank 0, not 3"),
+    # a certificate that fails, as on a matrix that is not unimodular
+    ("is_pi_unimodular", lambda m, pi: construct.UnimodularCertificate(
+        rank_violations=[((1, 2), 2, 1)]),
+     "matrix is not unimodular for this juggling function: bad minors "
+     "none; rank violations columns 1..2 have rank 2 > 1"),
     ("build_frieze_twist", lambda m, pi: fx.SL3_H5_DUAL,
      "inversion failed to reproduce the frieze"),
 ])
 def test_frieze_to_matrix_self_checks(monkeypatch, name, patch, message):
-    # each self-check of the inversion, reached by corrupting its input
+    # each self-check of the inversion, reached by corrupting one of its
+    # steps on a frieze: the dual decides the input a frieze, so the
+    # route's own error stands
     monkeypatch.setattr(construct, name, patch)
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         frieze_to_matrix(fx.SL3_H5)

@@ -17,11 +17,12 @@ import pytest
 
 from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            build_frieze_det, build_frieze_twist,
-                           check_frieze, dual_frieze,
+                           check_frieze, dual_frieze, enumerate_sl2_positive,
+                           frieze_from_quiddity,
                            frieze_entry, frieze_to_matrix, is_frieze,
                            is_pi_unimodular, is_positive, parse_siteswap,
                            positive_complement, twist)
-from jugglerfrieze.construct import _schedule_adjugates, frieze_entries
+from jugglerfrieze.construct import _necklace_charts, frieze_entries
 from jugglerfrieze.juggling import residue
 from jugglerfrieze.matrices import integer_cross, integer_eliminate
 
@@ -33,8 +34,9 @@ from exact_oracles import (_minor, counted_sign, counted_skeleton,
                            interval_rank_certificate,
                            kernel_rows, minor_dual, minor_report, rank,
                            rref_complement, rref_frieze_to_matrix,
-                           scale_row, schedule_adjugates, schedule_twist,
-                           schedules, system_kernel_matrix,
+                           scale_row, schedule_charts, schedule_twist,
+                           schedules, solutions_kernel_matrix,
+                           system_kernel_matrix,
                            verify_superperiodic_kernel, zero)
 from samplers import (UNIMODULAR_POOL, grown, random_determinant_one,
                       random_juggling, random_unimodular)
@@ -328,14 +330,24 @@ def _walk_cases(seed):
     return cases
 
 
-def test_necklace_walk_matches_per_schedule_adjugates():
-    # the walk's determinant and adjugate after every exchange equal a
-    # fresh elimination of that schedule's columns
+def _walked(m, pi):
+    """The necklace walk's steps with each chart as {j: y_j}, copied
+    before the walk moves on."""
+    n = pi.period
+    return [(cols, d, None if chart is None else {
+                j: [row[s] for row in chart]
+                for j, s in enumerate(slots, start=1) if s < n - len(cols)})
+            for cols, d, slots, chart in _necklace_charts(m, pi)]
+
+
+def test_necklace_walk_matches_exchange_minors():
+    # the walk's determinant d and every y_j after every exchange equal
+    # determinants taken afresh: det B and B with one column replaced
     seen = {"singular L_1": 0, "re-anchored": 0, "loop": 0, "coloop": 0,
             "odd re-sort": 0, "minors change": 0, "k = 0": 0, "k = n": 0}
     for m, pi in _walk_cases(27):
-        oracle = schedule_adjugates(m, pi)
-        assert list(_schedule_adjugates(m, pi)) == oracle, (m, pi)
+        oracle = schedule_charts(m, pi)
+        assert _walked(m, pi) == oracle, (m, pi)
         n = pi.period
         scheds = [cols for cols, _, _ in oracle]
         dets = [d for _, d, _ in oracle]
@@ -725,6 +737,70 @@ def test_frieze_to_matrix_matches_system_kernel_oracle():
                 system_kernel_matrix(v)
             rejected += 1
     assert rejected > 60
+
+
+def _strip_pairs(rng):
+    """For n = 6..18: the classical strip S of the fan quiddity and of a
+    seeded random triangulation's, each followed by its dual D."""
+    pairs = []
+    for n in range(6, 19):
+        fan = [n - 2, 1] + [2] * (n - 3) + [1]
+        # a random triangulation: glue an ear at a random vertex
+        q = [1, 1, 1]
+        while len(q) < n:
+            i = rng.randrange(len(q))
+            q[i] += 1
+            q[(i + 1) % len(q)] += 1
+            q.insert(i + 1, 1)
+        for quiddity in (fan, q):
+            strip = frieze_from_quiddity(quiddity)
+            pairs += [strip, dual_frieze(strip)]
+    return pairs
+
+
+def test_frieze_to_matrix_matches_solutions_kernel_oracle():
+    # invert-F reads the matrix off the frieze's rows; the oracle takes
+    # the kernel of the solutions that decided the frieze, as the
+    # package did before: equal JSON on every frieze, and the same error
+    # on seeded +-1 moves of a free entry (a prefrieze still) or of a
+    # fixed one
+    rng = random.Random(41)
+    rational = [PeriodicFrieze.from_json(json.loads(
+        (DATA / "rational" / name).read_text()))
+        for name in ("strip.json", "strip_near_miss.json")]
+    fixtures = [fx.SL3_H5, fx.SL3_H5_DUAL, fx.SL2_H6, fx.JUG_FRIEZE,
+                fx.JUG_FRIEZE_DUAL, fx.IDENTITY_FRIEZE_3]
+    pairs = _grown_pool(rng, draws=8)
+    catalan = [f for h in range(1, 6) for f in enumerate_sl2_positive(h, h)]
+    cases = (rational + fixtures + [build_frieze_twist(m, pi)
+                                    for m, pi in pairs]
+             + _strip_pairs(rng) + catalan)
+    assert any(c.shape.loops() for c in cases)
+    assert any(c.shape.coloops() for c in cases)
+    seen = {"valid": 0, "free move": 0, "fixed move": 0}
+    for c in cases:
+        want = _outcome(solutions_kernel_matrix, c)
+        got = _outcome(frieze_to_matrix, c)
+        if isinstance(want, str):
+            # the rational near-miss
+            assert got == want and want.startswith("ValueError: not a")
+        else:
+            assert got.to_json() == want.to_json(), c
+            seen["valid"] += 1
+        n = c.shape.period
+        skeleton = c.shape.skeleton()
+        for _ in range(2 if n > 8 else 4):
+            b, d = rng.randrange(n), rng.randrange(n + 1)
+            cols = [list(col) for col in c.columns]
+            cols[b][d] += rng.choice((1, -1))
+            v = PeriodicFrieze(c.shape, cols)
+            want = _outcome(solutions_kernel_matrix, v)
+            assert _outcome(frieze_to_matrix, v) == want, v
+            if isinstance(want, str):
+                seen["free move" if skeleton[b][d] is None
+                     else "fixed move"] += 1
+    assert seen["valid"] > 150, seen
+    assert seen["free move"] > 50 and seen["fixed move"] > 200, seen
 
 
 def _grown_pool(rng, draws):
