@@ -5,7 +5,7 @@ interval ranks respect the juggling function determines a frieze of
 the dual shape, through exchange minors or through the twist.  The
 minor route (frieze_entries) takes one cofactor vector per schedule,
 the signed maximal minors of min(k, n - k) integer rows from one
-elimination, by the positive complement it keeps on the matrix when
+elimination, by the positive complement it builds once per reader when
 2k > n, and reads each of the schedule's entries off it by Cramer.
 The necklace walk that certifies the matrix keeps, for each schedule,
 every exchange minor of the columns outside it, at k(n - k) integer
@@ -16,7 +16,9 @@ the matrix off the frieze's own rows on the first schedule by one
 elimination, and the twist route's rebuild of the frieze decides it.
 The walk and frieze_entries refuse a matrix that is not k x n through
 one shape check (_shape_balls).  Both directions live here, with
-positive complements and the inverse twist.
+positive complements and the inverse twist; the arithmetic of every
+elimination, solve and exchange they run lives in matrices, and this
+module keeps the necklace, slot and re-anchor bookkeeping.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from operator import mul
 
 from .juggling import JugglingFunction, residue, sign_power
 from .matrices import (Matrix, integer_cross, integer_eliminate,
-                       integer_kernel)
+                       integer_exchange, integer_kernel, integer_solve)
 from .frieze import PeriodicFrieze, _recurrence_solutions, is_prefrieze
 
 
@@ -67,34 +69,6 @@ def _shape_balls(m: Matrix, pi: JugglingFunction) -> int:
     return k
 
 
-def _schedule_solve(ints, cols, extra) -> tuple[int, list | None]:
-    """(d, Y): d = det B for B the columns cols (1-based, ascending) of
-    the integer rows ints, and Y = adj(B) X as k rows, for X the matrix
-    whose row i is extra[i]; Y is None when d is 0.
-
-    One integer_eliminate of [B P | X] leaves +-d [I | P^-1 B^-1 X], P
-    ordering B's columns by how many entries they have, fewest first,
-    so that a pivot in a column of one entry, as in a reduced form or a
-    positive complement, leaves the other rows alone.  Row t of the
-    result is then row order[t] of B^-1 X, and det P is the parity of
-    the pairs of unequal counts the stable sort moved past each other.
-    """
-    k = len(cols)
-    counts = [sum(1 for row in ints if row[j - 1]) for j in cols]
-    order = sorted(range(k), key=counts.__getitem__)
-    rows = [[row[cols[i] - 1] for i in order] + x
-            for row, x in zip(ints, extra)]
-    pivots, last, sign = integer_eliminate(rows, k)
-    if len(pivots) < k:
-        return 0, None
-    sign *= sign_power(sum(x > y for t, x in enumerate(counts)
-                           for y in counts[t + 1:]))
-    adj = [None] * k
-    for i, row in zip(order, rows):
-        adj[i] = [sign * x for x in row[k:]]
-    return sign * last, adj
-
-
 def _necklace_charts(m: Matrix, pi: JugglingFunction):
     """Walk the necklace: for a = 1..n yield the schedule L_a, the
     integer determinant d of B, its columns of m's integer view in
@@ -107,14 +81,11 @@ def _necklace_charts(m: Matrix, pi: JugglingFunction):
     are the walk's own: the next step changes them.
 
     One elimination of [B | outside columns] starts the walk
-    (_schedule_solve).  An exchange puts u, the column landing at
-    pi(a - 1), at the position p of a - 1; with v = y_u, u's own chart
-    column, the new determinant is v_p, row p stays and every other row
-    i becomes (v_p y_i - v_i y_p) / d, exact as in Bareiss, and u's slot
-    goes to the leaving column a - 1, whose new y is -v_i at i and d at
-    p.  Moving the new column to its sorted position q moves row p to q
-    and flips both signs by (-1)**(p - q).  So an exchange costs
-    k(n - k) and takes no dot product.  Loops and coloops change
+    (matrices.integer_solve).  An exchange puts u, the column landing at
+    pi(a - 1), at the position p of a - 1 and moves it to its sorted
+    position q, one matrices.integer_exchange of u's slot at k(n - k)
+    integer updates and no dot product; u's slot goes to the leaving
+    column a - 1, and u takes slot n - k.  Loops and coloops change
     nothing; after a zero minor the next changed schedule is eliminated
     afresh.  A matrix that is not k x n fails before the first schedule
     (_shape_balls).
@@ -129,27 +100,14 @@ def _necklace_charts(m: Matrix, pi: JugglingFunction):
             slots = [n - k] * n
             for s, j in enumerate(out):
                 slots[j - 1] = s
-            d, chart = _schedule_solve(
+            d, chart = integer_solve(
                 ints, cols, [[row[j - 1] for j in out] for row in ints])
         elif cols != prev:
             new = residue(pi(a - 1), n)
-            p, q = prev.index(a - 1), cols.index(new)
             s = slots[new - 1]
-            v = [row[s] for row in chart]
-            # the sign of the re-sort rides on the divisor
-            sign = sign_power(p - q)
-            top, vp, div = chart[p], v[p], d * sign
-            chart = [[sign * x for x in top] if i == p
-                     else [(vp * x - vi * y) // div for x, y in zip(r, top)]
-                     for i, (r, vi) in enumerate(zip(chart, v))]
-            for r, vi in zip(chart, v):
-                r[s] = -sign * vi
-            chart[p][s] = sign * d
-            chart.insert(q, chart.pop(p))
+            d, chart = integer_exchange(d, chart, s, prev.index(a - 1),
+                                        cols.index(new))
             slots[new - 1], slots[a - 2] = n - k, s
-            d = sign * vp
-            if not d:
-                chart = None
         prev = cols
         yield cols, d, slots, chart
 
@@ -184,8 +142,10 @@ def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
     (None if the minor is 0), read off one walk of the necklace
     (_exchange_rows) and kept as exchange_rows.  The rank of the
     columns in a cyclic interval [a, b] may not exceed the number of
-    balls landing in it, a running count over b.  Where such a bound can
-    bind for a start column a, one elimination of m's columns read
+    balls landing in it, found by bisection in the sorted landing times.
+    That count is below b - a + 1 from the first slot where no ball
+    lands, and below k before the last landing, so a bound can bind
+    only between the two.  There one elimination of m's columns read
     cyclically from a answers every b at once: its pivots are the
     lexicographically first basis, so the rank of [a, b] is the number
     of pivots at offset at most b - a.
@@ -196,22 +156,19 @@ def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
     for a, (cols, d, row) in enumerate(_exchange_rows(m, pi), start=1):
         cert.checked_minors.append((cols, Fraction(d, scale ** k)))
         cert.exchange_rows.append(row)
-        # the schedule's landing times in [a, a+n), from their residues
-        lands = {r if r >= a else r + n for r in cols}
-        bounds = []
-        allowed = 0
-        for b in range(a, a + n):
-            allowed += b in lands
-            if allowed < min(k, b - a + 1):  # else it cannot bind
-                bounds.append((b, allowed))
-        if not bounds:
+        # the schedule's landing times in [a, a+n), from their residues,
+        # and the first slot where no ball lands
+        lands = sorted(r if r >= a else r + n for r in cols)
+        gap = a + next((t for t, x in enumerate(lands) if x != a + t), k)
+        last = max(lands, default=gap)
+        if gap >= last:
             continue
         # columns a, a+1, ... up to the last bound, in that order
-        rotated = [residue(j, n) - 1 for j in range(a, bounds[-1][0] + 1)]
+        rotated = [residue(j, n) - 1 for j in range(a, last)]
         pivots = integer_eliminate([[row[j] for j in rotated] for row in ints],
                                    len(rotated))[0]
-        for b, allowed in bounds:
-            r = bisect_right(pivots, b - a)
+        for b in range(gap, last):
+            r, allowed = bisect_right(pivots, b - a), bisect_right(lands, b)
             if r > allowed:
                 cert.rank_violations.append(((a, b), r, allowed))
     return cert
@@ -228,7 +185,7 @@ def twist(m: Matrix, pi: JugglingFunction) -> Matrix:
     exchange row from one walk of the necklace (_exchange_rows): on the
     columns of L_1 the row is r B_1, so r is it times adj(B_1) / d_1,
     one k x k product per column, with adj(B_1) from one elimination
-    of [B_1 | I] at the first schedule (_schedule_solve).  Every
+    of [B_1 | I] at the first schedule (matrices.integer_solve).  Every
     schedule minor d / L**k must be 1.
     """
     k = pi.balls
@@ -242,7 +199,7 @@ def twist(m: Matrix, pi: JugglingFunction) -> Matrix:
             first = [j - 1 for j in order]
             identity = [[int(i == t) for t in range(k)] for i in range(k)]
             # the columns of adj(B_1), for C-level dot products
-            adj = list(zip(*_schedule_solve(ints, order, identity)[1]))
+            adj = list(zip(*integer_solve(ints, order, identity)[1]))
         head = [row[j] for j in first]
         cols.append([Fraction(scale * (sum(map(mul, head, col)) // unit),
                               unit) for col in adj])
@@ -320,19 +277,16 @@ def frieze_entries(m: Matrix, pi: JugglingFunction):
     columns: the rows are the complement's rows on the columns outside
     L_a - a, r = n - k, and the minor is the vector's entry at b's
     position j there times (-1)**j.  The complement is built once per
-    matrix (_build_complement) and kept in m._complement, or False there
-    when m's rank is below k, so that every minor is 0.  Each entry is
-    one Fraction, its sign in the numerator, over L**t, L the scale of
-    the integer view it is read from and t that view's row count.
+    reader (_build_complement), or is None when m's rank is below k, so
+    that every minor is 0.  Each entry is one Fraction, its sign in the
+    numerator, over L**t, L the scale of the integer view it is read
+    from and t that view's row count.
     """
     k, n = _shape_balls(m, pi), pi.period
     dual, necklace = pi.dual(), pi.necklace()
     wide = n < 2 * k < 2 * n
-    if wide and m._complement is None:
-        comp = _build_complement(m)
-        m._complement = False if comp is None else comp
-    source = m._complement if wide else m
-    if source is not False:
+    source = _build_complement(m) if wide else m
+    if source is not None:
         ints, scale = source.integer_view()
         unit = scale ** source.nrows
         columns = list(zip(*ints))
@@ -345,7 +299,7 @@ def frieze_entries(m: Matrix, pi: JugglingFunction):
             if a == b + n:
                 return Fraction(dual.entry_sign(a, b))
             return Fraction(0)
-        if not b <= a < b + n or source is False:
+        if not b <= a < b + n or source is None:
             return Fraction(0)
         ra, rb = residue(a, n), residue(b, n)
         sched = necklace[ra - 1]
@@ -411,7 +365,7 @@ def build_frieze_det(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
     read from it: one elimination of min(k, n - k) rows per schedule
     that has a free slot, then one dot product or one look-up per slot.
     When n < 2k < 2n the rows are those of m's positive complement,
-    which the reader builds once per matrix and keeps on it.
+    which the reader builds once.
     """
     _require_unimodular(m, pi)
     return _fill_skeleton(pi.dual(), frieze_entries(m, pi))

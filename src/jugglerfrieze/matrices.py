@@ -3,14 +3,22 @@
 Matrices are immutable grids of fractions.Fraction.  Each matrix, like
 each frieze window, keeps one integer view built on first use: the grid
 times one common lcm L of its denominators (scaled_ints), so a t x t
-minor of the view is L**t times the grid's.  Determinants and
-eliminations run on integer rows through two fraction-free kernels,
-Bareiss elimination (integer_det) and Gauss-Jordan (integer_eliminate),
-whose divisions are exact; a kernel is read off the second in integers
-(integer_kernel), and so are all r + 1 signed maximal minors of r
-integer rows (integer_cross).  Fractions are built only for results.
-Every value is exact; there is no floating point anywhere in this
-package.
+minor of the view is L**t times the grid's.  Every division below is
+exact, the fraction-free rule of dividing each update by the previous
+pivot, and six kernels own it, on integer rows:
+
+- integer_det: a determinant by Bareiss elimination;
+- integer_eliminate: fraction-free Gauss-Jordan;
+- integer_kernel: a kernel basis read off integer_eliminate;
+- integer_cross: the r + 1 signed maximal minors of r rows, read off
+  integer_kernel;
+- integer_solve: det B and adj(B) X for a column set B, read off
+  integer_eliminate;
+- integer_exchange: the same pair after one column of B is exchanged,
+  a rank-one update.
+
+Fractions are built only for results.  Every value is exact; there is
+no floating point anywhere in this package.
 """
 from __future__ import annotations
 
@@ -190,6 +198,65 @@ def integer_cross(rows: list[list[int]], ncols: int) -> list[int]:
     return [sign * x for x in basis[0]]
 
 
+def integer_solve(ints, cols, extra) -> tuple[int, list | None]:
+    """(d, Y): d = det B for B the columns cols (1-based, ascending) of
+    the integer rows ints, and Y = adj(B) X as k rows, for X the matrix
+    whose row i is extra[i]; Y is None when d is 0.
+
+    One integer_eliminate of [B P | X] leaves +-d [I | P^-1 B^-1 X], P
+    ordering B's columns by how many entries they have, fewest first,
+    so that a pivot in a column of one entry, as in a reduced form or a
+    positive complement, leaves the other rows alone.  Row t of the
+    result is then row order[t] of B^-1 X, and det P is the parity of
+    the pairs of unequal counts the stable sort moved past each other.
+    """
+    k = len(cols)
+    counts = [sum(1 for row in ints if row[j - 1]) for j in cols]
+    order = sorted(range(k), key=counts.__getitem__)
+    rows = [[row[cols[i] - 1] for i in order] + x
+            for row, x in zip(ints, extra)]
+    pivots, last, sign = integer_eliminate(rows, k)
+    if len(pivots) < k:
+        return 0, None
+    sign *= sign_power(sum(x > y for t, x in enumerate(counts)
+                           for y in counts[t + 1:]))
+    adj = [None] * k
+    for i, row in zip(order, rows):
+        adj[i] = [sign * x for x in row[k:]]
+    return sign * last, adj
+
+
+def integer_exchange(d: int, chart: list[list[int]], s: int, p: int,
+                     q: int) -> tuple[int, list[list[int]] | None]:
+    """det B' and its chart after one column exchange, from d = det B
+    != 0 for a k x k integer matrix B and its chart: k integer rows
+    whose column t is adj(B) x_t for a column x_t, so that entry (i, t)
+    is det B with its column i replaced by x_t (Cramer).
+
+    Column p of B leaves for u = x_s, whose vector v = adj(B) u is the
+    chart's column s, and u moves to position q of B'.  Before the move
+    det B' is v_p, row p of the chart stays and every other row r_i
+    becomes (v_p r_i - v_i r_p) / d, exact as in Bareiss; column s then
+    belongs to the leaving column, whose new vector is -v_i at i and d
+    at p.  Moving u from p to q moves row p to q and flips every sign by
+    (-1)**(p - q).  Returns det B' and its chart, a new list, or None
+    for the chart when det B' is 0.  The cost is k times the chart's
+    width, with no dot product.
+    """
+    v = [row[s] for row in chart]
+    # the sign of the re-sort rides on the divisor
+    sign = sign_power(p - q)
+    top, vp, div = chart[p], v[p], d * sign
+    chart = [[sign * x for x in top] if i == p
+             else [(vp * x - vi * y) // div for x, y in zip(r, top)]
+             for i, (r, vi) in enumerate(zip(chart, v))]
+    for r, vi in zip(chart, v):
+        r[s] = -sign * vi
+    chart[p][s] = sign * d
+    chart.insert(q, chart.pop(p))
+    return sign * vp, chart if vp else None
+
+
 def rational_to_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -197,10 +264,7 @@ def rational_to_json(x: Fraction):
 class Matrix:
     """An immutable rows x cols grid of rationals."""
 
-    # _complement holds the positive complement that construct.frieze_entries
-    # builds on first use, or False when the rank is below the row count,
-    # as _view holds the integer view
-    __slots__ = ("entries", "nrows", "ncols", "_view", "_complement")
+    __slots__ = ("entries", "nrows", "ncols", "_view")
 
     def __init__(self, rows: Sequence[Sequence], cols: int | None = None):
         data = as_grid(rows)
@@ -216,7 +280,6 @@ class Matrix:
         self.nrows = len(data)
         self.ncols = width
         self._view = None
-        self._complement = None
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "Matrix":

@@ -152,65 +152,75 @@ def test_twist_requires_unit_minors():
         twist(scale_row(fx.CONSEC_3x8, 0, 2), fx.UNIFORM_8_3)
 
 
+def _count_kernels(monkeypatch):
+    """Count the calls of each matrices kernel the matrix side runs:
+    the integer_solve, integer_exchange and integer_eliminate construct
+    calls, every integer_kernel (the complement's and integer_cross's),
+    integer_cross and integer_det; "inner" counts the eliminations run
+    inside matrices, every one a solve's or a kernel's."""
+    calls = dict.fromkeys(("det", "solve", "exchange", "eliminate",
+                           "kernel", "cross", "inner"), 0)
+
+    def count(owner, name, key):
+        run = getattr(owner, name)
+
+        def counted(*args):
+            calls[key] += 1
+            return run(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name, key in (
+            (matrices, "integer_det", "det"),
+            (construct, "integer_solve", "solve"),
+            (construct, "integer_exchange", "exchange"),
+            (construct, "integer_eliminate", "eliminate"),
+            (construct, "integer_kernel", "kernel"),
+            (matrices, "integer_kernel", "kernel"),
+            (construct, "integer_cross", "cross"),
+            (matrices, "integer_eliminate", "inner")):
+        count(owner, name, key)
+    return calls
+
+
 def test_necklace_walk_eliminates_once_per_anchor(monkeypatch, tmp_path,
                                                   capsys):
-    # twist and the certificate walk the necklace: one elimination of
+    # twist and the certificate walk the necklace: one solve of
     # [B | outside columns] anchors each walk, every later schedule is one
     # exchange of the chart, and no schedule minor is a determinant of its
     # own; twist also solves [B_1 | I] once for adj(B_1), and the twist
-    # route reads its entries off the certificate's walk
-    calls = {"det": 0, "solve": 0, "eliminate": 0, "kernel": 0, "cross": 0}
-    det, eliminate = matrices.integer_det, construct.integer_eliminate
-    kernel_eliminate = matrices.integer_eliminate
-    solve, cross = construct._schedule_solve, construct.integer_cross
-
-    def counted_det(rows):
-        calls["det"] += 1
-        return det(rows)
-
-    def counted_solve(ints, cols, extra):
-        calls["solve"] += 1
-        return solve(ints, cols, extra)
-
-    def counted_eliminate(rows, ncols):
-        # every elimination in construct, a solve's own included
-        calls["eliminate"] += 1
-        return eliminate(rows, ncols)
-
-    def counted_kernel(rows, ncols):
-        # integer_kernel, the one elimination left in matrices
-        calls["kernel"] += 1
-        return kernel_eliminate(rows, ncols)
-
-    def counted_cross(rows, ncols):
-        calls["cross"] += 1
-        return cross(rows, ncols)
+    # route reads its entries off the certificate's walk.  Each solve is
+    # one elimination inside matrices, and "eliminate" counts only those
+    # construct runs itself, one per start column whose rank bound can
+    # bind and one for invert-F's rows
+    calls = _count_kernels(monkeypatch)
 
     def counted(run, *args):
-        calls.update(det=0, solve=0, eliminate=0, kernel=0, cross=0)
-        return run(*args), dict(calls)
+        calls.update(dict.fromkeys(calls, 0))
+        result = run(*args)
+        got = dict(calls)
+        assert got.pop("inner") == got["solve"] + got["kernel"], got
+        return result, got
 
-    monkeypatch.setattr(matrices, "integer_det", counted_det)
-    monkeypatch.setattr(construct, "_schedule_solve", counted_solve)
-    monkeypatch.setattr(construct, "integer_eliminate", counted_eliminate)
-    monkeypatch.setattr(matrices, "integer_eliminate", counted_kernel)
-    monkeypatch.setattr(construct, "integer_cross", counted_cross)
     m, pi = fx.UNIMOD_4x8, fx.PI_23345357
     assert counted(twist, m, pi) == (fx.TWIST_4x8, {
-        "det": 0, "solve": 2, "eliminate": 2, "kernel": 0, "cross": 0})
+        "det": 0, "solve": 2, "exchange": 7, "eliminate": 0, "kernel": 0,
+        "cross": 0})
     # one anchor and the certificate's five rank eliminations
     assert counted(build_frieze_twist, m, pi) == (fx.JUG_FRIEZE, {
-        "det": 0, "solve": 1, "eliminate": 6, "kernel": 0, "cross": 0})
+        "det": 0, "solve": 1, "exchange": 7, "eliminate": 5, "kernel": 0,
+        "cross": 0})
     # a zero minor at schedules 5 and 7 re-anchors at 6 and 8
     broken = with_entry(m, 2, 7, 0)
     minors = [d for _, d in is_pi_unimodular(broken, pi).checked_minors]
     assert minors == [1, 1, 1, 1, 0, 3, 0, 1]
     assert counted(is_pi_unimodular, broken, pi)[1] == {
-        "det": 0, "solve": 3, "eliminate": 8, "kernel": 0, "cross": 0}
+        "det": 0, "solve": 3, "exchange": 5, "eliminate": 5, "kernel": 0,
+        "cross": 0}
     # invert-F eliminates the frieze's rows once and checks its result
     # through the twist route, with no determinant and no kernel
-    assert counted(frieze_to_matrix, fx.JUG_FRIEZE)[1] == \
-        {"det": 0, "solve": 1, "eliminate": 7, "kernel": 0, "cross": 0}
+    assert counted(frieze_to_matrix, fx.JUG_FRIEZE)[1] == {
+        "det": 0, "solve": 1, "exchange": 7, "eliminate": 6, "kernel": 0,
+        "cross": 0}
     # construct --verify builds both routes on one certificate; the det
     # side reads each free entry off one cofactor vector per schedule,
     # one kernel elimination each, and takes no determinant
@@ -222,7 +232,7 @@ def test_necklace_walk_eliminates_once_per_anchor(monkeypatch, tmp_path,
         code, got = counted(main, ["construct", str(path), "--siteswap",
                                    "23345357", "--method", method, "--verify"])
         assert code == 0 and capsys.readouterr().err == ""
-        assert got == {"det": 0, "solve": 1, "eliminate": 6,
+        assert got == {"det": 0, "solve": 1, "exchange": 7, "eliminate": 5,
                        "kernel": schedules, "cross": schedules}
 
 
@@ -559,41 +569,39 @@ def test_frieze_to_matrix_from_stored_fixture():
 def test_frieze_to_matrix_runs_one_elimination(monkeypatch):
     # the rows of the frieze on the first landing schedule are
     # eliminated once, and the twist route's walk that checks the result
-    # anchors once; no kernel, determinant, Fraction reduced form or dual
-    # decision on a frieze, and one dual decision on a non-frieze
-    calls = {"eliminate": 0, "kernel": 0, "det": 0, "rref": 0, "dual": 0}
-    eliminate, kernel = construct.integer_eliminate, matrices.integer_eliminate
-    det, rref = matrices.integer_det, Matrix.rref
-    decide = construct._recurrence_solutions
+    # anchors once, one solve; no kernel, determinant, Fraction reduced
+    # form or dual decision on a frieze, and one dual decision on a
+    # non-frieze
+    calls = _count_kernels(monkeypatch)
+    counts = {"rref": 0, "dual": 0}
+    rref, decide = Matrix.rref, construct._recurrence_solutions
 
     def counter(name, run):
         def counted(*args):
-            calls[name] += 1
+            counts[name] += 1
             return run(*args)
         return counted
 
-    monkeypatch.setattr(construct, "integer_eliminate",
-                        counter("eliminate", eliminate))
-    monkeypatch.setattr(matrices, "integer_eliminate",
-                        counter("kernel", kernel))
-    monkeypatch.setattr(matrices, "integer_det", counter("det", det))
     monkeypatch.setattr(Matrix, "rref", counter("rref", rref))
     monkeypatch.setattr(construct, "_recurrence_solutions",
                         counter("dual", decide))
     frieze_to_matrix(fx.SL3_H5)
-    assert calls == {"eliminate": 2, "kernel": 0, "det": 0, "rref": 0,
-                     "dual": 0}
+    assert (calls["eliminate"], calls["solve"], calls["inner"],
+            calls["kernel"], calls["det"]) == (1, 1, 1, 0, 0)
+    assert counts == {"rref": 0, "dual": 0}
     # a free entry moved: the route runs and fails, and the dual names
     # the failure; a fixed entry moved: the dual names it before the
     # route eliminates anything
-    for d, eliminations in ((2, 2), (6, 0)):
+    for d, eliminations in ((2, 1), (6, 0)):
         cols = [list(c) for c in fx.SL3_H5.columns]
         cols[0][d] += 1
         bad = PeriodicFrieze(fx.UNIFORM_8_5, cols)
-        calls.update(eliminate=0, dual=0)
+        calls.update(eliminate=0, solve=0)
+        counts.update(dual=0)
         with pytest.raises(ValueError, match="^not a frieze: "):
             frieze_to_matrix(bad)
-        assert (calls["eliminate"], calls["dual"]) == (eliminations, 1), d
+        assert (calls["eliminate"], calls["solve"], counts["dual"]) == \
+            (eliminations, eliminations, 1), d
 
 
 def test_frieze_to_matrix_rejects_non_frieze():

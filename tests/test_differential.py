@@ -17,14 +17,16 @@ import pytest
 
 from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            build_frieze_det, build_frieze_twist,
-                           check_frieze, dual_frieze, enumerate_sl2_positive,
+                           check_frieze, construct, dual_frieze,
+                           enumerate_sl2_positive,
                            frieze_from_quiddity,
                            frieze_entry, frieze_to_matrix, is_frieze,
                            is_pi_unimodular, is_positive, parse_siteswap,
                            positive_complement, twist)
 from jugglerfrieze.construct import _necklace_charts, frieze_entries
 from jugglerfrieze.juggling import residue
-from jugglerfrieze.matrices import integer_cross, integer_eliminate
+from jugglerfrieze.matrices import (integer_cross, integer_eliminate,
+                                    integer_exchange, integer_solve)
 
 import fixture_data as fx
 from exact_oracles import (_minor, counted_sign, counted_skeleton,
@@ -185,6 +187,57 @@ def test_elimination_kernel_determinant_matches_gauss_jordan():
         det = (Fraction(sign * d, scale ** m.nrows)
                if len(pivots) == m.ncols else 0)
         assert det == gauss_jordan(m.entries, m.ncols)[2], m
+
+
+def _chart_by_minors(ints, cols, out):
+    """det B and its chart by gauss_jordan determinants, B the columns
+    cols (1-based) of ints: entry (i, t) of the chart is det B with its
+    column i replaced by column out[t] (Cramer), or None when det B is 0."""
+    at = [j - 1 for j in cols]
+    d = _minor(ints, at)
+    return d, None if d == 0 else [
+        [_minor(ints, at[:i] + [j - 1] + at[i + 1:]) for j in out]
+        for i in range(len(at))]
+
+
+def test_integer_solve_and_exchange_match_gauss_jordan():
+    # the necklace walk's two kernels on seeded integer charts: one
+    # integer_solve anchors, then integer_exchange trades the column at
+    # position p for the chart's column in slot s, which the leaving
+    # column takes, until a minor is 0; every step equals determinants
+    # taken afresh
+    rng = random.Random(31)
+    seen = {"singular B": 0, "into d = 0": 0, "odd p - q": 0,
+            "even p - q": 0, "k = 1": 0, "n - k = 1": 0, "k = n": 0}
+    for _ in range(120):
+        k = rng.randint(1, 4)
+        n = k + rng.choice((0, 1, rng.randint(2, 4)))
+        ints = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)]
+                for _ in range(k)]
+        cols = sorted(rng.sample(range(1, n + 1), k))
+        out = [j for j in range(1, n + 1) if j not in cols]
+        got = integer_solve(ints, cols,
+                            [[row[j - 1] for j in out] for row in ints])
+        assert got == _chart_by_minors(ints, cols, out), (ints, cols)
+        d, chart = got
+        seen["singular B"] += d == 0
+        seen["k = 1"] += k == 1
+        seen["n - k = 1"] += n - k == 1
+        seen["k = n"] += k == n
+        for _ in range(3):
+            if d == 0 or not out:
+                break
+            s, p = rng.randrange(n - k), rng.randrange(k)
+            new, leaving = out[s], cols[p]
+            cols = sorted(cols[:p] + cols[p + 1:] + [new])
+            out = out[:s] + [leaving] + out[s + 1:]
+            q = cols.index(new)
+            d, chart = integer_exchange(d, chart, s, p, q)
+            assert (d, chart) == _chart_by_minors(ints, cols, out), \
+                (ints, cols, s, p)
+            seen["into d = 0"] += d == 0
+            seen["odd p - q" if (p - q) % 2 else "even p - q"] += 1
+    assert min(seen.values()) >= 5, seen
 
 
 def test_view_rref_and_solve_match_gauss_jordan():
@@ -507,29 +560,34 @@ def _entry_cases(rng):
     return cases
 
 
-def test_frieze_entry_matches_exchange_minor():
+def test_frieze_entry_matches_exchange_minor(monkeypatch):
     # one reader per matrix reads every window slot off one cofactor
     # vector per schedule; with 2k > n (k < n) the vector is taken on
-    # m's positive complement, built once and kept on m; the oracle
-    # takes the k x k minor of m itself at each slot, and frieze_entry,
-    # a one-slot reader, agrees at seeded slots of any period shift
+    # m's positive complement, built once per reader; the oracle takes
+    # the k x k minor of m itself at each slot, and frieze_entry, a
+    # one-slot reader, agrees at seeded slots of any period shift
+    built = []
+    build = construct._build_complement
+    monkeypatch.setattr(construct, "_build_complement",
+                        lambda m: built.append(m) or build(m))
     rng = random.Random(25)
     seen = {"2k > n": 0, "2k <= n": 0, "loops": 0, "rank < k": 0,
             "2k > n, rank < k": 0, "rational": 0, "k = 0": 0, "k = n": 0}
     for m, pi in _entry_cases(random.Random(24)):
         k, n = m.nrows, m.ncols
+        built.clear()
         entry = frieze_entries(m, pi)
         for b in range(1, n + 1):
             for a in range(b, b + n + 1):
                 assert entry(a, b) == exchange_minor(m, pi, a, b), \
                     (m, pi, a, b)
+        larger = n < 2 * k < 2 * n
+        assert built == ([m] if larger else [])
         for _ in range(2):
             b = rng.randint(-2 * n, 2 * n)
             a = b + rng.randint(-1, n + 1)
             assert frieze_entry(m, pi, a, b) == \
                 exchange_minor(m, pi, a, b), (m, pi, a, b)
-        larger = n < 2 * k < 2 * n
-        assert (m._complement is not None) == larger
         deficient = rank(m) < k
         seen["2k > n" if larger else "2k <= n"] += 1
         seen["loops"] += bool(pi.loops())
