@@ -16,9 +16,12 @@ the matrix off the frieze's own rows on the first schedule by one
 elimination, and the twist route's rebuild of the frieze decides it.
 The walk and frieze_entries refuse a matrix that is not k x n through
 one shape check (_shape_balls).  Both directions live here, with
-positive complements and the inverse twist; the arithmetic of every
-elimination, solve and exchange they run lives in matrices, and this
-module keeps the necklace, slot and re-anchor bookkeeping.
+positive complements; the inverse twist is the same twist run
+backwards in time, on the mirror shape with m's rows and columns
+reversed, so there is one twist walk for both directions.  The
+arithmetic of every elimination, solve and exchange they run lives in
+matrices, and this module keeps the necklace, slot and re-anchor
+bookkeeping.
 """
 from __future__ import annotations
 
@@ -397,13 +400,35 @@ def build_frieze_twist(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
 
 
 def inverse_twist(m: Matrix, pi: JugglingFunction) -> Matrix:
-    """A matrix whose twist has the same maximal minors as m.
+    """The exact inverse of the twist, Muller and Speyer's left twist
+    (arXiv:1606.08896): column a pairs to 1 with column a of m and to 0
+    with the other columns of T_a, the throw-time residues of the balls
+    in the air just after moment a; a loop's column is zero.
 
-    Computed as the positive complement of the twist of the positive
-    complement, which inverts the twist on the level of row spans.
+    That is the twist run backwards in time.  A ball that pi throws at t
+    and catches at s is thrown at n + 1 - s and caught at n + 1 - t by
+    the mirror shape, whose landing schedule at n + 1 - a is T_a read
+    backwards.  So with rotate reversing both the rows and the columns,
+    the result is rotate(twist(rotate(m), mirror)): each reversal
+    multiplies every maximal minor by (-1)**(k(k - 1)/2), so the unit
+    minors stay 1, and the row reversal commutes with the twist.  One
+    certificate and one necklace walk; twist(inverse_twist(m, pi), pi)
+    is m itself, not only its row span.
+
+    >>> m = Matrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
+    >>> pi = JugglingFunction.uniform(3, 3)
+    >>> twist(inverse_twist(m, pi), pi) == m
+    True
     """
     _require_unimodular(m, pi)
-    return positive_complement(twist(positive_complement(m), pi.dual()))
+    n = pi.period
+
+    def rotate(x: Matrix) -> Matrix:
+        return Matrix([row[::-1] for row in x.entries[::-1]], cols=x.ncols)
+
+    mirror = JugglingFunction(n + 1 - pi.inverse(n + 1 - t)
+                              for t in range(1, n + 1))
+    return rotate(twist(rotate(m), mirror))
 
 
 def frieze_to_matrix(c: PeriodicFrieze) -> Matrix:

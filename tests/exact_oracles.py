@@ -7,6 +7,8 @@ fractions.Fraction, so the tests can compare the two.
 The landing schedules come from their definition, and each one's
 determinant, exchange minors and twist column from their own
 eliminations, where the package walks the necklace by exchange.  The
+left twist solves each column on the balls in the air just after its
+moment, where the package twists the mirror shape.  The
 frieze of a matrix is built at every window slot, each entry the plain
 minor of m on an exchanged landing schedule, or read off the whole
 product of its twist with it.  The minor report evaluates every determinant condition of a
@@ -204,6 +206,27 @@ def schedule_twist(m: Matrix, pi: JugglingFunction):
             sub.ncols)
         if det != 1:
             return f"ValueError: landing-schedule minor at {a} is not 1"
+        cols.append([row[-1] for row in reduced])
+    return Matrix.from_columns(cols)
+
+
+def left_twist_by_definition(m: Matrix, pi: JugglingFunction) -> Matrix:
+    """Muller and Speyer's left twist by one Gauss-Jordan solve per
+    moment a: column a pairs to 1 with m_a and to 0 with the other
+    columns of T_a, the residues of the throw times t in (a - n, a]
+    whose ball lands after a; a loop, not in its own T_a, gets a zero
+    column.  No mirror shape, no twist."""
+    n = pi.period
+    cols = []
+    for a in range(1, n + 1):
+        order = sorted(residue(t, n) for t in range(a - n + 1, a + 1)
+                       if pi(t) > a)
+        sub = cyclic_submatrix(m, order).transpose()
+        reduced, _, det = gauss_jordan(
+            [list(row) + [int(r == a)] for row, r in zip(sub.entries, order)],
+            sub.ncols)
+        if det == 0:
+            raise ValueError(f"throw-set minor at {a} is 0")
         cols.append([row[-1] for row in reduced])
     return Matrix.from_columns(cols)
 

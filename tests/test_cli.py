@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from jugglerfrieze.cli import main, render_frieze
 
 import fixture_data as fx
 from exact_oracles import dual_failure
+from samplers import random_determinant_one
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -298,6 +300,22 @@ def test_transform_complement_twice_restores_minors(capsys, files, tmp_path):
     from jugglerfrieze import Matrix
     assert (Matrix.from_json(json.loads(out)).maximal_minors()
             == fx.UNIMOD_4x8.maximal_minors())
+
+
+def test_transform_inverse_twist_then_twist_restores_the_matrix(capsys,
+                                                                tmp_path):
+    m = random_determinant_one(random.Random(7), 3, steps=6)
+    start = tmp_path / "m.json"
+    start.write_text(json.dumps(m.to_json()))
+    code, out = run(capsys, "transform", str(start), "--op", "inverse-twist",
+                    "--siteswap", "333")
+    assert code == 0
+    inv = tmp_path / "inv.json"
+    inv.write_text(out)
+    code, out = run(capsys, "transform", str(inv), "--op", "twist",
+                    "--siteswap", "333")
+    assert code == 0
+    assert json.loads(out) == m.to_json()
 
 
 def test_transform_dual(capsys, files):

@@ -320,25 +320,49 @@ def test_positive_complement_cost_is_polynomial(monkeypatch):
 
 def test_inverse_twist_fixture():
     inv = inverse_twist(fx.COMPLEMENT_4x8, fx.PI_53635514)
-    assert inv.maximal_minors() == fx.INVERSE_TWIST_4x8.maximal_minors()
+    assert inv == fx.INVERSE_TWIST_4x8
 
 
 def test_twist_of_inverse_twist_restores_minors():
     for m, pi in ((fx.COMPLEMENT_4x8, fx.PI_53635514),
                   (fx.CONSEC_3x8, fx.UNIFORM_8_3)):
         inv = inverse_twist(m, pi)
-        assert twist(inv, pi).maximal_minors() == m.maximal_minors()
+        assert twist(inv, pi) == m
 
 
 def test_inverse_twist_square_case():
     m = random_determinant_one(random.Random(3), 3, steps=6)
     pi = JugglingFunction.uniform(3, 3)
     inv = inverse_twist(m, pi)
-    assert twist(inv, pi).maximal_minors() == m.maximal_minors()
+    assert twist(inv, pi) == m
+
+
+def test_inverse_twist_takes_no_complement(monkeypatch):
+    # the inverse twist is the mirror shape's twist on the rotated
+    # matrix: no positive complement, no dual shape
+    calls = {"positive_complement": 0, "dual": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(construct, "positive_complement")
+    counted(JugglingFunction, "dual")
+    inv = inverse_twist(fx.COMPLEMENT_4x8, fx.PI_53635514)
+    assert inv == fx.INVERSE_TWIST_4x8
+    assert calls == {"positive_complement": 0, "dual": 0}
 
 
 def test_inverse_twist_rejects_bad_input():
-    with pytest.raises(ValueError):
+    message = ("matrix is not unimodular for this juggling function: bad "
+               "minors (1, 2, 4, 7): 3, (2, 3, 4, 7): 3, (3, 4, 5, 7): 3, "
+               "(4, 5, 6, 7): 3, (5, 6, 7, 8): 3, (2, 6, 7, 8): 3, "
+               "(1, 2, 7, 8): 3, (1, 2, 4, 8): 3; rank violations none")
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         inverse_twist(scale_row(fx.UNIMOD_4x8, 0, 3), fx.PI_23345357)
 
 

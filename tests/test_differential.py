@@ -20,7 +20,8 @@ from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            check_frieze, construct, dual_frieze,
                            enumerate_sl2_positive,
                            frieze_from_quiddity,
-                           frieze_entry, frieze_to_matrix, is_frieze,
+                           frieze_entry, frieze_to_matrix, inverse_twist,
+                           is_frieze,
                            is_pi_unimodular, is_positive, parse_siteswap,
                            positive_complement, twist)
 from jugglerfrieze.construct import _necklace_charts, frieze_entries
@@ -34,7 +35,8 @@ from exact_oracles import (_minor, counted_sign, counted_skeleton,
                            exhaustive_complement, full_product_frieze,
                            full_window_frieze, gauss_jordan, identity,
                            interval_rank_certificate,
-                           kernel_rows, minor_dual, minor_report, rank,
+                           kernel_rows, left_twist_by_definition,
+                           minor_dual, minor_report, rank,
                            rref_complement, rref_frieze_to_matrix,
                            scale_row, schedule_charts, schedule_twist,
                            schedules, solutions_kernel_matrix,
@@ -301,6 +303,29 @@ def test_twist_matches_determinant_and_solve_oracle():
         assert got == schedule_twist(m, pi), (m, pi)
     assert sum(isinstance(t, Matrix) for t in outcomes) > 6
     assert sum(isinstance(t, str) for t in outcomes) > 6
+
+
+def test_inverse_twist_matches_left_twist_and_inverts_exactly():
+    # the inverse twist, the twist of the mirror shape on the rotated
+    # matrix, against the left twist solved column by column on the
+    # balls in the air after each moment; both compositions with the
+    # twist give back the matrix itself
+    rng = random.Random(29)
+    pairs = _grown_pool(rng, draws=6)
+    pairs += [(fx.MATRIX_000, fx.IDENTITY_3)]
+    pairs += [(random_determinant_one(rng, n, steps=2 * n),
+               JugglingFunction.uniform(n, n)) for n in range(1, 5)]
+    pairs += [(Matrix.from_json(json.loads(
+        (DATA / "rational" / name).read_text())), fx.PI_23345357)
+        for name in ("matrix.json", "matrix_mixed.json")]
+    assert any(pi.loops() for _, pi in pairs)
+    assert any(pi.coloops() for _, pi in pairs)
+    assert any(m.integer_view()[1] > 1 for m, _ in pairs)
+    for m, pi in pairs:
+        inv = inverse_twist(m, pi)
+        assert inv == left_twist_by_definition(m, pi), (m, pi)
+        assert twist(inv, pi) == m, (m, pi)
+        assert inverse_twist(twist(m, pi), pi) == m, (m, pi)
 
 
 def _outcome(f, *args):
