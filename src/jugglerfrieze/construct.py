@@ -9,11 +9,13 @@ elimination, by the positive complement it builds once per reader when
 2k > n, and reads each of the schedule's entries off it by Cramer.
 The necklace walk that certifies the matrix keeps, for each schedule,
 every exchange minor of the columns outside it, at k(n - k) integer
-updates per exchange; the twist route reads each free entry off it,
-and twist reads its columns off it through the adjugate of the first
+updates per exchange; the certificate reads the rank bounds off it by
+a zero pattern, the twist route reads each free entry off it, and
+twist reads its columns off it through the adjugate of the first
 schedule, so construct --verify and invert-F walk once.  invert-F reads
 the matrix off the frieze's own rows on the first schedule by one
-elimination, and the twist route's rebuild of the frieze decides it.
+elimination in each direction, and the twist route's rebuild of the
+frieze decides it.
 The walk and frieze_entries refuse a matrix that is not k x n through
 one shape check (_shape_balls).  Both directions live here, with
 positive complements; the inverse twist is the same twist run
@@ -116,13 +118,13 @@ def _necklace_charts(m: Matrix, pi: JugglingFunction):
 
 
 def _exchange_rows(m: Matrix, pi: JugglingFunction):
-    """For a = 1..n: the schedule L_a, its determinant d, as the walk
-    (_necklace_charts) yields them, and the exchange row of a, row p of
-    the chart on L_a for p the position of a there, read at every
-    column b = 1..n: the minor of m's integer view on L_a with a
-    exchanged for b, y_b[p] outside L_a, d at a and 0 at the rest of
-    L_a.  At a loop, which is not in its own schedule, the row is 0;
-    where d is 0 it is None."""
+    """For a = 1..n: each step of the walk (_necklace_charts), the
+    schedule L_a, its determinant d, the slots and the chart, and the
+    exchange row of a, row p of the chart on L_a for p the position of
+    a there, read at every column b = 1..n: the minor of m's integer
+    view on L_a with a exchanged for b, y_b[p] outside L_a, d at a and
+    0 at the rest of L_a.  At a loop, which is not in its own schedule,
+    the row is 0; where d is 0 it is None."""
     n = pi.period
     for a, (cols, d, slots, chart) in enumerate(_necklace_charts(m, pi),
                                                 start=1):
@@ -134,7 +136,30 @@ def _exchange_rows(m: Matrix, pi: JugglingFunction):
             row[a - 1] = d
         else:
             row = [0] * n
-        yield cols, d, row
+        yield cols, d, slots, chart, row
+
+
+def _is_greedy_basis(a: int, cols, lands, slots, chart, gap: int,
+                     last: int) -> bool:
+    """Whether L_a, with nonzero determinant and chart as the walk
+    yields them, is the first basis of m's columns read cyclically from
+    a, the greedy one.  It is exactly when each column j outside L_a
+    lies in the span of the columns of L_a landing before j, that is,
+    when y_j, d times B_a^-1 m_j, is 0 at every basis position landing
+    after j.  No column outside L_a lands before gap, and none of L_a
+    after last, so only the outside columns in [gap, last) are read.
+    lands holds the landing times in [a, a + n) sorted, which is the
+    order of cols rotated to start at a."""
+    n = len(slots)
+    width, start = n - len(cols), bisect_left(cols, a)
+    rows = chart[start:] + chart[:start]
+    # the slots of the outside columns in [gap, last), by landing time
+    window = [s for s in (slots * 2)[gap - 1:last - 1] if s < width]
+    # the basis positions from gap on, each after t - a - p of them
+    for p in range(gap - a, len(rows)):
+        if any(map(rows[p].__getitem__, window[:lands[p] - a - p])):
+            return False
+    return True
 
 
 def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
@@ -148,23 +173,29 @@ def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
     balls landing in it, found by bisection in the sorted landing times.
     That count is below b - a + 1 from the first slot where no ball
     lands, and below k before the last landing, so a bound can bind
-    only between the two.  There one elimination of m's columns read
-    cyclically from a answers every b at once: its pivots are the
-    lexicographically first basis, so the rank of [a, b] is the number
-    of pivots at offset at most b - a.
+    only between the two.  Every bound from a holds exactly when L_a is
+    m's lexicographically first basis read from a (Postnikov,
+    arXiv:math/0609764, Lemma 16.3), which the walk's chart on L_a
+    shows by a zero pattern (_is_greedy_basis), with no elimination.
+    Only where the pattern fails or the minor is 0 does one elimination
+    of m's columns read cyclically from a answer every b at once: its
+    pivots are the lexicographically first basis, so the rank of [a, b]
+    is the number of pivots at offset at most b - a.
     """
     n, k = pi.period, pi.balls
     cert = UnimodularCertificate()
     ints, scale = m.integer_view()
-    for a, (cols, d, row) in enumerate(_exchange_rows(m, pi), start=1):
+    for a, (cols, d, slots, chart, exchange) in enumerate(
+            _exchange_rows(m, pi), start=1):
         cert.checked_minors.append((cols, Fraction(d, scale ** k)))
-        cert.exchange_rows.append(row)
+        cert.exchange_rows.append(exchange)
         # the schedule's landing times in [a, a+n), from their residues,
         # and the first slot where no ball lands
         lands = sorted(r if r >= a else r + n for r in cols)
         gap = a + next((t for t, x in enumerate(lands) if x != a + t), k)
         last = max(lands, default=gap)
-        if gap >= last:
+        if gap >= last or chart is not None and _is_greedy_basis(
+                a, cols, lands, slots, chart, gap, last):
             continue
         # columns a, a+1, ... up to the last bound, in that order
         rotated = [residue(j, n) - 1 for j in range(a, last)]
@@ -195,7 +226,8 @@ def twist(m: Matrix, pi: JugglingFunction) -> Matrix:
     ints, scale = m.integer_view()
     unit = scale ** k
     cols, first, adj = [], None, None
-    for a, (order, d, row) in enumerate(_exchange_rows(m, pi), start=1):
+    for a, (order, d, _, _, row) in enumerate(_exchange_rows(m, pi),
+                                              start=1):
         if d != unit:
             raise ValueError(f"landing-schedule minor at {a} is not 1")
         if adj is None:
@@ -442,14 +474,17 @@ def frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
     view's scale, pi = c.shape.dual().  The twist columns on the first
     landing schedule L_1 are a basis, their minor being 1, so the rows
     Y_a, a in L_1, span m's rows.  One integer_eliminate of them,
-    columns read from n down to 1, leaves d times the reduced form on
-    the lexicographically last column basis F, whose rows by ascending
-    pivot are the matrix, the first divided by its minor on L_1.  That
-    minor is det Y_L1 / det Y_F.  On L_1's own columns the rows are
-    lower triangular with L on the diagonal: for a < b in L_1, b is in
-    L_a, so twist column a pairs to 0 with m_b.  And det Y_F is the
-    elimination's signed pivot d.  So the first row is over +-L**k, and
-    no determinant is taken.  The twist route rebuilds the frieze of
+    columns read from 1 to n, and a second of the k reduced rows,
+    columns read from n down to 1 and continuing from the first pivot,
+    leave d times the reduced form on the lexicographically last column
+    basis F, whose rows by ascending pivot are the matrix, the first
+    divided by its minor on L_1.  (Read from n down to 1 at once, the
+    rows of a banded strip fill in.)  That minor is det Y_L1 / det Y_F.
+    On L_1's own columns the rows are lower triangular with L on the
+    diagonal: for a < b in L_1, b is in L_a, so twist column a pairs to
+    0 with m_b.  And det Y_F is the last pivot d signed by both
+    eliminations.  So the first row is over +-L**k, and no determinant
+    is taken.  The twist route rebuilds the frieze of
     the result, certificate first, and a match decides c.  Where the
     route fails, c is decided by its dual (_recurrence_solutions), whose
     message names a non-frieze; on a frieze the route's own error
@@ -466,16 +501,20 @@ def frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
     window, scale = c.integer_view()
     # window[b - 1][a - b] is L C[a, b] for b <= a <= b + n
     rows = [[window[b - 1][a - b] if b <= a
-             else wrap * window[b - 1][a + n - b] for b in range(n, 0, -1)]
+             else wrap * window[b - 1][a + n - b] for b in range(1, n + 1)]
             for a in first]
     try:
         pivots, d, sign = integer_eliminate(rows, n)
         if len(pivots) != k:
             raise ValueError(f"the rows of the first landing schedule "
                              f"have rank {len(pivots)}, not {k}")
+        # the k reduced rows, columns read from n down to 1, continue
+        # from the first pass's pivot d
+        rows = [row[::-1] for row in rows]
+        d, turn = integer_eliminate(rows, n, d)[1:]
         # Y_F has the pivot columns in descending order: re-sorting them
         # takes k(k - 1)/2 transpositions
-        unit = sign * sign_power(k * (k - 1) // 2) * scale ** k
+        unit = sign * turn * sign_power(k * (k - 1) // 2) * scale ** k
         result = Matrix([[Fraction(x, unit if i == 0 else d)
                           for x in reversed(row)]
                          for i, row in enumerate(reversed(rows))], cols=n)

@@ -346,13 +346,14 @@ def is_sl_frieze(c: PeriodicFrieze, k: int, h: int) -> bool:
 def is_positive(c: PeriodicFrieze) -> bool:
     """Entries not forced to vanish, the diagonal and the skeleton's
     free entries, are positive after the sign twist, read off the
-    shape's sign table (JugglingFunction.signs) in O(n**2)."""
+    shape's sign table (JugglingFunction.signs) in O(n**2).  The signs
+    are read on the integer view, whose scale is positive."""
     pi = c.shape
     return all(col[0] > 0 and all(s * x > 0 for fixed, s, x
                                   in zip(skeleton, signs, col)
                                   if fixed is None)
                for skeleton, signs, col
-               in zip(pi.skeleton(), pi.signs(), c.columns))
+               in zip(pi.skeleton(), pi.signs(), c.integer_view()[0]))
 
 
 def frieze_from_quiddity(quiddity: Sequence[int]) -> PeriodicFrieze:

@@ -113,8 +113,8 @@ def integer_det(rows: list[list[int]]) -> int:
     return sign * rows[0][0] if rows else 1
 
 
-def integer_eliminate(rows: list[list[int]],
-                      ncols: int) -> tuple[tuple[int, ...], int, int]:
+def integer_eliminate(rows: list[list[int]], ncols: int,
+                      prev: int = 1) -> tuple[tuple[int, ...], int, int]:
     """Fraction-free Gauss-Jordan on the first ncols columns of integer
     rows, in place; later columns ride along as right-hand sides.
 
@@ -126,9 +126,16 @@ def integer_eliminate(rows: list[list[int]],
     negations.  Afterwards every pivot equals d, so the reduced form is
     the rows over d; on a square nonsingular matrix sign * d is the
     determinant.
+
+    Full-rank rows that an earlier call left as d times a reduced form
+    continue from prev = d, with their columns in any new order: each
+    step is then one basis exchange, as in integer_exchange, so the
+    entries stay minors of the first call's rows.  The pivots and rows
+    are those of one call on the first rows in the new column order, up
+    to one common sign, and both calls' signs times the second call's d
+    are that call's sign * d.
     """
     pivots = []
-    prev = 1
     sign = 1
     r = 0
     for c in range(ncols):

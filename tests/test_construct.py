@@ -10,12 +10,13 @@ from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            is_consecutively_unimodular, is_pi_unimodular,
                            twist, inverse_twist, positive_complement,
                            frieze_entry, build_frieze_det, build_frieze_twist,
-                           frieze_to_matrix, is_frieze, dual_frieze)
+                           frieze_to_matrix, is_frieze, dual_frieze,
+                           frieze_from_quiddity)
 from jugglerfrieze.cli import main
 
 import fixture_data as fx
 from exact_oracles import exchange_minor, gauss_jordan, identity, scale_row
-from samplers import random_determinant_one, random_full_rank
+from samplers import grown, random_determinant_one, random_full_rank
 
 
 def with_entry(m, i, j, value):
@@ -190,8 +191,9 @@ def test_necklace_walk_eliminates_once_per_anchor(monkeypatch, tmp_path,
     # own; twist also solves [B_1 | I] once for adj(B_1), and the twist
     # route reads its entries off the certificate's walk.  Each solve is
     # one elimination inside matrices, and "eliminate" counts only those
-    # construct runs itself, one per start column whose rank bound can
-    # bind and one for invert-F's rows
+    # construct runs itself: the rank bounds are read off the walk's
+    # charts, so one per start column whose chart is None or fails the
+    # greedy-basis zero pattern, and two passes over invert-F's rows
     calls = _count_kernels(monkeypatch)
 
     def counted(run, *args):
@@ -205,21 +207,22 @@ def test_necklace_walk_eliminates_once_per_anchor(monkeypatch, tmp_path,
     assert counted(twist, m, pi) == (fx.TWIST_4x8, {
         "det": 0, "solve": 2, "exchange": 7, "eliminate": 0, "kernel": 0,
         "cross": 0})
-    # one anchor and the certificate's five rank eliminations
+    # one anchor, and every rank bound read off its charts
     assert counted(build_frieze_twist, m, pi) == (fx.JUG_FRIEZE, {
-        "det": 0, "solve": 1, "exchange": 7, "eliminate": 5, "kernel": 0,
+        "det": 0, "solve": 1, "exchange": 7, "eliminate": 0, "kernel": 0,
         "cross": 0})
-    # a zero minor at schedules 5 and 7 re-anchors at 6 and 8
+    # a zero minor at schedules 5 and 7 re-anchors at 6 and 8, and one
+    # start column falls back to a rank elimination
     broken = with_entry(m, 2, 7, 0)
     minors = [d for _, d in is_pi_unimodular(broken, pi).checked_minors]
     assert minors == [1, 1, 1, 1, 0, 3, 0, 1]
     assert counted(is_pi_unimodular, broken, pi)[1] == {
-        "det": 0, "solve": 3, "exchange": 5, "eliminate": 5, "kernel": 0,
+        "det": 0, "solve": 3, "exchange": 5, "eliminate": 1, "kernel": 0,
         "cross": 0}
-    # invert-F eliminates the frieze's rows once and checks its result
-    # through the twist route, with no determinant and no kernel
+    # invert-F eliminates the frieze's rows in two passes and checks its
+    # result through the twist route, with no determinant and no kernel
     assert counted(frieze_to_matrix, fx.JUG_FRIEZE)[1] == {
-        "det": 0, "solve": 1, "exchange": 7, "eliminate": 6, "kernel": 0,
+        "det": 0, "solve": 1, "exchange": 7, "eliminate": 2, "kernel": 0,
         "cross": 0}
     # construct --verify builds both routes on one certificate; the det
     # side reads each free entry off one cofactor vector per schedule,
@@ -232,8 +235,31 @@ def test_necklace_walk_eliminates_once_per_anchor(monkeypatch, tmp_path,
         code, got = counted(main, ["construct", str(path), "--siteswap",
                                    "23345357", "--method", method, "--verify"])
         assert code == 0 and capsys.readouterr().err == ""
-        assert got == {"det": 0, "solve": 1, "exchange": 7, "eliminate": 5,
+        assert got == {"det": 0, "solve": 1, "exchange": 7, "eliminate": 0,
                        "kernel": schedules, "cross": schedules}
+
+
+def test_ragged_certificate_runs_no_elimination_of_its_own(monkeypatch):
+    # the fan dual matrix D at n = 40, grown by 10 loops and coloops: a
+    # rank bound can bind at most of its start columns, and each is read
+    # off the walk's chart, so the certificate runs the walk's anchor
+    # solve and its exchanges, O(n k (n - k)), and no elimination
+    n = 40
+    q = [n - 2, 1] + [2] * (n - 3) + [1]
+    m = positive_complement(frieze_to_matrix(frieze_from_quiddity(q)))
+    pi = JugglingFunction.uniform(n, n - 2)
+    rng = random.Random(5)
+    for _ in range(10):
+        m, pi = grown(rng, m, pi)
+    assert pi.loops() and pi.coloops()
+    calls = _count_kernels(monkeypatch)
+    read = []
+    greedy = construct._is_greedy_basis
+    monkeypatch.setattr(construct, "_is_greedy_basis",
+                        lambda *args: read.append(args[0]) or greedy(*args))
+    assert is_pi_unimodular(m, pi).ok
+    assert len(read) == pi.period, read
+    assert (calls["solve"], calls["eliminate"], calls["det"]) == (1, 0, 0)
 
 
 def _free_schedules(pi):
@@ -590,12 +616,13 @@ def test_frieze_to_matrix_from_stored_fixture():
     assert build_frieze_det(m, fx.UNIFORM_8_3) == fx.SL3_H5
 
 
-def test_frieze_to_matrix_runs_one_elimination(monkeypatch):
+def test_frieze_to_matrix_eliminates_its_rows_in_two_passes(monkeypatch):
     # the rows of the frieze on the first landing schedule are
-    # eliminated once, and the twist route's walk that checks the result
-    # anchors once, one solve; no kernel, determinant, Fraction reduced
-    # form or dual decision on a frieze, and one dual decision on a
-    # non-frieze
+    # eliminated with their columns ascending, then the k reduced rows
+    # with their columns descending, and the twist route's walk that
+    # checks the result anchors once, one solve; no kernel, determinant,
+    # Fraction reduced form or dual decision on a frieze, and one dual
+    # decision on a non-frieze
     calls = _count_kernels(monkeypatch)
     counts = {"rref": 0, "dual": 0}
     rref, decide = Matrix.rref, construct._recurrence_solutions
@@ -611,12 +638,12 @@ def test_frieze_to_matrix_runs_one_elimination(monkeypatch):
                         counter("dual", decide))
     frieze_to_matrix(fx.SL3_H5)
     assert (calls["eliminate"], calls["solve"], calls["inner"],
-            calls["kernel"], calls["det"]) == (1, 1, 1, 0, 0)
+            calls["kernel"], calls["det"]) == (2, 1, 1, 0, 0)
     assert counts == {"rref": 0, "dual": 0}
     # a free entry moved: the route runs and fails, and the dual names
     # the failure; a fixed entry moved: the dual names it before the
     # route eliminates anything
-    for d, eliminations in ((2, 1), (6, 0)):
+    for d, eliminations, solves in ((2, 2, 1), (6, 0, 0)):
         cols = [list(c) for c in fx.SL3_H5.columns]
         cols[0][d] += 1
         bad = PeriodicFrieze(fx.UNIFORM_8_5, cols)
@@ -625,7 +652,7 @@ def test_frieze_to_matrix_runs_one_elimination(monkeypatch):
         with pytest.raises(ValueError, match="^not a frieze: "):
             frieze_to_matrix(bad)
         assert (calls["eliminate"], calls["solve"], counts["dual"]) == \
-            (eliminations, eliminations, 1), d
+            (eliminations, solves, 1), d
 
 
 def test_frieze_to_matrix_rejects_non_frieze():

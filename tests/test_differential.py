@@ -179,16 +179,31 @@ def test_matrix_minors_match_gauss_jordan():
 
 
 def test_elimination_kernel_determinant_matches_gauss_jordan():
-    # the necklace walk reads its anchor's minor off one elimination
+    # the necklace walk reads its anchor's minor off one elimination;
+    # invert-F eliminates its rows with their columns ascending, then
+    # continues from that pivot with them descending, which must give
+    # the rows, pivots and signed pivot of one descending elimination
+    continued = 0
     for m in _view_cases(22):
-        if m.nrows != m.ncols:
-            continue
         ints, scale = m.integer_view()
         rows = [list(row) for row in ints]
         pivots, d, sign = integer_eliminate(rows, m.ncols)
-        det = (Fraction(sign * d, scale ** m.nrows)
-               if len(pivots) == m.ncols else 0)
-        assert det == gauss_jordan(m.entries, m.ncols)[2], m
+        if m.nrows == m.ncols:
+            det = (Fraction(sign * d, scale ** m.nrows)
+                   if len(pivots) == m.ncols else 0)
+            assert det == gauss_jordan(m.entries, m.ncols)[2], m
+        if not 0 < len(pivots) == m.nrows:
+            continue
+        once = [row[::-1] for row in ints]
+        expected = integer_eliminate(once, m.ncols)
+        rows = [row[::-1] for row in rows]
+        got = integer_eliminate(rows, m.ncols, d)
+        flip = 1 if got[1] == expected[1] else -1
+        assert got[0] == expected[0], m
+        assert rows == [[flip * x for x in row] for row in once], m
+        assert sign * got[2] * got[1] == expected[2] * expected[1], m
+        continued += 1
+    assert continued >= 10, continued
 
 
 def _chart_by_minors(ints, cols, out):
@@ -465,6 +480,69 @@ def test_unimodular_certificate_matches_interval_ranks():
     assert any(c.bad_minors() and not c.rank_violations for c in certs)
     assert any(c.ok and not pi.is_uniform()
                for c, (_, pi) in zip(certs, cases))
+
+
+def _unit_perturbed(rng, m, count):
+    """count copies of m, each with 1 to 3 entries moved by +-1."""
+    copies = []
+    for _ in range(count if m.nrows else 0):
+        rows = [list(row) for row in m.entries]
+        for _ in range(rng.randint(1, 3)):
+            rows[rng.randrange(m.nrows)][rng.randrange(m.ncols)] += \
+                rng.choice((1, -1))
+        copies.append(Matrix(rows, cols=m.ncols))
+    return copies
+
+
+def test_certificate_reads_rank_bounds_off_the_walk_charts(monkeypatch):
+    # seeded samplers.grown instances up to period 16, k = 0 and k = n,
+    # each with and without +-1 perturbations: the certificate, which
+    # reads a start column's rank bounds off the walk's chart and
+    # eliminates only where its zero pattern fails or the minor is 0,
+    # matches the interval ranks by definition
+    rng = random.Random(31)
+    bases = [(Matrix([], cols=3), parse_siteswap("000")),
+             (random_determinant_one(rng, 4, 8), JugglingFunction.uniform(4, 4)),
+             grown(rng, Matrix([], cols=2), parse_siteswap("00"))]
+    for _ in range(10):
+        m, pi = rng.choice(UNIMODULAR_POOL)
+        for _ in range(rng.randint(1, 16 - pi.period)):
+            m, pi = grown(rng, m, pi)
+        bases.append((m, pi))
+    assert max(pi.period for _, pi in bases) >= 14
+    cases = [(copy, pi) for m, pi in bases
+             for copy in [m] + _unit_perturbed(rng, m, 2)]
+    counts = {"fallback": 0, "pattern fails": 0}
+    greedy, eliminate = construct._is_greedy_basis, construct.integer_eliminate
+
+    def fallback(*args):
+        counts["fallback"] += 1
+        return eliminate(*args)
+
+    def pattern(*args):
+        held = greedy(*args)
+        counts["pattern fails"] += not held
+        return held
+
+    monkeypatch.setattr(construct, "integer_eliminate", fallback)
+    monkeypatch.setattr(construct, "_is_greedy_basis", pattern)
+    seen = {"zero minor": 0, "pattern fails": 0, "violations": 0, "loop": 0,
+            "coloop": 0, "k = 0": 0, "k = n": 0}
+    for m, pi in cases:
+        counts.update(dict.fromkeys(counts, 0))
+        cert = is_pi_unimodular(m, pi)
+        assert (cert.checked_minors, cert.rank_violations) == \
+            interval_rank_certificate(m, pi), (m, pi)
+        # a fallback that the zero pattern did not ask for has a zero minor
+        seen["zero minor"] += counts["fallback"] > counts["pattern fails"]
+        seen["pattern fails"] += counts["pattern fails"] > 0
+        seen["violations"] += bool(cert.rank_violations)
+        seen["loop"] += bool(pi.loops())
+        seen["coloop"] += 0 < len(pi.coloops()) < pi.period
+        seen["k = 0"] += pi.balls == 0
+        seen["k = n"] += pi.balls == pi.period
+    assert all(count >= 1 for count in seen.values()), seen
+    assert seen["pattern fails"] >= 5 and seen["violations"] >= 10, seen
 
 
 def test_certified_unit_perturbations_keep_the_frieze_up_to_sl_k():
