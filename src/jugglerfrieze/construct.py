@@ -218,9 +218,11 @@ def twist(m: Matrix, pi: JugglingFunction) -> Matrix:
     d, p the position of a in the schedule.  That row r is read off a's
     exchange row from one walk of the necklace (_exchange_rows): on the
     columns of L_1 the row is r B_1, so r is it times adj(B_1) / d_1,
-    one k x k product per column, with adj(B_1) from one elimination
-    of [B_1 | I] at the first schedule (matrices.integer_solve).  Every
-    schedule minor d / L**k must be 1.
+    with adj(B_1) from one elimination of [B_1 | I] at the first
+    schedule (matrices.integer_solve).  The product sums only the rows
+    of adj(B_1) at the nonzero entries of r B_1, k products for each, so
+    on a banded matrix a column costs O(k).  Every schedule minor
+    d / L**k must be 1.
     """
     k = pi.balls
     ints, scale = m.integer_view()
@@ -233,11 +235,12 @@ def twist(m: Matrix, pi: JugglingFunction) -> Matrix:
         if adj is None:
             first = [j - 1 for j in order]
             identity = [[int(i == t) for t in range(k)] for i in range(k)]
-            # the columns of adj(B_1), for C-level dot products
-            adj = list(zip(*integer_solve(ints, order, identity)[1]))
-        head = [row[j] for j in first]
-        cols.append([Fraction(scale * (sum(map(mul, head, col)) // unit),
-                              unit) for col in adj])
+            adj = integer_solve(ints, order, identity)[1]
+        col = [0] * k
+        for j, y in zip(first, adj):
+            if row[j]:
+                col = [x + row[j] * z for x, z in zip(col, y)]
+        cols.append([Fraction(scale * (x // unit), unit) for x in col])
     return Matrix.from_columns(cols)
 
 

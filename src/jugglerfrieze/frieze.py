@@ -11,17 +11,23 @@ A frieze is defined by unit and vanishing minors, and is decided by its
 dual: c is a frieze exactly when c and its dual array are both
 prefriezes, of its shape and of the dual shape (is_frieze).  The dual
 columns take O(n**3) operations in all, and their signs make the
-solutions of C x = 0 (_recurrence_solutions); the minors, O(n**5) in
-all, are evaluated only to explain a failure (check_frieze).
+solutions of C x = 0 (_recurrence_solutions).  The minors are evaluated
+only to explain a failure (check_frieze): one walk per start column a
+keeps the unit minor on [a, b] and its adjugate as b grows, by a
+bordering, a row exchange or no change per step, and reads each
+vanishing minor off it, O(n**4) in all.  frieze_minor and
+tameness_minor stay as the definitions, one determinant each.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .juggling import JugglingFunction, as_int, residue, sign_power
-from .matrices import as_grid, integer_det, rational_to_json, scaled_ints
+from .matrices import (as_grid, border, integer_det, integer_exchange,
+                       integer_solve, rational_to_json, scaled_ints)
 
 
 class PeriodicFrieze:
@@ -185,42 +191,139 @@ def is_tameness_pair(pi: JugglingFunction, a: int, b: int) -> bool:
     return (dual(a) < b < a + pi.period) or (b < a + pi.period < pi(b))
 
 
-def _conditions(pi: JugglingFunction):
-    """The determinant conditions over one period, as (unit, a, b):
-    the unit conditions for the full redundant family a <= b < a+n,
-    and the vanishing conditions only for intervals that carry one."""
+def _vanishing_flags(pi: JugglingFunction) -> list[list[bool]]:
+    """For a in [1, n], whether [a, b] carries a vanishing condition
+    (is_tameness_pair) for b = a+1..a+n-1, read off the shape's and the
+    dual's values with no call per pair.  Flag b - a - 1 of a is also
+    that of a + n, so the list serves every start column."""
     n = pi.period
-    for a in range(1, n + 1):
-        for b in range(a, a + n):
-            yield True, a, b
-        for b in range(a + 1, a + n):
-            if is_tameness_pair(pi, a, b):
-                yield False, a, b
+    lands = pi.values + tuple(v + n for v in pi.values)  # pi(b), b < 2n
+    return [[dual_a < b or lands[b - 1] > a + n for b in range(a + 1, a + n)]
+            for a, dual_a in enumerate(pi.dual().values, start=1)]
+
+
+def _exchange_row(d: int, adj: list[list[int]], ax: list[int],
+                  p: int) -> tuple[int, list[list[int]] | None]:
+    """det B' and adj(B') for B' the k x k integer matrix B with column
+    p removed and a column x appended last, from d = det B != 0,
+    adj = adj(B) as k rows and ax = adj(B) x.  One
+    matrices.integer_exchange on the chart [adj(B) | adj(B) x], the
+    chart of [I | x], built by appending ax's entries to adj's rows in
+    place; None for adj(B') when det B' is 0."""
+    k = len(adj)
+    for row, y in zip(adj, ax):
+        row.append(y)
+    d, adj = integer_exchange(d, adj, k, p, k - 1)
+    if adj is not None:
+        for row in adj:
+            row.pop()
+    return d, adj
+
+
+def _interval_walk(c: PeriodicFrieze, a: int, flags: list[bool]):
+    """Walk the unit minors of c from start column a, on its integer
+    view.  Yields (True, b, det, t) for the unit minor on [a, b],
+    b = a..a+n-1 in order, and (False, b + 1, det, t + 1) for the
+    vanishing minor of (a - 1, b + 1) where flags[b - a + 1], with det
+    the view's t x t minor: L**t times c's.
+
+    M, the unit minor on [a, b], starts empty at b = a - 1.  With
+    i = dual^-1(b + 1), the step to b + 1 borders M by row and column
+    b + 1 when i < a (matrices.border: c vanishes above its diagonal,
+    so the new column has zeros on M's rows), replaces row i by row
+    b + 1, which goes last, when a <= i <= b (_exchange_row), and leaves
+    M as it is when i = b + 1, a loop of the dual.  The walk keeps
+    d = det M and adj(B) for B = M transposed, whose columns are M's
+    rows.  The vanishing minor of (a - 1, b + 1) is M bordered by row
+    b + 1 last and column a - 1 first, (-1)**t (w d - u adj(M) x) for x
+    the new row on M's columns, u column a - 1 on M's rows and w their
+    corner; adj(B) x, the vector both read, is taken once.  After a zero
+    minor the next change re-anchors by matrices.integer_solve against
+    the identity, and a vanishing minor next to a zero unit minor is a
+    Bareiss determinant.  Each step is O(t**2), so a walk is O(n**3).
+    """
+    pi = c.shape
+    n = pi.period
+    window = c.integer_view()[0]
+
+    def entry(r: int, j: int) -> int:
+        # C[r, j] on the view, for r - j <= n
+        return window[(j - 1) % n][r - j] if r >= j else 0
+
+    rows, cols = [], []
+    d, adj = 1, []
+    for b in range(a - 1, a + n):
+        t = len(rows)
+        if b >= a:
+            yield True, b, d, t
+        if b == a + n - 1:
+            return
+        nxt = b + 1
+        x = [entry(nxt, j) for j in cols]
+        i = pi(nxt) - n
+        vanishing = b - a + 1 < n - 1 and flags[b - a + 1]
+        if adj is not None and (vanishing or a <= i <= b):
+            ax = [sum(map(mul, row, x)) for row in adj]
+        if vanishing:
+            u = [entry(r, a - 1) for r in rows]
+            w = entry(nxt, a - 1)
+            if adj is not None:
+                van = sign_power(t) * (w * d - sum(map(mul, u, ax)))
+            else:
+                van = integer_det([[y] + [entry(r, j) for j in cols]
+                                   for y, r in zip(u, rows)] + [[w] + x])
+            yield False, nxt, van, t + 1
+        if i == nxt:
+            continue
+        if i < a:
+            rows.append(nxt)
+            cols.append(nxt)
+            if adj is not None:
+                d, adj = border(d, adj, x, [0] * t, entry(nxt, nxt))
+        else:
+            p = rows.index(i)
+            del rows[p]
+            rows.append(nxt)
+            if adj is not None:
+                d, adj = _exchange_row(d, adj, ax, p)
+        if adj is None:
+            k = len(rows)
+            d, adj = integer_solve(
+                [[entry(r, j) for r in rows] for j in cols], range(1, k + 1),
+                [[int(s == q) for q in range(k)] for s in range(k)])
+        elif not d:
+            adj = None
 
 
 def check_frieze(c: PeriodicFrieze) -> FriezeReport:
     """Decide c by its dual (see is_frieze); evaluate the determinant
     conditions only to explain a failure.
 
-    A frieze gets a report with no failures whose checked_pairs counts
-    the conditions it satisfies.  Anything else gets the full scan of
-    unit and vanishing minors over one period, which lists every
-    condition that fails.
+    The conditions over one period are the unit minors on [a, b],
+    a in [1, n] and a <= b < a+n, and the vanishing minors of the
+    intervals that carry one (is_tameness_pair); checked_pairs counts
+    them on a frieze too.  Anything else gets every condition evaluated
+    and every failure listed, by a and then b, from one walk of the
+    unit minors per start column (_interval_walk), O(n**4) in all.
     """
+    flags = _vanishing_flags(c.shape)
+    n = c.shape.period
+    pairs = n * n + sum(map(sum, flags))
     if is_frieze(c):
-        return FriezeReport(prefrieze_ok=True,
-                            checked_pairs=sum(1 for _ in _conditions(c.shape)))
-    report = FriezeReport(prefrieze_ok=is_prefrieze(c))
-    for unit, a, b in _conditions(c.shape):
-        report.checked_pairs += 1
-        if unit:
-            det = frieze_minor(c, a, b)
-            if det != 1:
-                report.frieze_failures.append((a, b, det))
-        else:
-            det = tameness_minor(c, a, b)
-            if det != 0:
-                report.tame_failures.append((a, b, det))
+        return FriezeReport(prefrieze_ok=True, checked_pairs=pairs)
+    report = FriezeReport(prefrieze_ok=is_prefrieze(c), checked_pairs=pairs)
+    scale = c.integer_view()[1]
+    last = []
+    for a in range(1, n + 1):
+        # the vanishing pairs (0, b) of the walk from 1 are (n, b + n)
+        tame, shift = (report.tame_failures, 0) if a > 1 else (last, n)
+        for unit, b, det, t in _interval_walk(c, a, flags[(a - 2) % n]):
+            if unit and det != scale ** t:
+                report.frieze_failures.append((a, b, Fraction(det, scale ** t)))
+            elif not unit and det:
+                tame.append((a - 1 + shift, b + shift,
+                             Fraction(det, scale ** t)))
+    report.tame_failures += last
     return report
 
 
@@ -236,7 +339,7 @@ def is_frieze(c: PeriodicFrieze) -> bool:
     skipped: c is 0 below (b, b) there, so their minors vanish for
     t > 0, and b is a coloop of the dual, whose skeleton fixes only 0s
     below its diagonal.  The dual columns cost O(n**3) in all, against
-    the O(n**5) of the minors that check_frieze evaluates to explain a
+    the O(n**4) of the minors that check_frieze evaluates to explain a
     failure.
     """
     try:

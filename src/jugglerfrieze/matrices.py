@@ -5,7 +5,7 @@ each frieze window, keeps one integer view built on first use: the grid
 times one common lcm L of its denominators (scaled_ints), so a t x t
 minor of the view is L**t times the grid's.  Every division below is
 exact, the fraction-free rule of dividing each update by the previous
-pivot, and six kernels own it, on integer rows:
+pivot, and seven kernels own it, on integer rows:
 
 - integer_det: a determinant by Bareiss elimination;
 - integer_eliminate: fraction-free Gauss-Jordan;
@@ -15,7 +15,9 @@ pivot, and six kernels own it, on integer rows:
 - integer_solve: det B and adj(B) X for a column set B, read off
   integer_eliminate;
 - integer_exchange: the same pair after one column of B is exchanged,
-  a rank-one update.
+  a rank-one update;
+- border: det B and adj(B) after B gains one row and one column, by
+  the Schur complement.
 
 Fractions are built only for results.  Every value is exact; there is
 no floating point anywhere in this package.
@@ -26,6 +28,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .juggling import as_int, residue, sign_power
@@ -262,6 +265,41 @@ def integer_exchange(d: int, chart: list[list[int]], s: int, p: int,
     chart[p][s] = sign * d
     chart.insert(q, chart.pop(p))
     return sign * vp, chart if vp else None
+
+
+def border(d: int, adj: list[list[int]], u: list[int], v: list[int],
+           w: int) -> tuple[int, list[list[int]]]:
+    """det B' and adj(B') for the (k+1) x (k+1) integer matrix
+    B' = [[B, u], [v, w]], B bordered by column u, row v and corner w,
+    from d = det B != 0 and adj = adj(B) as k rows.
+
+    With the column adj(B) u and the row v adj(B), the Schur complement
+    gives det B' = w d - v adj(B) u and
+
+        adj(B') = [[(det B' adj(B) + adj(B) u v adj(B)) / d, -adj(B) u],
+                   [-v adj(B), d]],
+
+    the division exact as in Bareiss.  Both are polynomials in the
+    entries, so they hold when det B' is 0 too.  A zero row v, as when
+    a lower triangular array gains a row and a column, leaves w adj(B)
+    in the top block, with no division.  Returns new lists; the cost is
+    O(k**2), with v adj(B) summed over v's nonzero entries only.
+    """
+    au = [sum(map(mul, row, u)) for row in adj]
+    va = [0] * len(adj)
+    for x, row in zip(v, adj):
+        if x:
+            va = [s + x * y for s, y in zip(va, row)]
+    det = w * d - sum(map(mul, v, au))
+    if any(v):
+        top = [[(det * y + p * q) // d for y, q in zip(row, va)]
+               for row, p in zip(adj, au)]
+    else:
+        top = [[w * y for y in row] for row in adj]
+    for row, p in zip(top, au):
+        row.append(-p)
+    top.append([-q for q in va] + [d])
+    return det, top
 
 
 def rational_to_json(x: Fraction):

@@ -99,6 +99,16 @@ def _minor(rows, cols):
     return gauss_jordan([[row[j] for j in cols] for row in rows], len(cols))[2]
 
 
+def adjugate(rows):
+    """adj(B) of a square matrix by cofactors: entry (i, j) is
+    (-1)**(i + j) times the gauss_jordan determinant of B without row j
+    and column i."""
+    k = len(rows)
+    return [[sign_power(i + j) * _minor(rows[:j] + rows[j + 1:],
+                                        [c for c in range(k) if c != i])
+             for j in range(k)] for i in range(k)]
+
+
 def rank(m: Matrix) -> int:
     """The number of pivots of the oracle RREF."""
     return len(gauss_jordan(m.entries, m.ncols)[1])

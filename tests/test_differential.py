@@ -25,12 +25,13 @@ from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            is_pi_unimodular, is_positive, parse_siteswap,
                            positive_complement, twist)
 from jugglerfrieze.construct import _necklace_charts, frieze_entries
+from jugglerfrieze.frieze import _exchange_row
 from jugglerfrieze.juggling import residue
-from jugglerfrieze.matrices import (integer_cross, integer_eliminate,
+from jugglerfrieze.matrices import (border, integer_cross, integer_eliminate,
                                     integer_exchange, integer_solve)
 
 import fixture_data as fx
-from exact_oracles import (_minor, counted_sign, counted_skeleton,
+from exact_oracles import (_minor, adjugate, counted_sign, counted_skeleton,
                            entry_sign_is_positive, exchange_minor,
                            exhaustive_complement, full_product_frieze,
                            full_window_frieze, gauss_jordan, identity,
@@ -254,6 +255,50 @@ def test_integer_solve_and_exchange_match_gauss_jordan():
                 (ints, cols, s, p)
             seen["into d = 0"] += d == 0
             seen["odd p - q" if (p - q) % 2 else "even p - q"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_border_and_row_exchange_match_gauss_jordan():
+    # the interval walk's two updates on seeded nonsingular B, against
+    # cofactors taken afresh: border appends a column, a row and a
+    # corner, and _exchange_row drops column p and appends a column x,
+    # both into a singular matrix too (a repeated row or column)
+    rng = random.Random(37)
+    seen = {"k = 0": 0, "zero row": 0, "border into d = 0": 0,
+            "exchange into d = 0": 0, "exchange": 0}
+    entries = (0, 0, 1, -1, 2, -3, 5)
+    for _ in range(150):
+        k = rng.randint(0, 4)
+        b = [[rng.choice(entries) for _ in range(k)] for _ in range(k)]
+        d = _minor(b, range(k))
+        if not d:
+            continue
+        adj = adjugate(b)
+        u = [rng.choice(entries) for _ in range(k)]
+        v, w = ([0] * k, rng.choice(entries)) if rng.random() < 0.3 else (
+            [rng.choice(entries) for _ in range(k)], rng.choice(entries))
+        if k and rng.random() < 0.2:
+            r = rng.randrange(k)
+            v, w = b[r], u[r]
+        bordered = [row + [x] for row, x in zip(b, u)] + [v + [w]]
+        got = border(d, [list(row) for row in adj], u, v, w)
+        assert got == (_minor(bordered, range(k + 1)), adjugate(bordered)), \
+            (b, u, v, w)
+        seen["k = 0"] += k == 0
+        seen["zero row"] += k > 0 and not any(v)
+        seen["border into d = 0"] += got[0] == 0
+        if not k:
+            continue
+        p = rng.randrange(k)
+        x = ([row[rng.randrange(k)] for row in b] if rng.random() < 0.3
+             else [rng.choice(entries) for _ in range(k)])
+        ax = [sum(map(mul, row, x)) for row in adj]
+        swapped = [row[:p] + row[p + 1:] + [y] for row, y in zip(b, x)]
+        d2 = _minor(swapped, range(k))
+        got = _exchange_row(d, [list(row) for row in adj], ax, p)
+        assert got == (d2, adjugate(swapped) if d2 else None), (b, x, p)
+        seen["exchange"] += 1
+        seen["exchange into d = 0"] += d2 == 0
     assert min(seen.values()) >= 5, seen
 
 

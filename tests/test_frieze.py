@@ -428,11 +428,37 @@ def test_frieze_report_counts_the_conditions_of_the_scan(monkeypatch):
         off = perturbed(c, 1, 0)
         assert not is_prefrieze(off)
         assert check_frieze(off).checked_pairs == report.checked_pairs
-    # a near-miss prefrieze is explained by the full scan
+    # a near-miss prefrieze is explained by the interval walks, which
+    # take no minor by definition
     minors = _counted(monkeypatch, PeriodicFrieze, "minor")
     near = PeriodicFrieze.from_json(
         json.loads((RATIONAL / "strip_near_miss.json").read_text()))
     report = check_frieze(near)
     assert report.prefrieze_ok and not report.ok and report.frieze_failures
-    assert len(minors) == report.checked_pairs
+    assert minors == []
+    assert report.to_json() == minor_report(near).to_json()
+
+
+def test_interval_walk_reanchors_after_a_zero_minor(monkeypatch):
+    # a free entry of SL3_H5 moved by -1 makes the unit minor on [1, 5]
+    # vanish; the walk from 1 re-anchors by integer_solve at its next
+    # change, and the unit minor on [1, 6] after it is nonzero
+    solves = _counted(monkeypatch, frieze_module, "integer_solve")
+    near = perturbed(fx.SL3_H5, 1, 2, -1)
+    assert is_prefrieze(near)
+    report = check_frieze(near)
+    assert (1, 5, 0) in report.frieze_failures
+    assert frieze_minor(near, 1, 6) != 0
+    assert solves
+    assert report.to_json() == minor_report(near).to_json()
+
+
+def test_interval_walk_on_a_perturbed_fan_dual_strip():
+    # D, the dual of the fan strip, at n = 24: its unit minors grow to
+    # size n - 1, bordered step by step, with two row exchanges at the
+    # end of each walk; one free entry moved by 1 breaks 22 unit minors
+    fan = [22, 1] + [2] * 21 + [1]
+    near = perturbed(dual_frieze(frieze_from_quiddity(fan)), 1, 1)
+    report = check_frieze(near)
+    assert report.prefrieze_ok and len(report.frieze_failures) == 22
     assert report.to_json() == minor_report(near).to_json()
