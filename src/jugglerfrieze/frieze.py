@@ -45,7 +45,7 @@ class PeriodicFrieze:
         self.columns = cols
         self._view = None
 
-    def entry(self, a: int, b: int) -> Fraction:
+    def entry(self, a: int, b: int) -> int | Fraction:
         n = self.shape.period
         d = a - b
         if d < 0 or d > n:
@@ -102,7 +102,7 @@ class PeriodicFrieze:
         return cls(shape, columns_from_json(obj["columns"], shape.period))
 
 
-def columns_to_json(columns: Sequence[Sequence[Fraction]]) -> dict:
+def columns_to_json(columns: Sequence[Sequence[int | Fraction]]) -> dict:
     """Columns 1..n as the JSON object {"1": [...], ..., "n": [...]}."""
     return {str(b): [rational_to_json(x) for x in col]
             for b, col in enumerate(columns, start=1)}

@@ -1,11 +1,13 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are immutable grids of fractions.Fraction.  Each matrix, like
-each frieze window, keeps one integer view built on first use: the grid
-times one common lcm L of its denominators (scaled_ints), so a t x t
-minor of the view is L**t times the grid's.  Every division below is
-exact, the fraction-free rule of dividing each update by the previous
-pivot, and seven kernels own it, on integer rows:
+Matrices are immutable grids of exact scalars, each an int or a
+fractions.Fraction (see as_rational: an integral input stays an int,
+and the two compare and hash by value).  Each matrix, like each frieze
+window, keeps one integer view built on first use: the grid times one
+common lcm L of its denominators (scaled_ints), so a t x t minor of the
+view is L**t times the grid's.  Every division below is exact, the
+fraction-free rule of dividing each update by the previous pivot, and
+seven kernels own it, on integer rows:
 
 - integer_det: a determinant by Bareiss elimination;
 - integer_eliminate: fraction-free Gauss-Jordan;
@@ -19,8 +21,8 @@ pivot, and seven kernels own it, on integer rows:
 - border: det B and adj(B) after B gains one row and one column, by
   the Schur complement.
 
-Fractions are built only for results.  Every value is exact; there is
-no floating point anywhere in this package.
+Fractions are built only for results and "p/q" inputs.  Every value is
+exact; there is no floating point anywhere in this package.
 """
 from __future__ import annotations
 
@@ -40,23 +42,26 @@ from .juggling import as_int, residue, sign_power
 _RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
-def as_rational(x) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact rational.
+def as_rational(x) -> int | Fraction:
+    """Coerce an int, Fraction, or "p/q" string to an exact scalar.
 
-    Booleans and floats are not exact scalars.  A string is an optional
-    sign and ASCII digits, with an optional "/" and ASCII digits; any
-    other string, and a zero denominator, is a ValueError.
+    An int stays an int (a subclass other than bool becomes a plain
+    int), a Fraction stays the same object, and only a "p/q" string is
+    read into a Fraction.  An int equals and hashes like the Fraction
+    of its value and has a numerator and a denominator of 1, so callers
+    treat both alike.  Booleans and floats are not exact scalars.  A
+    string is an optional sign and ASCII digits, with an optional "/"
+    and ASCII digits; any other string, and a zero denominator, is a
+    ValueError.
     """
     # exact type tests first: they skip the ABC dispatch of isinstance
     # for the common case, and a subclass still meets the checks below
-    if type(x) is Fraction:
+    if type(x) is int or type(x) is Fraction:
         return x
-    if type(x) is int:
-        return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
         if not _RATIONAL_STRING.fullmatch(x):
             raise ValueError(f"not an integer or p/q string: {x!r}")
@@ -67,10 +72,11 @@ def as_rational(x) -> Fraction:
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
-def as_grid(rows) -> tuple[tuple[Fraction, ...], ...]:
-    """A list or tuple of lists or tuples of exact scalars (see
-    as_rational) as a tuple of tuples of rationals; anything else is a
-    TypeError, so a string is never read as a row of digits."""
+def as_grid(rows) -> tuple[tuple[int | Fraction, ...], ...]:
+    """A list or tuple of lists or tuples of exact scalars as a tuple of
+    tuples of ints and Fractions (see as_rational: integral JSON stays
+    int); anything else is a TypeError, so a string is never read as a
+    row of digits."""
     if isinstance(rows, (list, tuple)):
         # a row of another type is dropped, which leaves the grid short
         grid = tuple(tuple(map(as_rational, row)) for row in rows
@@ -302,7 +308,7 @@ def border(d: int, adj: list[list[int]], u: list[int], v: list[int],
     return det, top
 
 
-def rational_to_json(x: Fraction):
+def rational_to_json(x: int | Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -330,11 +336,11 @@ class Matrix:
     def from_columns(cls, columns: Sequence[Sequence]) -> "Matrix":
         return cls(columns).transpose()
 
-    def __getitem__(self, key) -> Fraction:
+    def __getitem__(self, key) -> int | Fraction:
         i, j = key
         return self.entries[i][j]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
+    def column(self, j: int) -> tuple[int | Fraction, ...]:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "Matrix":

@@ -38,12 +38,12 @@ class SolutionWindow:
             raise ValueError("need one full window per column")
         object.__setattr__(self, "columns", cols)
 
-    def entry(self, a: int, b: int) -> Fraction:
+    def entry(self, a: int, b: int) -> int | Fraction:
         m, d = divmod(a - b, self.period)
         return (self.columns[residue(b, self.period) - 1][d]
                 * sign_power(self.sign_exponent * m))
 
-    def column(self, b: int) -> Callable[[int], Fraction]:
+    def column(self, b: int) -> Callable[[int], int | Fraction]:
         """The column as a total sequence Z -> Q."""
         return lambda a: self.entry(a, b)
 
@@ -74,8 +74,7 @@ def solution_matrix(c: PeriodicFrieze) -> SolutionWindow:
     (see frieze.is_frieze), so a non-frieze raises that decision's
     ValueError.  They come scaled by L**(n-1), L the lcm of c's integer
     view, divided out once; when L is 1, as on every integral frieze,
-    they are passed as ints and SolutionWindow makes each a Fraction,
-    its one coercion.
+    they stay ints.
     """
     n = c.shape.period
     scale = c.integer_view()[1] ** (n - 1)

@@ -10,13 +10,14 @@ import sys
 import pytest
 
 import jugglerfrieze
-from jugglerfrieze import PeriodicFrieze, build_frieze_det, residue
+from jugglerfrieze import (Matrix, PeriodicFrieze, build_frieze_det,
+                           format_siteswap, residue)
 from jugglerfrieze import cli
 from jugglerfrieze.cli import main, render_frieze
 
 import fixture_data as fx
 from exact_oracles import dual_failure
-from samplers import random_determinant_one
+from samplers import UNIMODULAR_POOL, random_determinant_one
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -447,6 +448,69 @@ def test_output_flag_writes_file(capsys, files, tmp_path):
                     "--siteswap", "23345357", "-o", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text()) == fx.JUG_FRIEZE.to_json()
+
+
+def _as_p_over_1(doc):
+    """A matrix or frieze document with every entry written as "p/1";
+    sizes and throws stay JSON integers."""
+    def spell(col):
+        return [f"{x}/1" for x in col]
+    if "entries" in doc:
+        return {**doc, "entries": [spell(row) for row in doc["entries"]]}
+    return {**doc, "columns": {b: spell(col)
+                               for b, col in doc["columns"].items()}}
+
+
+def _spelling_cases():
+    """Each pool matrix and its frieze, then each with entry (1, 1) of
+    the matrix and the frieze's first free entry raised by 1."""
+    for m, pi in UNIMODULAR_POOL:
+        c = build_frieze_det(m, pi)
+        yield m, pi, c
+        rows = [list(row) for row in m.entries]
+        cols = [list(col) for col in c.columns]
+        rows[0][0] += 1
+        cols[0][1] += 1
+        yield Matrix(rows, cols=m.ncols), pi, PeriodicFrieze(pi, cols)
+
+
+def test_int_and_p_over_1_spellings_give_the_same_bytes(capsysbinary,
+                                                        tmp_path):
+    # integral JSON stays int and "p/1" becomes a Fraction: each entry
+    # keeps its own type, so every route must print the same bytes, and
+    # the near-misses compare the failure messages too
+    codes = set()
+    for t, (m, pi, c) in enumerate(_spelling_cases()):
+        shape = format_siteswap(pi)
+        paths = []
+        for spell in (lambda doc: doc, _as_p_over_1):
+            pair = tmp_path / f"{t}-{len(paths)}"
+            pair.mkdir()
+            (pair / "m.json").write_text(json.dumps(spell(m.to_json())))
+            (pair / "c.json").write_text(json.dumps(spell(c.to_json())))
+            paths.append(pair)
+        assert '"1/1"' in (paths[1] / "m.json").read_text()
+        argvs = [["construct", "m.json", "--siteswap", shape,
+                  "--method", method, *verify]
+                 for method in ("det", "twist")
+                 for verify in ([], ["--verify"])]
+        argvs += [["check", "c.json"], ["solve", "c.json"]]
+        argvs += [["transform", "m.json", "--op", op, "--siteswap", shape]
+                  for op in ("twist", "inverse-twist")]
+        argvs += [["transform", "m.json", "--op", "complement"]]
+        argvs += [["transform", "c.json", "--op", op]
+                  for op in ("dual", "invert-F")]
+        for argv in argvs:
+            seen = []
+            for pair in paths:
+                code = main([str(pair / a) if a.endswith(".json") else a
+                             for a in argv])
+                captured = capsysbinary.readouterr()
+                seen.append((code, captured.out,
+                             captured.err.replace(str(pair).encode(), b"")))
+            assert seen[0] == seen[1], (t, argv)
+            codes.add(seen[0][0])
+    assert codes == {0, 1, 2}
 
 
 def test_check_accepts_rational_entries(capsys, tmp_path):

@@ -11,18 +11,36 @@ from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            twist, inverse_twist, positive_complement,
                            frieze_entry, build_frieze_det, build_frieze_twist,
                            frieze_to_matrix, is_frieze, dual_frieze,
-                           frieze_from_quiddity)
+                           frieze_from_quiddity, solution_matrix)
 from jugglerfrieze.cli import main
 
 import fixture_data as fx
 from exact_oracles import exchange_minor, gauss_jordan, identity, scale_row
-from samplers import grown, random_determinant_one, random_full_rank
+from samplers import (UNIMODULAR_POOL, grown, random_determinant_one,
+                      random_full_rank)
 
 
 def with_entry(m, i, j, value):
     rows = [list(r) for r in m.entries]
     rows[i][j] = value
     return Matrix(rows, cols=m.ncols)
+
+
+def test_no_float_leaks_from_int_inputs():
+    # with int inputs every grid the public constructors and transforms
+    # build holds ints and Fractions only: a true division would bring a
+    # float, which no grid accepts, and a bool or other int subclass
+    # would show here
+    exact = {int, Fraction}
+    for m, pi in UNIMODULAR_POOL:
+        m = Matrix([[int(x) for x in row] for row in m.entries], cols=m.ncols)
+        c = build_frieze_det(m, pi)
+        results = [m, c, build_frieze_twist(m, pi), twist(m, pi),
+                   inverse_twist(m, pi), positive_complement(m),
+                   frieze_to_matrix(c), dual_frieze(c), solution_matrix(c)]
+        for r in results:
+            grid = r.entries if isinstance(r, Matrix) else r.columns
+            assert {type(x) for row in grid for x in row} <= exact, (r, pi)
 
 
 def test_consecutively_unimodular():

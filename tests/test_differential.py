@@ -692,7 +692,7 @@ def _entry_cases(rng):
             rows[rng.randrange(k)][rng.randrange(n)] += rng.choice((1, -1))
         elif t % 3 == 1:
             rows[0] = [x * Fraction(3, 2) for x in rows[0]]
-            rows[-1] = [x / 3 - y for x, y in zip(rows[-1], rows[0])]
+            rows[-1] = [Fraction(x, 3) - y for x, y in zip(rows[-1], rows[0])]
         else:
             rows[-1] = [x * Fraction(-2, 3) for x in rows[0]] if k > 1 \
                 else [0] * n

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from enum import IntEnum
@@ -228,16 +229,19 @@ class _Small(IntEnum):
 
 
 def test_as_rational_type_table():
-    # exact int and Fraction are tested by type first; a subclass of
-    # either, a bool and everything else meet the checks after them
+    # an int stays an int and a Fraction the same object, so integral
+    # input is never wrapped; an int subclass other than bool becomes a
+    # plain int, and only a "p/q" string is read into a Fraction
     half, sub = Fraction(1, 2), _Half(1, 2)
-    for x, value, same in ((3, Fraction(3), False), (half, half, True),
-                           (sub, half, True), (_Small.TWO, Fraction(2), False),
-                           ("-3/6", Fraction(-1, 2), False)):
+    big = 10 ** 30
+    for x, value, kind, same in ((3, 3, int, True), (big, big, int, True),
+                                 (_Small.TWO, 2, int, False),
+                                 (half, half, Fraction, True),
+                                 (sub, half, _Half, True),
+                                 ("-3/6", Fraction(-1, 2), Fraction, False)):
         got = as_rational(x)
-        assert got == value and isinstance(got, Fraction)
+        assert got == value and type(got) is kind
         assert (got is x) == same
-        assert type(got) is (type(x) if same else Fraction)
     for x, error, message in (
             (True, TypeError, "not an exact scalar: True"),
             (False, TypeError, "not an exact scalar: False"),
@@ -246,6 +250,35 @@ def test_as_rational_type_table():
             ("1/0", ValueError, "zero denominator in '1/0'")):
         with pytest.raises(error, match="^" + re.escape(message) + "$"):
             as_rational(x)
+
+
+def _spellings(grid):
+    """An integral grid as ints, as Fractions, and as the two in turn."""
+    return ([[int(x) for x in row] for row in grid],
+            [[Fraction(x) for x in row] for row in grid],
+            [[Fraction(x) if (i + j) % 2 else int(x)
+              for j, x in enumerate(row)] for i, row in enumerate(grid)])
+
+
+@pytest.mark.parametrize("build, grid", [
+    (lambda g: Matrix(g, cols=8), fx.UNIMOD_4x8.entries),
+    (lambda g: PeriodicFrieze(fx.PI_53635514, g), fx.JUG_FRIEZE.columns),
+    (lambda g: SolutionWindow(8, 1, g),
+     [fx.SL3_H5_SOLUTION_1, fx.SL3_H5_SOLUTION_2] * 4),
+], ids=["matrix", "frieze", "solution-window"])
+def test_int_and_fraction_spellings_are_one_value(build, grid):
+    # an int equals and hashes like the Fraction of its value, so each
+    # spelling is kept as given and is still the same value, with the
+    # same JSON
+    objs = [build(g) for g in _spellings(grid)]
+    held = [o.entries if isinstance(o, Matrix) else o.columns for o in objs]
+    assert {type(x) for row in held[0] for x in row} == {int}
+    assert {type(x) for row in held[1] for x in row} == {Fraction}
+    assert {type(x) for row in held[2] for x in row} == {int, Fraction}
+    text = json.dumps(objs[0].to_json())
+    for o in objs[1:]:
+        assert o == objs[0] and hash(o) == hash(objs[0])
+        assert json.dumps(o.to_json()) == text
 
 
 @pytest.mark.parametrize("call, error, message", [
