@@ -9,13 +9,16 @@ elimination, by the positive complement it builds once per reader when
 2k > n, and reads each of the schedule's entries off it by Cramer.
 The necklace walk that certifies the matrix keeps, for each schedule,
 every exchange minor of the columns outside it, at k(n - k) integer
-updates per exchange; the certificate reads the rank bounds off it by
-a zero pattern, the twist route reads each free entry off it, and
-twist reads its columns off it through the adjugate of the first
-schedule, so construct --verify and invert-F walk once.  invert-F reads
-the matrix off the frieze's own rows on the first schedule by one
-elimination in each direction, and the twist route's rebuild of the
-frieze decides it.
+updates per exchange; the twist route reads each free entry off it,
+and twist reads its columns off it through the adjugate of the first
+schedule, so construct --verify and invert-F walk once.  Three paths
+read a greedy basis, the first basis of the columns in some order, off
+one matrices.greedy_chart: the certificate's rank bounds, from the
+walk's chart on each schedule; the positive complement, whose kernel
+is read off the first basis in natural order; and invert-F, which reads
+the matrix off the frieze's own rows on the first schedule as the
+reduced form on their last basis, and lets the twist route's rebuild
+of the frieze decide it.
 The walk and frieze_entries refuse a matrix that is not k x n through
 one shape check (_shape_balls).  Both directions live here, with
 positive complements; the inverse twist is the same twist run
@@ -33,8 +36,8 @@ from fractions import Fraction
 from operator import mul
 
 from .juggling import JugglingFunction, residue, sign_power
-from .matrices import (Matrix, integer_cross, integer_eliminate,
-                       integer_exchange, integer_kernel, integer_solve)
+from .matrices import (Matrix, chart_kernel, greedy_chart, integer_cross,
+                       integer_exchange, integer_solve, sparsest_first)
 from .frieze import PeriodicFrieze, _recurrence_solutions, is_prefrieze
 
 
@@ -77,17 +80,23 @@ def _shape_balls(m: Matrix, pi: JugglingFunction) -> int:
 def _necklace_charts(m: Matrix, pi: JugglingFunction):
     """Walk the necklace: for a = 1..n yield the schedule L_a, the
     integer determinant d of B, its columns of m's integer view in
-    ascending residue order, the slots, and the chart on L_a, k rows
-    whose entry (i, s) is y_j[i] for j the column in slot s,
-    y_j = adj(B) m_j, or None for the chart when d is 0.  Column j
-    outside L_a has slot slots[j - 1] < n - k, and a column of L_a has
-    slot n - k.  By Cramer, y_j[i] is the minor of the view on L_a with
-    its i-th column exchanged for column j.  The slots and the chart
-    are the walk's own: the next step changes them.
+    ascending residue order, the slots, the chart on L_a and the
+    exchange row of a.  The chart is k rows whose entry (i, s) is
+    y_j[i] for j the column in slot s, y_j = adj(B) m_j, or None when d
+    is 0.  Column j outside L_a has slot slots[j - 1] < n - k, and a
+    column of L_a has slot n - k.  By Cramer, y_j[i] is the minor of the
+    view on L_a with its i-th column exchanged for column j.  The slots
+    and the chart are the walk's own: the next step changes them.  The
+    exchange row is row p of the chart, p the position of a in L_a,
+    read at every column b = 1..n: the minor of the view on L_a with a
+    exchanged for b, y_b[p] outside L_a, d at a and 0 at the rest of
+    L_a.  At a loop, which is not in its own schedule, the row is 0;
+    where d is 0 it is None.
 
-    One elimination of [B | outside columns] starts the walk
-    (matrices.integer_solve).  An exchange puts u, the column landing at
-    pi(a - 1), at the position p of a - 1 and moves it to its sorted
+    The first basis of m's columns read with L_a's first, sparsest
+    first, starts the walk (one matrices.greedy_chart elimination): it
+    is L_a when L_a is a basis.  An exchange puts u, the column landing
+    at pi(a - 1), at the position p of a - 1 and moves it to its sorted
     position q, one matrices.integer_exchange of u's slot at k(n - k)
     integer updates and no dot product; u's slot goes to the leaving
     column a - 1, and u takes slot n - k.  Loops and coloops change
@@ -100,13 +109,11 @@ def _necklace_charts(m: Matrix, pi: JugglingFunction):
     d, chart, prev = 0, None, None
     for a, cols in enumerate(pi.necklace(), start=1):
         if cols != prev and not d:
-            inside = set(cols)
-            out = [j for j in range(1, n + 1) if j not in inside]
-            slots = [n - k] * n
-            for s, j in enumerate(out):
-                slots[j - 1] = s
-            d, chart = integer_solve(
-                ints, cols, [[row[j - 1] for j in out] for row in ints])
+            own = [j - 1 for j in cols]
+            start = sparsest_first(ints, own) + sorted({*range(n)} - {*own})
+            basis, d, slots, chart = greedy_chart(ints, start, start)
+            if basis != own:
+                d, chart = 0, None
         elif cols != prev:
             new = residue(pi(a - 1), n)
             s = slots[new - 1]
@@ -114,20 +121,6 @@ def _necklace_charts(m: Matrix, pi: JugglingFunction):
                                         cols.index(new))
             slots[new - 1], slots[a - 2] = n - k, s
         prev = cols
-        yield cols, d, slots, chart
-
-
-def _exchange_rows(m: Matrix, pi: JugglingFunction):
-    """For a = 1..n: each step of the walk (_necklace_charts), the
-    schedule L_a, its determinant d, the slots and the chart, and the
-    exchange row of a, row p of the chart on L_a for p the position of
-    a there, read at every column b = 1..n: the minor of m's integer
-    view on L_a with a exchanged for b, y_b[p] outside L_a, d at a and
-    0 at the rest of L_a.  At a loop, which is not in its own schedule,
-    the row is 0; where d is 0 it is None."""
-    n = pi.period
-    for a, (cols, d, slots, chart) in enumerate(_necklace_charts(m, pi),
-                                                start=1):
         if chart is None:
             row = None
         elif a in cols:
@@ -139,70 +132,48 @@ def _exchange_rows(m: Matrix, pi: JugglingFunction):
         yield cols, d, slots, chart, row
 
 
-def _is_greedy_basis(a: int, cols, lands, slots, chart, gap: int,
-                     last: int) -> bool:
-    """Whether L_a, with nonzero determinant and chart as the walk
-    yields them, is the first basis of m's columns read cyclically from
-    a, the greedy one.  It is exactly when each column j outside L_a
-    lies in the span of the columns of L_a landing before j, that is,
-    when y_j, d times B_a^-1 m_j, is 0 at every basis position landing
-    after j.  No column outside L_a lands before gap, and none of L_a
-    after last, so only the outside columns in [gap, last) are read.
-    lands holds the landing times in [a, a + n) sorted, which is the
-    order of cols rotated to start at a."""
-    n = len(slots)
-    width, start = n - len(cols), bisect_left(cols, a)
-    rows = chart[start:] + chart[:start]
-    # the slots of the outside columns in [gap, last), by landing time
-    window = [s for s in (slots * 2)[gap - 1:last - 1] if s < width]
-    # the basis positions from gap on, each after t - a - p of them
-    for p in range(gap - a, len(rows)):
-        if any(map(rows[p].__getitem__, window[:lands[p] - a - p])):
-            return False
-    return True
-
-
 def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
     """Check the landing-schedule minors and the interval rank bounds.
 
     Each necklace entry a gives one minor and its exchange row, the
     minors of m's integer view on L_a with a exchanged for each column
     (None if the minor is 0), read off one walk of the necklace
-    (_exchange_rows) and kept as exchange_rows.  The rank of the
+    (_necklace_charts) and kept as exchange_rows.  The rank of the
     columns in a cyclic interval [a, b] may not exceed the number of
-    balls landing in it, found by bisection in the sorted landing times.
-    That count is below b - a + 1 from the first slot where no ball
-    lands, and below k before the last landing, so a bound can bind
-    only between the two.  Every bound from a holds exactly when L_a is
-    m's lexicographically first basis read from a (Postnikov,
-    arXiv:math/0609764, Lemma 16.3), which the walk's chart on L_a
-    shows by a zero pattern (_is_greedy_basis), with no elimination.
-    Only where the pattern fails or the minor is 0 does one elimination
-    of m's columns read cyclically from a answer every b at once: its
-    pivots are the lexicographically first basis, so the rank of [a, b]
-    is the number of pivots at offset at most b - a.
+    balls landing in it, found by bisection in the sorted landing times,
+    so no bound binds when the balls land at a, a + 1, ..., a + k - 1.
+    Every bound from a holds exactly when L_a is m's lexicographically
+    first basis read cyclically from a (Postnikov, arXiv:math/0609764,
+    Lemma 16.3).  matrices.greedy_chart finds that basis, started from
+    the walk's chart on L_a, which it only reads and which needs no
+    exchange when L_a is that basis, or from an elimination in that
+    order where the minor is 0.  The rank of [a, b] is then the number
+    of its columns at offset at most b - a, which answers every b at
+    once.
     """
     n, k = pi.period, pi.balls
     cert = UnimodularCertificate()
     ints, scale = m.integer_view()
     for a, (cols, d, slots, chart, exchange) in enumerate(
-            _exchange_rows(m, pi), start=1):
+            _necklace_charts(m, pi), start=1):
         cert.checked_minors.append((cols, Fraction(d, scale ** k)))
         cert.exchange_rows.append(exchange)
         # the schedule's landing times in [a, a+n), from their residues,
         # and the first slot where no ball lands
         lands = sorted(r if r >= a else r + n for r in cols)
-        gap = a + next((t for t, x in enumerate(lands) if x != a + t), k)
-        last = max(lands, default=gap)
-        if gap >= last or chart is not None and _is_greedy_basis(
-                a, cols, lands, slots, chart, gap, last):
+        # balls landing at a, a + 1, ... a + k - 1 bind no bound
+        if lands == list(range(a, a + k)):
             continue
-        # columns a, a+1, ... up to the last bound, in that order
-        rotated = [residue(j, n) - 1 for j in range(a, last)]
-        pivots = integer_eliminate([[row[j] for j in rotated] for row in ints],
-                                   len(rotated))[0]
-        for b in range(gap, last):
-            r, allowed = bisect_right(pivots, b - a), bisect_right(lands, b)
+        # the 0-based columns a - 1, a, ... read cyclically
+        order = list(range(a - 1, n)) + list(range(a - 1))
+        own = [j - 1 for j in cols]
+        start = order if chart is None else (own, d, slots, chart)
+        basis = greedy_chart(ints, order, start)[0]
+        if basis == own:
+            continue
+        offsets = sorted((j + 1 - a) % n for j in basis)
+        for b in range(a, a + n):
+            r, allowed = bisect_right(offsets, b - a), bisect_right(lands, b)
             if r > allowed:
                 cert.rank_violations.append(((a, b), r, allowed))
     return cert
@@ -216,7 +187,7 @@ def twist(m: Matrix, pi: JugglingFunction) -> Matrix:
     With L the scale of m's integer view, B the schedule's columns of
     that view and d = det B, the column is L times row p of adj(B) over
     d, p the position of a in the schedule.  That row r is read off a's
-    exchange row from one walk of the necklace (_exchange_rows): on the
+    exchange row from one walk of the necklace (_necklace_charts): on the
     columns of L_1 the row is r B_1, so r is it times adj(B_1) / d_1,
     with adj(B_1) from one elimination of [B_1 | I] at the first
     schedule (matrices.integer_solve).  The product sums only the rows
@@ -228,7 +199,7 @@ def twist(m: Matrix, pi: JugglingFunction) -> Matrix:
     ints, scale = m.integer_view()
     unit = scale ** k
     cols, first, adj = [], None, None
-    for a, (order, d, _, _, row) in enumerate(_exchange_rows(m, pi),
+    for a, (order, d, _, _, row) in enumerate(_necklace_charts(m, pi),
                                               start=1):
         if d != unit:
             raise ValueError(f"landing-schedule minor at {a} is not 1")
@@ -248,11 +219,15 @@ def positive_complement(m: Matrix) -> Matrix:
     """An (n-k) x n matrix whose maximal minors equal those of m on
     complementary column sets.
 
-    One integer_kernel of m's integer view gives its kernel basis, d
-    times the reduced-form one, and its pivot columns, the
-    lexicographically first basis of its columns; the minor of m there
-    is sign * d / L**k, L the scale of the view, read off the same
-    elimination.  Negating the odd-numbered columns of the kernel basis
+    One matrices.greedy_chart of m's integer view in natural order
+    gives the lexicographically first basis of its columns, the minor
+    d / L**k of m there, L the scale of the view, and the chart, off
+    which its kernel basis, d times the reduced-form one, is read
+    (chart_kernel).  It starts from one elimination with the sparsest
+    columns first, so that the signed identity columns of a matrix read
+    off a frieze fill nothing in, and moves to the first basis by
+    exchanges, each of which brings in a column of that basis for good.
+    Negating the odd-numbered columns of the kernel basis
     and rescaling its first row makes the minor on the free columns, a
     sign since the negated basis is diagonal there, equal to that
     minor.  The result certifies itself: m has rank k, the basis is
@@ -276,23 +251,23 @@ def _build_complement(m: Matrix) -> Matrix | None:
     count."""
     k, n = m.nrows, m.ncols
     ints, scale = m.integer_view()
-    pivots, d, sign, basis = integer_kernel([list(row) for row in ints], n)
-    if len(pivots) != k:
+    chart = greedy_chart(ints, range(n), sparsest_first(ints, range(n)))
+    basis, d, slots = chart[:3]
+    if len(basis) != k:
         return None
-    if any(sum(map(mul, row, v)) for row in ints for v in basis):
+    kernel = chart_kernel(*chart)
+    if any(sum(map(mul, row, v)) for row in ints for v in kernel):
         raise ValueError("kernel basis is not killed by the matrix")
     unit = scale ** k
-    if k == n and sign * d != unit:
+    if k == n and d != unit:
         raise ValueError(f"complement identity fails on columns "
-                         f"{tuple(range(1, n + 1))}: 1 != "
-                         f"{Fraction(sign * d, unit)}")
-    co = sign_power(sum(1 for j in range(0, n, 2) if j not in pivots))
-    # the basis is d times the reduced-form kernel; row 0 also takes the
-    # pivot minor sign * d / unit and the sign co
-    dens = [sign * co * unit] + [d] * (len(basis) - 1)
-    return Matrix([[Fraction(-x if j % 2 == 0 else x, q)
+                         f"{tuple(range(1, n + 1))}: 1 != {Fraction(d, unit)}")
+    co = sign_power(sum(1 for j in range(0, n, 2) if slots[j] < n - k))
+    # the kernel is d times the reduced-form one; row 0 is over the
+    # basis minor d / unit, signed by co, instead
+    return Matrix([[Fraction(-x if j % 2 == 0 else x, d if i else co * unit)
                     for j, x in enumerate(v)]
-                   for v, q in zip(basis, dens)], cols=n)
+                   for i, v in enumerate(kernel)], cols=n)
 
 
 def frieze_entries(m: Matrix, pi: JugglingFunction):
@@ -476,18 +451,18 @@ def frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
     C[a + n, b] times the wrap sign for b > a, is Y_a = L t_a m, L the
     view's scale, pi = c.shape.dual().  The twist columns on the first
     landing schedule L_1 are a basis, their minor being 1, so the rows
-    Y_a, a in L_1, span m's rows.  One integer_eliminate of them,
-    columns read from 1 to n, and a second of the k reduced rows,
-    columns read from n down to 1 and continuing from the first pivot,
-    leave d times the reduced form on the lexicographically last column
-    basis F, whose rows by ascending pivot are the matrix, the first
-    divided by its minor on L_1.  (Read from n down to 1 at once, the
-    rows of a banded strip fill in.)  That minor is det Y_L1 / det Y_F.
-    On L_1's own columns the rows are lower triangular with L on the
-    diagonal: for a < b in L_1, b is in L_a, so twist column a pairs to
-    0 with m_b.  And det Y_F is the last pivot d signed by both
-    eliminations.  So the first row is over +-L**k, and no determinant
-    is taken.  The twist route rebuilds the frieze of
+    Y_a, a in L_1, span m's rows.  One matrices.greedy_chart of them,
+    eliminated with the columns read from 1 to n and exchanged toward
+    the first basis read from n down to 1, gives d = det Y_F and the
+    chart d Y_F^-1 Y on the lexicographically last column basis F: the
+    reduced form over d, whose rows by ascending pivot are the matrix,
+    the first divided by its minor on L_1.  (Read from n down to 1 at
+    once, the rows of a banded strip fill in.)  That minor is
+    det Y_L1 / d.  On L_1's own columns the rows are lower triangular
+    with L on the diagonal: for a < b in L_1, b is in L_a, so twist
+    column a pairs to 0 with m_b.  So the first row of the chart is
+    over L**k, the others over d, and no determinant is taken.  The
+    twist route rebuilds the frieze of
     the result, certificate first, and a match decides c.  Where the
     route fails, c is decided by its dual (_recurrence_solutions), whose
     message names a non-frieze; on a frieze the route's own error
@@ -507,20 +482,17 @@ def frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
              else wrap * window[b - 1][a + n - b] for b in range(1, n + 1)]
             for a in first]
     try:
-        pivots, d, sign = integer_eliminate(rows, n)
-        if len(pivots) != k:
+        basis, d, slots, chart = greedy_chart(rows, range(n)[::-1], range(n))
+        if len(basis) != k:
             raise ValueError(f"the rows of the first landing schedule "
-                             f"have rank {len(pivots)}, not {k}")
-        # the k reduced rows, columns read from n down to 1, continue
-        # from the first pass's pivot d
-        rows = [row[::-1] for row in rows]
-        d, turn = integer_eliminate(rows, n, d)[1:]
-        # Y_F has the pivot columns in descending order: re-sorting them
-        # takes k(k - 1)/2 transpositions
-        unit = sign * turn * sign_power(k * (k - 1) // 2) * scale ** k
-        result = Matrix([[Fraction(x, unit if i == 0 else d)
-                          for x in reversed(row)]
-                         for i, row in enumerate(reversed(rows))], cols=n)
+                             f"have rank {len(basis)}, not {k}")
+        # row i is d at basis column i, 0 at the others and the chart's
+        # entries at the rest, over L**k for i = 0 and over d after it
+        result = Matrix([[Fraction(d if j == b else x, d if i else scale ** k)
+                          for j, x in enumerate(map((y + [0]).__getitem__,
+                                                    slots))]
+                         for i, (b, y) in enumerate(zip(basis, chart))],
+                        cols=n)
         if build_frieze_twist(result, pi) != c:
             raise ValueError("inversion failed to reproduce the frieze")
     except ValueError:

@@ -10,12 +10,16 @@ fraction-free rule of dividing each update by the previous pivot, and
 seven kernels own it, on integer rows:
 
 - integer_det: a determinant by Bareiss elimination;
-- integer_eliminate: fraction-free Gauss-Jordan;
-- integer_kernel: a kernel basis read off integer_eliminate;
+- integer_eliminate: fraction-free Gauss-Jordan in a given column
+  order, the pivot rows kept in column order;
+- greedy_chart: the greedy basis of the columns along an order, its
+  determinant d and its chart d B^-1 M on the other columns, from one
+  integer_eliminate or from a chart the caller holds, by exchanges;
+  chart_kernel reads the kernel off the chart;
 - integer_cross: the r + 1 signed maximal minors of r rows, read off
-  integer_kernel;
-- integer_solve: det B and adj(B) X for a column set B, read off
-  integer_eliminate;
+  one greedy_chart's kernel;
+- integer_solve: det B and adj(B) X for a column set B, read off one
+  greedy_chart of [B | X];
 - integer_exchange: the same pair after one column of B is exchanged,
   a rank-one update;
 - border: det B and adj(B) after B gains one row and one column, by
@@ -27,6 +31,7 @@ exact; there is no floating point anywhere in this package.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -122,96 +127,151 @@ def integer_det(rows: list[list[int]]) -> int:
     return sign * rows[0][0] if rows else 1
 
 
-def integer_eliminate(rows: list[list[int]], ncols: int,
-                      prev: int = 1) -> tuple[tuple[int, ...], int, int]:
-    """Fraction-free Gauss-Jordan on the first ncols columns of integer
-    rows, in place; later columns ride along as right-hand sides.
+def integer_eliminate(rows: list[list[int]],
+                      cols: Iterable[int]) -> tuple[tuple[int, ...], int, int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place, pivoting in
+    the columns cols in that order; the other columns ride along, as
+    right-hand sides.
 
-    Each step replaces every other row by (pv*row - f*pivot_row) // prev,
-    an exact division.  A pivot row whose pivot is -prev is negated
-    first, so that the step leaves the rows with f = 0 alone, as in the
-    signed identity columns of a positive complement.  Returns the pivot
-    columns, the last pivot d and the sign of the row swaps and
-    negations.  Afterwards every pivot equals d, so the reduced form is
-    the rows over d; on a square nonsingular matrix sign * d is the
-    determinant.
-
-    Full-rank rows that an earlier call left as d times a reduced form
-    continue from prev = d, with their columns in any new order: each
-    step is then one basis exchange, as in integer_exchange, so the
-    entries stay minors of the first call's rows.  The pivots and rows
-    are those of one call on the first rows in the new column order, up
-    to one common sign, and both calls' signs times the second call's d
-    are that call's sign * d.
+    Each step moves the pivot row up to its place among the earlier
+    pivot rows, sorted by pivot column, and replaces every other row by
+    (pv*row - f*pivot_row) // prev, an exact division.  A pivot row
+    whose pivot is -prev is negated first, so that the step leaves the
+    rows with f = 0 alone, as in the signed identity columns of a
+    positive complement.  Returns the pivot columns, ascending, the
+    last pivot d and the sign of the row moves and negations.
+    Afterwards every pivot equals d, so the reduced form is the rows
+    over d, and sign * d is the minor of the rows on the pivot columns
+    when there is one pivot per row.
     """
     pivots = []
-    sign = 1
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        for p in range(r, len(rows)):
+    sign = prev = 1
+    for c in cols:
+        for p in range(len(pivots), len(rows)):
             if rows[p][c]:
                 break
         else:
             continue
-        top = rows[p]
-        if p != r:
-            rows[r], rows[p] = top, rows[r]
-            sign = -sign
+        q = bisect_left(pivots, c)
+        top = rows.pop(p)
+        rows.insert(q, top)
+        sign *= sign_power(p - q)
         pv = top[c]
         if pv == -prev:
-            top = rows[r] = [-x for x in top]
+            top = rows[q] = [-x for x in top]
             pv, sign = prev, -sign
         for i, row in enumerate(rows):
             f = row[c]
             # with f = 0 and pv = prev the step leaves the row as it is
-            if i != r and (f or pv != prev):
+            if i != q and (f or pv != prev):
                 rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
         prev = pv
-        pivots.append(c)
-        r += 1
+        pivots.insert(q, c)
     return tuple(pivots), prev, sign
 
 
-def integer_kernel(rows: list[list[int]], ncols: int) -> tuple[
-        tuple[int, ...], int, int, list[list[int]]]:
-    """The kernel of integer rows, read off one integer_eliminate of
-    them (in place): its pivots, last pivot d and sign, and one kernel
-    vector per free column c, d times the reduced-form one: d at c and
-    minus row r's entry at c at pivot r, ints throughout.  With full
-    row rank, sign * d is the minor of the rows on the pivot columns.
+def sparsest_first(rows, cols) -> list[int]:
+    """The columns cols of integer rows, those with the fewest nonzero
+    entries first, ties in the given order: a pivot in a column of one
+    entry, as in a reduced form or a positive complement, leaves the
+    other rows alone."""
+    return sorted(cols, key=lambda j: sum(1 for row in rows if row[j]))
+
+
+def greedy_chart(ints, order, start) -> tuple[list[int], int, list[int],
+                                              list[list[int]]]:
+    """The greedy basis of the columns of integer rows listed in order
+    (0-based), the first basis of them read in that order, and its
+    chart.  The basis meets each prefix of order in columns that span
+    that prefix.
+
+    Returns (basis, d, slots, chart) in the necklace walk's layout: the
+    basis ascending, d = det B for B the rows on it, and k rows whose
+    column slots[j] < n - k is adj(B) m_j for each column j outside the
+    basis, so that entry (i, slots[j]) is det B with its column i
+    replaced by m_j (Cramer); a basis column has slot n - k.  Below full
+    rank r the basis has r columns, the chart is the r nonzero rows of
+    d times the reduced form on it, and d is a pivot, not det B.  Every
+    column has a slot, listed in order or not; with no rows, n is
+    len(order).
+
+    start is a chart in that layout, (basis, d, slots, chart) with
+    d != 0, which is read and not changed; or else an elimination order
+    of columns: one integer_eliminate of them in that order, whose
+    pivots are the first basis along it and whose rows, sorted by pivot
+    column, are the chart.  From the start one pass along order brings
+    in each column j outside the basis whose chart column is nonzero at
+    a basis position after j, by one integer_exchange that moves out
+    the latest such position; the basis then spans every prefix up to
+    j, so the pass is not repeated.  It stops once no basis column lies
+    after j.  Each exchange costs k times the chart's width; an
+    elimination along order itself needs none.
     """
-    pivots, d, sign = integer_eliminate(rows, ncols)
-    free = sorted(set(range(ncols)).difference(pivots))
-    basis = []
-    for c in free:
-        v = [0] * ncols
-        v[c] = d
-        for pc, row in zip(pivots, rows):
-            v[pc] = -row[c]
-        basis.append(v)
-    return pivots, d, sign, basis
+    n = len(ints[0]) if ints else len(order)
+    if isinstance(start, tuple):
+        basis, d, slots, chart = start
+        basis, slots = list(basis), list(slots)
+    else:
+        rows = [list(row) for row in ints]
+        basis, d, sign = integer_eliminate(rows, start)
+        basis, free = list(basis), sorted(set(range(n)).difference(basis))
+        slots = [n - len(basis)] * n
+        for s, j in enumerate(free):
+            slots[j] = s
+        d, chart = sign * d, [[sign * row[j] for j in free]
+                              for row in rows[:len(basis)]]
+    # the basis columns after j along order
+    width, later = n - len(basis), set(basis)
+    for j in order:
+        if not later:
+            break
+        s = slots[j]
+        later.discard(j)
+        hit = s < width and [p for p, c in enumerate(basis)
+                             if c in later and chart[p][s]]
+        if hit:
+            # move out the latest along order
+            p = max(hit, key=lambda p: order.index(basis[p]))
+            leaving = basis.pop(p)
+            q = bisect_left(basis, j)
+            basis.insert(q, j)
+            d, chart = integer_exchange(d, chart, s, p, q)
+            slots[j], slots[leaving] = width, s
+    return basis, d, slots, chart
+
+
+def chart_kernel(basis, d, slots, chart) -> list[list[int]]:
+    """The kernel of the rows a greedy_chart describes, one vector per
+    column j outside the basis, ascending: d at j and minus j's chart
+    column at the basis, since B adj(B) m_j = d m_j.  Each is d times
+    the reduced-form vector with 1 at j."""
+    kernel = []
+    for j, s in enumerate(slots):
+        if s < len(slots) - len(basis):
+            kernel.append([0] * len(slots))
+            kernel[-1][j] = d
+            for c, row in zip(basis, chart):
+                kernel[-1][c] = -row[s]
+    return kernel
 
 
 def integer_cross(rows: list[list[int]], ncols: int) -> list[int]:
     """The signed maximal minors c_j = (-1)**j det(rows without column
-    j), j < ncols, of ncols - 1 integer rows, from one integer_kernel of
-    them (in place); by Cramer, the dot product of c with a row x is
-    the determinant of x stacked on the rows.  Below full rank every c_j
-    is 0.
+    j), j < ncols, of ncols - 1 integer rows, from one greedy_chart of
+    them in natural order; by Cramer, the dot product of c with a row x
+    is the determinant of x stacked on the rows.  Below full rank every
+    c_j is 0.
 
-    At full rank the kernel is one vector, d at the one free column f
-    and d times the reduced form elsewhere; c is in the kernel too, and
-    c_f = (-1)**f sign * d, the minor on the pivot columns, so c is that
-    vector times (-1)**f sign.  No rows (ncols = 1) give c = (1,).
+    At full rank one column f is outside the basis, and its kernel
+    vector (chart_kernel) is d = det(rows without column f) at f; c is
+    in the kernel too, with c_f = (-1)**f d, so c is that vector times
+    (-1)**f.  No rows (ncols = 1) give c = (1,).
     """
-    pivots, d, sign, basis = integer_kernel(rows, ncols)
-    if len(pivots) < ncols - 1:
+    # (basis, d, slots, chart); f is the column in slot 0
+    chart = greedy_chart(rows, range(ncols), range(ncols))
+    if len(chart[0]) < ncols - 1:
         return [0] * ncols
-    (f,) = set(range(ncols)).difference(pivots)
-    sign *= sign_power(f)
-    return [sign * x for x in basis[0]]
+    return [sign_power(chart[2].index(0)) * x for x in chart_kernel(*chart)[0]]
 
 
 def integer_solve(ints, cols, extra) -> tuple[int, list | None]:
@@ -219,27 +279,15 @@ def integer_solve(ints, cols, extra) -> tuple[int, list | None]:
     the integer rows ints, and Y = adj(B) X as k rows, for X the matrix
     whose row i is extra[i]; Y is None when d is 0.
 
-    One integer_eliminate of [B P | X] leaves +-d [I | P^-1 B^-1 X], P
-    ordering B's columns by how many entries they have, fewest first,
-    so that a pivot in a column of one entry, as in a reduced form or a
-    positive complement, leaves the other rows alone.  Row t of the
-    result is then row order[t] of B^-1 X, and det P is the parity of
-    the pairs of unequal counts the stable sort moved past each other.
+    One greedy_chart of [B | X] read from B's columns, sparsest first:
+    when B is a basis it is the pivots, and the chart on X's columns is
+    adj(B) X.
     """
     k = len(cols)
-    counts = [sum(1 for row in ints if row[j - 1]) for j in cols]
-    order = sorted(range(k), key=counts.__getitem__)
-    rows = [[row[cols[i] - 1] for i in order] + x
-            for row, x in zip(ints, extra)]
-    pivots, last, sign = integer_eliminate(rows, k)
-    if len(pivots) < k:
-        return 0, None
-    sign *= sign_power(sum(x > y for t, x in enumerate(counts)
-                           for y in counts[t + 1:]))
-    adj = [None] * k
-    for i, row in zip(order, rows):
-        adj[i] = [sign * x for x in row[k:]]
-    return sign * last, adj
+    rows = [[row[j - 1] for j in cols] + x for row, x in zip(ints, extra)]
+    start = sparsest_first(rows, range(k))
+    basis, d, _, chart = greedy_chart(rows, start, start)
+    return (d, chart) if len(basis) == k else (0, None)
 
 
 def integer_exchange(d: int, chart: list[list[int]], s: int, p: int,
@@ -394,19 +442,19 @@ class Matrix:
         integer_eliminate on the integer view (row scaling changes
         neither)."""
         rows = [list(row) for row in self.integer_view()[0]]
-        pivots, d, _ = integer_eliminate(rows, self.ncols)
+        pivots, d, _ = integer_eliminate(rows, range(self.ncols))
         return (Matrix([[Fraction(x, d) for x in row] for row in rows],
                        cols=self.ncols),
                 pivots)
 
     def kernel_basis(self) -> "Matrix":
         """Rows spanning {v : self @ v = 0}, one per free column c: 1 at
-        c and minus column c of the reduced form at the pivots, from
-        integer_kernel on the integer view."""
-        rows = [list(row) for row in self.integer_view()[0]]
-        _, d, _, basis = integer_kernel(rows, self.ncols)
-        return Matrix([[Fraction(x, d) for x in v] for v in basis],
-                      cols=self.ncols)
+        c and minus column c of the reduced form at the pivots, read off
+        the integer view's greedy_chart in natural order (chart_kernel)."""
+        order = range(self.ncols)
+        chart = greedy_chart(self.integer_view()[0], order, order)
+        return Matrix([[Fraction(x, chart[1]) for x in v]
+                       for v in chart_kernel(*chart)], cols=self.ncols)
 
     def solve(self, rhs: Sequence) -> tuple[Fraction, ...]:
         """The unique x with self * x = rhs, from the rref of [self | rhs]."""

@@ -43,7 +43,7 @@ from jugglerfrieze.frieze import (_recurrence_solutions, frieze_minor,
 from jugglerfrieze.juggling import residue, sign_power
 from jugglerfrieze.matrices import (as_rational, cyclic_columns,
                                     cyclic_submatrix, integer_det,
-                                    integer_kernel)
+                                    integer_eliminate)
 
 
 def gauss_jordan(rows, ncols):
@@ -545,6 +545,50 @@ def rref_complement(m: Matrix) -> Matrix:
                       for row in basis.entries], cols=n)
     co = sign_power(sum(1 for j in range(0, n, 2) if j not in pivots))
     return scale_row(flipped, 0, d * co)
+
+
+def integer_kernel(rows, ncols):
+    """The kernel of integer rows, read off one integer_eliminate of
+    them in natural column order (in place): its pivots, last pivot d
+    and sign, and one kernel vector per free column c, d times the
+    reduced-form one: d at c and minus row r's entry at c at pivot r.
+    With full row rank, sign * d is the minor of the rows on the pivot
+    columns."""
+    pivots, d, sign = integer_eliminate(rows, range(ncols))
+    basis = []
+    for c in sorted(set(range(ncols)).difference(pivots)):
+        v = [0] * ncols
+        v[c] = d
+        for pc, row in zip(pivots, rows):
+            v[pc] = -row[c]
+        basis.append(v)
+    return pivots, d, sign, basis
+
+
+def kernel_complement(m: Matrix) -> Matrix:
+    """positive_complement by one integer_kernel of m's integer view in
+    natural column order, as the package built it before it read the
+    kernel off a greedy basis: the pivots are the lexicographically
+    first basis, the minor of m there is sign * d / L**k, and the
+    column-alternated kernel, its first row rescaled by that minor,
+    is the result; raises with the package's messages."""
+    k, n = m.nrows, m.ncols
+    ints, scale = m.integer_view()
+    pivots, d, sign, basis = integer_kernel([list(row) for row in ints], n)
+    if len(pivots) != k:
+        raise ValueError("matrix does not have full row rank")
+    if any(sum(x * y for x, y in zip(row, v)) for row in ints for v in basis):
+        raise ValueError("kernel basis is not killed by the matrix")
+    unit = scale ** k
+    if k == n and sign * d != unit:
+        raise ValueError(f"complement identity fails on columns "
+                         f"{tuple(range(1, n + 1))}: 1 != "
+                         f"{Fraction(sign * d, unit)}")
+    co = sign_power(sum(1 for j in range(0, n, 2) if j not in pivots))
+    dens = [sign * co * unit] + [d] * (len(basis) - 1)
+    return Matrix([[Fraction(-x if j % 2 == 0 else x, q)
+                    for j, x in enumerate(v)]
+                   for v, q in zip(basis, dens)], cols=n)
 
 
 def solutions_kernel_matrix(c: PeriodicFrieze) -> Matrix:

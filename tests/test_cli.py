@@ -154,14 +154,15 @@ def test_construct_builds_one_complement_when_2k_exceeds_n(capsys, files,
                                                           tmp_path,
                                                           monkeypatch):
     # the det route and --verify read the minors of a k x n matrix with
-    # 2k > n off its positive complement, one kernel elimination per
-    # matrix however many free entries it has; with 2k <= n, none
+    # 2k > n off its positive complement, one kernel read off one greedy
+    # basis per matrix however many free entries it has; with 2k <= n,
+    # none
     comp = tmp_path / "comp.json"
     comp.write_text(json.dumps(
         jugglerfrieze.positive_complement(fx.CONSEC_3x8).to_json()))
     kernels = []
-    kernel = jugglerfrieze.construct.integer_kernel
-    monkeypatch.setattr(jugglerfrieze.construct, "integer_kernel",
+    kernel = jugglerfrieze.construct.chart_kernel
+    monkeypatch.setattr(jugglerfrieze.construct, "chart_kernel",
                         lambda *args: kernels.append(1) or kernel(*args))
     for path, pattern, built in ((str(comp), "55555555", 1),
                                  (files["consec"], "33333333", 0)):

@@ -11,11 +11,13 @@ from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            twist, inverse_twist, positive_complement,
                            frieze_entry, build_frieze_det, build_frieze_twist,
                            frieze_to_matrix, is_frieze, dual_frieze,
-                           frieze_from_quiddity, solution_matrix)
+                           format_siteswap, frieze_from_quiddity,
+                           solution_matrix)
 from jugglerfrieze.cli import main
 
 import fixture_data as fx
-from exact_oracles import exchange_minor, gauss_jordan, identity, scale_row
+from exact_oracles import (exchange_minor, gauss_jordan, identity,
+                           kernel_complement, scale_row)
 from samplers import (UNIMODULAR_POOL, grown, random_determinant_one,
                       random_full_rank)
 
@@ -173,18 +175,21 @@ def test_twist_requires_unit_minors():
 
 def _count_kernels(monkeypatch):
     """Count the calls of each matrices kernel the matrix side runs:
-    the integer_solve, integer_exchange and integer_eliminate construct
-    calls, every integer_kernel (the complement's and integer_cross's),
-    integer_cross and integer_det; "inner" counts the eliminations run
-    inside matrices, every one a solve's or a kernel's."""
-    calls = dict.fromkeys(("det", "solve", "exchange", "eliminate",
-                           "kernel", "cross", "inner"), 0)
+    the integer_solve, integer_exchange and integer_cross construct
+    calls, integer_det and construct's greedy_chart calls, "eliminate"
+    those that start from an elimination order (a walk's anchor,
+    invert-F's rows, a complement) and "chart" those that start from a
+    walk's chart; "swap" counts the exchanges run inside matrices, every
+    one a greedy_chart's, and "inner" the eliminations, every one a
+    solve's, a cross's or an "eliminate"'s."""
+    calls = dict.fromkeys(("det", "solve", "exchange", "eliminate", "chart",
+                           "swap", "cross", "inner"), 0)
 
     def count(owner, name, key):
         run = getattr(owner, name)
 
         def counted(*args):
-            calls[key] += 1
+            calls[key(*args) if callable(key) else key] += 1
             return run(*args)
         monkeypatch.setattr(owner, name, counted)
 
@@ -192,9 +197,9 @@ def _count_kernels(monkeypatch):
             (matrices, "integer_det", "det"),
             (construct, "integer_solve", "solve"),
             (construct, "integer_exchange", "exchange"),
-            (construct, "integer_eliminate", "eliminate"),
-            (construct, "integer_kernel", "kernel"),
-            (matrices, "integer_kernel", "kernel"),
+            (construct, "greedy_chart", lambda ints, order, start:
+             "chart" if isinstance(start, tuple) else "eliminate"),
+            (matrices, "integer_exchange", "swap"),
             (construct, "integer_cross", "cross"),
             (matrices, "integer_eliminate", "inner")):
         count(owner, name, key)
@@ -203,48 +208,51 @@ def _count_kernels(monkeypatch):
 
 def test_necklace_walk_eliminates_once_per_anchor(monkeypatch, tmp_path,
                                                   capsys):
-    # twist and the certificate walk the necklace: one solve of
+    # twist and the certificate walk the necklace: one elimination of
     # [B | outside columns] anchors each walk, every later schedule is one
     # exchange of the chart, and no schedule minor is a determinant of its
     # own; twist also solves [B_1 | I] once for adj(B_1), and the twist
-    # route reads its entries off the certificate's walk.  Each solve is
-    # one elimination inside matrices, and "eliminate" counts only those
-    # construct runs itself: the rank bounds are read off the walk's
-    # charts, so one per start column whose chart is None or fails the
-    # greedy-basis zero pattern, and two passes over invert-F's rows
+    # route reads its entries off the certificate's walk.  The rank
+    # bounds are read off the walk's charts, one greedy_chart per start
+    # column whose bound can bind, which eliminates only where the chart
+    # is None, and invert-F's rows are eliminated once
     calls = _count_kernels(monkeypatch)
 
     def counted(run, *args):
         calls.update(dict.fromkeys(calls, 0))
         result = run(*args)
         got = dict(calls)
-        assert got.pop("inner") == got["solve"] + got["kernel"], got
+        assert got.pop("inner") == (got["solve"] + got["cross"]
+                                    + got["eliminate"]), got
         return result, got
 
     m, pi = fx.UNIMOD_4x8, fx.PI_23345357
     assert counted(twist, m, pi) == (fx.TWIST_4x8, {
-        "det": 0, "solve": 2, "exchange": 7, "eliminate": 0, "kernel": 0,
-        "cross": 0})
-    # one anchor, and every rank bound read off its charts
+        "det": 0, "solve": 1, "exchange": 7, "eliminate": 1, "chart": 0,
+        "swap": 0, "cross": 0})
+    # one anchor, and the rank bounds of the five start columns where
+    # one can bind read off their charts, each already the greedy basis
     assert counted(build_frieze_twist, m, pi) == (fx.JUG_FRIEZE, {
-        "det": 0, "solve": 1, "exchange": 7, "eliminate": 0, "kernel": 0,
-        "cross": 0})
-    # a zero minor at schedules 5 and 7 re-anchors at 6 and 8, and one
-    # start column falls back to a rank elimination
+        "det": 0, "solve": 0, "exchange": 7, "eliminate": 1, "chart": 5,
+        "swap": 0, "cross": 0})
+    # a zero minor at schedules 5 and 7 re-anchors at 6 and 8, where no
+    # bound can bind, and one start column's chart is one exchange away
+    # from its greedy basis
     broken = with_entry(m, 2, 7, 0)
     minors = [d for _, d in is_pi_unimodular(broken, pi).checked_minors]
     assert minors == [1, 1, 1, 1, 0, 3, 0, 1]
     assert counted(is_pi_unimodular, broken, pi)[1] == {
-        "det": 0, "solve": 3, "exchange": 5, "eliminate": 1, "kernel": 0,
-        "cross": 0}
-    # invert-F eliminates the frieze's rows in two passes and checks its
-    # result through the twist route, with no determinant and no kernel
+        "det": 0, "solve": 0, "exchange": 5, "eliminate": 3, "chart": 5,
+        "swap": 1, "cross": 0}
+    # invert-F eliminates the frieze's rows once, columns ascending, and
+    # exchanges toward the last basis; it checks its result through the
+    # twist route, one more anchor, with no determinant
     assert counted(frieze_to_matrix, fx.JUG_FRIEZE)[1] == {
-        "det": 0, "solve": 1, "exchange": 7, "eliminate": 2, "kernel": 0,
-        "cross": 0}
+        "det": 0, "solve": 0, "exchange": 7, "eliminate": 2, "chart": 5,
+        "swap": 3, "cross": 0}
     # construct --verify builds both routes on one certificate; the det
     # side reads each free entry off one cofactor vector per schedule,
-    # one kernel elimination each, and takes no determinant
+    # one elimination each, and takes no determinant
     schedules = _free_schedules(pi)
     assert schedules == 7
     path = tmp_path / "m.json"
@@ -253,15 +261,15 @@ def test_necklace_walk_eliminates_once_per_anchor(monkeypatch, tmp_path,
         code, got = counted(main, ["construct", str(path), "--siteswap",
                                    "23345357", "--method", method, "--verify"])
         assert code == 0 and capsys.readouterr().err == ""
-        assert got == {"det": 0, "solve": 1, "exchange": 7, "eliminate": 0,
-                       "kernel": schedules, "cross": schedules}
+        assert got == {"det": 0, "solve": 0, "exchange": 7, "eliminate": 1,
+                       "chart": 5, "swap": 0, "cross": schedules}
 
 
 def test_ragged_certificate_runs_no_elimination_of_its_own(monkeypatch):
     # the fan dual matrix D at n = 40, grown by 10 loops and coloops: a
-    # rank bound can bind at most of its start columns, and each is read
+    # rank bound can bind at each of its start columns, and each is read
     # off the walk's chart, so the certificate runs the walk's anchor
-    # solve and its exchanges, O(n k (n - k)), and no elimination
+    # elimination and its exchanges, O(n k (n - k)), and no other
     n = 40
     q = [n - 2, 1] + [2] * (n - 3) + [1]
     m = positive_complement(frieze_to_matrix(frieze_from_quiddity(q)))
@@ -271,13 +279,26 @@ def test_ragged_certificate_runs_no_elimination_of_its_own(monkeypatch):
         m, pi = grown(rng, m, pi)
     assert pi.loops() and pi.coloops()
     calls = _count_kernels(monkeypatch)
-    read = []
-    greedy = construct._is_greedy_basis
-    monkeypatch.setattr(construct, "_is_greedy_basis",
-                        lambda *args: read.append(args[0]) or greedy(*args))
     assert is_pi_unimodular(m, pi).ok
-    assert len(read) == pi.period, read
-    assert (calls["solve"], calls["eliminate"], calls["det"]) == (1, 0, 0)
+    # every start column's bound can bind, and its chart is its greedy
+    # basis already
+    assert (calls["chart"], calls["swap"]) == (pi.period, 0), calls
+    assert (calls["solve"], calls["eliminate"], calls["det"]) == (0, 1, 0)
+
+
+def test_fan_dual_complement_exchanges_at_most_twice(monkeypatch):
+    # D at n = 64, 62 x 64: its sparsest columns first, one elimination
+    # finds a basis with no fill-in, and the pass toward the first basis
+    # makes at most min(k, n - k) = 2 exchanges; the natural-order
+    # kernel of the same matrix fills every row in
+    n = 64
+    q = [n - 2, 1] + [2] * (n - 3) + [1]
+    m = positive_complement(frieze_to_matrix(frieze_from_quiddity(q)))
+    calls = _count_kernels(monkeypatch)
+    comp = positive_complement(m)
+    assert calls["swap"] <= min(m.nrows, n - m.nrows) == 2, calls
+    assert (calls["eliminate"], calls["inner"], calls["det"]) == (1, 1, 0)
+    assert comp == kernel_complement(m)
 
 
 def _free_schedules(pi):
@@ -634,13 +655,13 @@ def test_frieze_to_matrix_from_stored_fixture():
     assert build_frieze_det(m, fx.UNIFORM_8_3) == fx.SL3_H5
 
 
-def test_frieze_to_matrix_eliminates_its_rows_in_two_passes(monkeypatch):
+def test_frieze_to_matrix_eliminates_its_rows_once(monkeypatch):
     # the rows of the frieze on the first landing schedule are
-    # eliminated with their columns ascending, then the k reduced rows
-    # with their columns descending, and the twist route's walk that
-    # checks the result anchors once, one solve; no kernel, determinant,
-    # Fraction reduced form or dual decision on a frieze, and one dual
-    # decision on a non-frieze
+    # eliminated once, with their columns ascending, and exchanged
+    # toward the last basis (one greedy_chart), and the twist route's
+    # walk that checks the result anchors once, one more elimination; no
+    # solve, determinant, Fraction reduced form or dual decision on a
+    # frieze, and one dual decision on a non-frieze
     calls = _count_kernels(monkeypatch)
     counts = {"rref": 0, "dual": 0}
     rref, decide = Matrix.rref, construct._recurrence_solutions
@@ -656,12 +677,12 @@ def test_frieze_to_matrix_eliminates_its_rows_in_two_passes(monkeypatch):
                         counter("dual", decide))
     frieze_to_matrix(fx.SL3_H5)
     assert (calls["eliminate"], calls["solve"], calls["inner"],
-            calls["kernel"], calls["det"]) == (2, 1, 1, 0, 0)
+            calls["det"]) == (2, 0, 2, 0)
     assert counts == {"rref": 0, "dual": 0}
     # a free entry moved: the route runs and fails, and the dual names
     # the failure; a fixed entry moved: the dual names it before the
     # route eliminates anything
-    for d, eliminations, solves in ((2, 2, 1), (6, 0, 0)):
+    for d, eliminations, solves in ((2, 2, 0), (6, 0, 0)):
         cols = [list(c) for c in fx.SL3_H5.columns]
         cols[0][d] += 1
         bad = PeriodicFrieze(fx.UNIFORM_8_5, cols)
@@ -682,7 +703,8 @@ def test_frieze_to_matrix_rejects_non_frieze():
 
 
 @pytest.mark.parametrize("name, patch, message", [
-    # rows that span nothing
+    # rows that span nothing, patched in matrices, whose greedy_chart
+    # eliminates them
     ("integer_eliminate", lambda rows, ncols: ((), 1, 1),
      "the rows of the first landing schedule have rank 0, not 3"),
     # a certificate that fails, as on a matrix that is not unimodular
@@ -697,13 +719,31 @@ def test_frieze_to_matrix_self_checks(monkeypatch, name, patch, message):
     # each self-check of the inversion, reached by corrupting one of its
     # steps on a frieze: the dual decides the input a frieze, so the
     # route's own error stands
-    monkeypatch.setattr(construct, name, patch)
+    owner = construct if hasattr(construct, name) else matrices
+    monkeypatch.setattr(owner, name, patch)
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         frieze_to_matrix(fx.SL3_H5)
 
 
-def test_duality_triangle_on_fixture():
-    m, pi = fx.UNIMOD_4x8, fx.PI_23345357
+def _duality_cases():
+    """The unimodular pool, the 4 x 8 fixture for 23345357 among it,
+    and seeded samplers.grown copies of it, each with 0 < k < n."""
+    rng = random.Random(53)
+    cases = list(UNIMODULAR_POOL)
+    for _ in range(40):
+        m, pi = rng.choice(UNIMODULAR_POOL)
+        for _ in range(rng.randint(1, 4)):
+            m, pi = grown(rng, m, pi)
+        cases.append((m, pi))
+    return [pytest.param(m, pi, id=f"{t}-{format_siteswap(pi)}")
+            for t, (m, pi) in enumerate(cases) if 0 < pi.balls < pi.period]
+
+
+@pytest.mark.parametrize("m, pi", _duality_cases())
+def test_duality_triangle(m, pi):
+    # the paper's duality in matrix form: the dual of the frieze of m is
+    # the frieze of the complement of its twist, and of the inverse
+    # twist of its complement, for the dual shape
     left = dual_frieze(build_frieze_det(m, pi))
     via_twist = build_frieze_det(positive_complement(twist(m, pi)), pi.dual())
     via_inverse = build_frieze_det(

@@ -8,6 +8,7 @@ on their one- and two-entry perturbations.
 """
 import json
 import random
+from copy import deepcopy
 from fractions import Fraction
 from itertools import chain, product
 from operator import mul
@@ -22,20 +23,22 @@ from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            frieze_from_quiddity,
                            frieze_entry, frieze_to_matrix, inverse_twist,
                            is_frieze,
-                           is_pi_unimodular, is_positive, parse_siteswap,
-                           positive_complement, twist)
+                           is_pi_unimodular, is_positive, matrices,
+                           parse_siteswap, positive_complement, twist)
 from jugglerfrieze.construct import _necklace_charts, frieze_entries
 from jugglerfrieze.frieze import _exchange_row
 from jugglerfrieze.juggling import residue
-from jugglerfrieze.matrices import (border, integer_cross, integer_eliminate,
-                                    integer_exchange, integer_solve)
+from jugglerfrieze.matrices import (border, chart_kernel, greedy_chart,
+                                    integer_cross, integer_eliminate,
+                                    integer_exchange, integer_solve,
+                                    sparsest_first)
 
 import fixture_data as fx
 from exact_oracles import (_minor, adjugate, counted_sign, counted_skeleton,
                            entry_sign_is_positive, exchange_minor,
                            exhaustive_complement, full_product_frieze,
                            full_window_frieze, gauss_jordan, identity,
-                           interval_rank_certificate,
+                           interval_rank_certificate, kernel_complement,
                            kernel_rows, left_twist_by_definition,
                            minor_dual, minor_report, rank,
                            rref_complement, rref_frieze_to_matrix,
@@ -182,27 +185,26 @@ def test_matrix_minors_match_gauss_jordan():
 def test_elimination_kernel_determinant_matches_gauss_jordan():
     # the necklace walk reads its anchor's minor off one elimination;
     # invert-F eliminates its rows with their columns ascending, then
-    # continues from that pivot with them descending, which must give
-    # the rows, pivots and signed pivot of one descending elimination
+    # exchanges toward the greedy basis along the descending order,
+    # which must give the basis, determinant and chart of one
+    # descending elimination
     continued = 0
     for m in _view_cases(22):
         ints, scale = m.integer_view()
         rows = [list(row) for row in ints]
-        pivots, d, sign = integer_eliminate(rows, m.ncols)
+        pivots, d, sign = integer_eliminate(rows, range(m.ncols))
         if m.nrows == m.ncols:
             det = (Fraction(sign * d, scale ** m.nrows)
                    if len(pivots) == m.ncols else 0)
             assert det == gauss_jordan(m.entries, m.ncols)[2], m
         if not 0 < len(pivots) == m.nrows:
             continue
-        once = [row[::-1] for row in ints]
-        expected = integer_eliminate(once, m.ncols)
-        rows = [row[::-1] for row in rows]
-        got = integer_eliminate(rows, m.ncols, d)
-        flip = 1 if got[1] == expected[1] else -1
-        assert got[0] == expected[0], m
-        assert rows == [[flip * x for x in row] for row in once], m
-        assert sign * got[2] * got[1] == expected[2] * expected[1], m
+        descending = range(m.ncols)[::-1]
+        got = greedy_chart(ints, descending, range(m.ncols))
+        once = greedy_chart(ints, descending, descending)
+        assert got[:2] == once[:2], m
+        # the slots may differ: compare every chart entry by its column
+        assert chart_kernel(*got) == chart_kernel(*once), m
         continued += 1
     assert continued >= 10, continued
 
@@ -256,6 +258,69 @@ def test_integer_solve_and_exchange_match_gauss_jordan():
             seen["into d = 0"] += d == 0
             seen["odd p - q" if (p - q) % 2 else "even p - q"] += 1
     assert min(seen.values()) >= 5, seen
+
+
+def _greedy_by_gauss_jordan(ints, order):
+    """The first basis of the columns of ints along order, ascending,
+    and the reduced row of each of its columns, {column: value}, by one
+    gauss_jordan of the columns read in that order."""
+    reduced, pivots, _ = gauss_jordan([[row[c] for c in order]
+                                       for row in ints], len(order))
+    rows = {order[p]: dict(zip(order, reduced[i]))
+            for i, p in enumerate(pivots)}
+    return sorted(rows), rows
+
+
+def test_greedy_chart_matches_gauss_jordan(monkeypatch):
+    # seeded integer rows, with a zero, doubled or combined row, k = 0
+    # and k = n, in random column orders, from each kind of start: an
+    # elimination along the order itself, in natural, reversed, random
+    # and sparsest-first order, and the chart of another basis.  The
+    # basis is the gauss_jordan pivots read in that order, d is its
+    # minor at full rank, the chart over d is the reduced form on it,
+    # and a chart start is left as it was
+    exchanges = []
+    exchange = matrices.integer_exchange
+    monkeypatch.setattr(matrices, "integer_exchange",
+                        lambda *args: exchanges.append(1) or exchange(*args))
+    rng = random.Random(43)
+    seen = dict.fromkeys(("k = 0", "k = n", "rank < k", "zero row",
+                          "exchanges", "chart start"), 0)
+    for _ in range(160):
+        k = rng.randint(0, 4)
+        n = k + rng.choice((0, 1, 2, rng.randint(3, 5)))
+        ints = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)]
+                for _ in range(k)]
+        if k > 1 and rng.random() < 0.4:
+            ints[-1] = rng.choice(([0] * n, [2 * x for x in ints[0]],
+                                   [x - 3 * y for x, y in zip(*ints[:2])]))
+        order = rng.sample(range(n), n)
+        basis, reduced = _greedy_by_gauss_jordan(ints, order)
+        starts = [order, list(range(n)), list(range(n))[::-1],
+                  rng.sample(range(n), n), sparsest_first(ints, range(n))]
+        other = greedy_chart(ints, starts[3], starts[3])
+        if len(other[0]) == k:
+            starts.append(other)
+        for start in starts:
+            kept = deepcopy(start)
+            exchanges.clear()
+            got, d, slots, chart = greedy_chart(ints, order, start)
+            assert start == kept and got == basis, (ints, order, start)
+            if len(basis) == k:
+                assert d == _minor(ints, basis), (ints, order, start)
+            width = n - len(basis)
+            for i, c in enumerate(basis):
+                row = [d if j == c else 0 if s == width else chart[i][s]
+                       for j, s in enumerate(slots)]
+                assert [Fraction(x, d) for x in row] == \
+                    [reduced[c][j] for j in range(n)], (ints, order, start)
+            seen["exchanges"] += bool(exchanges)
+            seen["chart start"] += isinstance(start, tuple)
+        seen["k = 0"] += k == 0
+        seen["k = n"] += 0 < k == n
+        seen["rank < k"] += len(basis) < k
+        seen["zero row"] += [0] * n in ints
+    assert min(seen.values()) >= 10, seen
 
 
 def test_border_and_row_exchange_match_gauss_jordan():
@@ -432,6 +497,32 @@ def test_positive_complement_matches_exhaustive_oracle():
     assert sum(isinstance(c, Matrix) and c.nrows == 0 for c in outcomes) > 2
 
 
+def test_positive_complement_matches_natural_order_kernel():
+    # the complement from a sparsest-first elimination and exchanges to
+    # the first basis, against one natural-order integer kernel: equal
+    # entries or the same error, on integer, rational, rank-deficient
+    # and square inputs, and on the sparse fan strips and their duals
+    cases = _complement_cases(17)
+    for n in (5, 9, 16):
+        q = [n - 2, 1] + [2] * (n - 3) + [1]
+        strip = frieze_to_matrix(frieze_from_quiddity(q))
+        cases += [strip, positive_complement(strip)]
+    rng = random.Random(17)
+    cases += [grown(rng, *rng.choice(UNIMODULAR_POOL))[0] for _ in range(20)]
+    texts = set()
+    for m in cases:
+        got, want = (_outcome(positive_complement, m),
+                     _outcome(kernel_complement, m))
+        if isinstance(want, str):
+            assert got == want, m
+            texts.add(want.split(" on ")[0])
+        else:
+            assert got.entries == want.entries and got.ncols == want.ncols, m
+    assert texts == {"ValueError: matrix does not have full row rank",
+                     "ValueError: complement identity fails"}
+    assert sum(0 < m.nrows < m.ncols for m in cases) > 50
+
+
 def _perturbed_pool(rng, per_matrix=12):
     """Each pool matrix and some of its single-entry +-1 perturbations."""
     cases = []
@@ -475,7 +566,7 @@ def _walked(m, pi):
     return [(cols, d, None if chart is None else {
                 j: [row[s] for row in chart]
                 for j, s in enumerate(slots, start=1) if s < n - len(cols)})
-            for cols, d, slots, chart in _necklace_charts(m, pi)]
+            for cols, d, slots, chart, _ in _necklace_charts(m, pi)]
 
 
 def test_necklace_walk_matches_exchange_minors():
@@ -542,9 +633,9 @@ def _unit_perturbed(rng, m, count):
 def test_certificate_reads_rank_bounds_off_the_walk_charts(monkeypatch):
     # seeded samplers.grown instances up to period 16, k = 0 and k = n,
     # each with and without +-1 perturbations: the certificate, which
-    # reads a start column's rank bounds off the walk's chart and
-    # eliminates only where its zero pattern fails or the minor is 0,
-    # matches the interval ranks by definition
+    # reads a start column's rank bounds off the greedy basis reached
+    # from the walk's chart by exchanges, or from an elimination where
+    # the minor is 0, matches the interval ranks by definition
     rng = random.Random(31)
     bases = [(Matrix([], cols=3), parse_siteswap("000")),
              (random_determinant_one(rng, 4, 8), JugglingFunction.uniform(4, 4)),
@@ -557,37 +648,37 @@ def test_certificate_reads_rank_bounds_off_the_walk_charts(monkeypatch):
     assert max(pi.period for _, pi in bases) >= 14
     cases = [(copy, pi) for m, pi in bases
              for copy in [m] + _unit_perturbed(rng, m, 2)]
-    counts = {"fallback": 0, "pattern fails": 0}
-    greedy, eliminate = construct._is_greedy_basis, construct.integer_eliminate
+    counts = {"eliminate": 0, "exchange": 0}
+    greedy, exchange = construct.greedy_chart, matrices.integer_exchange
 
-    def fallback(*args):
-        counts["fallback"] += 1
-        return eliminate(*args)
+    def chart(ints, order, start):
+        # a start column with a zero minor has no chart to start from
+        counts["eliminate"] += not isinstance(start, tuple)
+        return greedy(ints, order, start)
 
-    def pattern(*args):
-        held = greedy(*args)
-        counts["pattern fails"] += not held
-        return held
+    def swap(*args):
+        counts["exchange"] += 1
+        return exchange(*args)
 
-    monkeypatch.setattr(construct, "integer_eliminate", fallback)
-    monkeypatch.setattr(construct, "_is_greedy_basis", pattern)
-    seen = {"zero minor": 0, "pattern fails": 0, "violations": 0, "loop": 0,
+    monkeypatch.setattr(construct, "greedy_chart", chart)
+    monkeypatch.setattr(matrices, "integer_exchange", swap)
+    seen = {"zero minor": 0, "not greedy": 0, "violations": 0, "loop": 0,
             "coloop": 0, "k = 0": 0, "k = n": 0}
     for m, pi in cases:
         counts.update(dict.fromkeys(counts, 0))
         cert = is_pi_unimodular(m, pi)
         assert (cert.checked_minors, cert.rank_violations) == \
             interval_rank_certificate(m, pi), (m, pi)
-        # a fallback that the zero pattern did not ask for has a zero minor
-        seen["zero minor"] += counts["fallback"] > counts["pattern fails"]
-        seen["pattern fails"] += counts["pattern fails"] > 0
+        seen["zero minor"] += counts["eliminate"] > 0
+        # a chart that is not its greedy basis takes an exchange
+        seen["not greedy"] += counts["exchange"] > 0
         seen["violations"] += bool(cert.rank_violations)
         seen["loop"] += bool(pi.loops())
         seen["coloop"] += 0 < len(pi.coloops()) < pi.period
         seen["k = 0"] += pi.balls == 0
         seen["k = n"] += pi.balls == pi.period
     assert all(count >= 1 for count in seen.values()), seen
-    assert seen["pattern fails"] >= 5 and seen["violations"] >= 10, seen
+    assert seen["not greedy"] >= 5 and seen["violations"] >= 10, seen
 
 
 def test_certified_unit_perturbations_keep_the_frieze_up_to_sl_k():
