@@ -29,7 +29,8 @@ MAX_DIGITS = sys.int_info.default_max_str_digits
 MAX_RENDER_CELLS = 10 ** 6
 # enumerate searches strips of at most this height: its rows take
 # O(height**2) memory, 79 MB and 4.8 s at this height with --bound 2
-# (in process, 2-vCPU VM)
+# (in process, 2-vCPU VM); the search's own budget of row entries
+# (frieze.MAX_ENUMERATE_ENTRIES) bounds its time at any height
 MAX_ENUMERATE_HEIGHT = 2000
 _DIGITS_TO_ZERO = str.maketrans("123456789", "0" * 9)
 

@@ -37,7 +37,7 @@ from operator import mul
 
 from .juggling import JugglingFunction, residue, sign_power
 from .matrices import (Matrix, chart_kernel, greedy_chart, integer_cross,
-                       integer_exchange, integer_solve, sparsest_first)
+                       integer_exchange, integer_solve, ratio, sparsest_first)
 from .frieze import PeriodicFrieze, _recurrence_solutions, is_prefrieze
 
 
@@ -156,7 +156,7 @@ def is_pi_unimodular(m: Matrix, pi: JugglingFunction) -> UnimodularCertificate:
     ints, scale = m.integer_view()
     for a, (cols, d, slots, chart, exchange) in enumerate(
             _necklace_charts(m, pi), start=1):
-        cert.checked_minors.append((cols, Fraction(d, scale ** k)))
+        cert.checked_minors.append((cols, ratio(d, scale ** k)))
         cert.exchange_rows.append(exchange)
         # the schedule's landing times in [a, a+n), from their residues,
         # and the first slot where no ball lands
@@ -211,7 +211,7 @@ def twist(m: Matrix, pi: JugglingFunction) -> Matrix:
         for j, y in zip(first, adj):
             if row[j]:
                 col = [x + row[j] * z for x, z in zip(col, y)]
-        cols.append([Fraction(scale * (x // unit), unit) for x in col])
+        cols.append([ratio(scale * (x // unit), unit) for x in col])
     return Matrix.from_columns(cols)
 
 
@@ -237,8 +237,9 @@ def positive_complement(m: Matrix) -> Matrix:
     arXiv:1503.05622) the column-alternated kernel has the Pluecker
     coordinates of m on complementary sets up to one constant, so one
     matched nonzero pair matches every pair.  For k = n the complement
-    has no rows and one minor, 1, so det m must be 1.  Each entry
-    becomes a Fraction once, when the result is built.
+    has no rows and one minor, 1, so det m must be 1.  Each entry is
+    built once, by matrices.ratio: an int when integral, else one
+    Fraction.
     """
     comp = _build_complement(m)
     if comp is None:
@@ -261,11 +262,11 @@ def _build_complement(m: Matrix) -> Matrix | None:
     unit = scale ** k
     if k == n and d != unit:
         raise ValueError(f"complement identity fails on columns "
-                         f"{tuple(range(1, n + 1))}: 1 != {Fraction(d, unit)}")
+                         f"{tuple(range(1, n + 1))}: 1 != {ratio(d, unit)}")
     co = sign_power(sum(1 for j in range(0, n, 2) if slots[j] < n - k))
     # the kernel is d times the reduced-form one; row 0 is over the
     # basis minor d / unit, signed by co, instead
-    return Matrix([[Fraction(-x if j % 2 == 0 else x, d if i else co * unit)
+    return Matrix([[ratio(-x if j % 2 == 0 else x, d if i else co * unit)
                     for j, x in enumerate(v)]
                    for i, v in enumerate(kernel)], cols=n)
 
@@ -291,9 +292,10 @@ def frieze_entries(m: Matrix, pi: JugglingFunction):
     L_a - a, r = n - k, and the minor is the vector's entry at b's
     position j there times (-1)**j.  The complement is built once per
     reader (_build_complement), or is None when m's rank is below k, so
-    that every minor is 0.  Each entry is one Fraction, its sign in the
-    numerator, over L**t, L the scale of the integer view it is read
-    from and t that view's row count.
+    that every minor is 0.  Each entry is the signed integer minor over
+    L**t, L the scale of the integer view it is read from and t that
+    view's row count (matrices.ratio: an int when integral, else one
+    Fraction); the fixed entries are ints.
     """
     k, n = _shape_balls(m, pi), pi.period
     dual, necklace = pi.dual(), pi.necklace()
@@ -305,19 +307,19 @@ def frieze_entries(m: Matrix, pi: JugglingFunction):
         columns = list(zip(*ints))
     vectors = {}
 
-    def entry(a: int, b: int) -> Fraction:
+    def entry(a: int, b: int) -> int | Fraction:
         if pi(a) == a:
             if a == b:
-                return Fraction(1)
+                return 1
             if a == b + n:
-                return Fraction(dual.entry_sign(a, b))
-            return Fraction(0)
+                return dual.entry_sign(a, b)
+            return 0
         if not b <= a < b + n or source is None:
-            return Fraction(0)
+            return 0
         ra, rb = residue(a, n), residue(b, n)
         sched = necklace[ra - 1]
         if rb != ra and rb in sched:
-            return Fraction(0)
+            return 0
         # the position of rb among the schedule's columns other than ra
         q = bisect_left(sched, rb) - (ra < rb)
         cross = vectors.get(ra)
@@ -335,12 +337,13 @@ def frieze_entries(m: Matrix, pi: JugglingFunction):
             x = cross[q]
         else:
             x = sum(map(mul, cross, columns[rb - 1]))
-        return Fraction(sign_power(q) * dual.entry_sign(a, b) * x, unit)
+        return ratio(sign_power(q) * dual.entry_sign(a, b) * x, unit)
 
     return entry
 
 
-def frieze_entry(m: Matrix, pi: JugglingFunction, a: int, b: int) -> Fraction:
+def frieze_entry(m: Matrix, pi: JugglingFunction, a: int,
+                 b: int) -> int | Fraction:
     """Entry (a, b) of the frieze of m, for arbitrary integers a, b: one
     call of the reader frieze_entries(m, pi), which owns the rule, so a
     single entry pays the elimination of its whole schedule."""
@@ -402,9 +405,9 @@ def build_frieze_twist(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
     dual = pi.dual()
     wrap_sign = sign_power(dual.wrap_exponent)
 
-    def entry(a: int, b: int) -> Fraction:
+    def entry(a: int, b: int) -> int | Fraction:
         x = rows[residue(a, n) - 1][b - 1]
-        return Fraction(x * wrap_sign if a > n else x, unit)
+        return ratio(x * wrap_sign if a > n else x, unit)
 
     return _fill_skeleton(dual, entry)
 
@@ -488,7 +491,7 @@ def frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
                              f"have rank {len(basis)}, not {k}")
         # row i is d at basis column i, 0 at the others and the chart's
         # entries at the rest, over L**k for i = 0 and over d after it
-        result = Matrix([[Fraction(d if j == b else x, d if i else scale ** k)
+        result = Matrix([[ratio(d if j == b else x, d if i else scale ** k)
                           for j, x in enumerate(map((y + [0]).__getitem__,
                                                     slots))]
                          for i, (b, y) in enumerate(zip(basis, chart))],

@@ -27,7 +27,14 @@ from typing import Sequence
 
 from .juggling import JugglingFunction, as_int, residue, sign_power
 from .matrices import (as_grid, border, integer_det, integer_exchange,
-                       integer_solve, rational_to_json, scaled_ints)
+                       integer_solve, ratio, rational_to_json, scaled_ints)
+
+# enumerate_sl2_positive stops past this many row entries appended, at
+# min(height, j + 1) + 1 per value tried at quiddity position j: about
+# 6.7 M for all of height 7, 12 M for height 2,000 at bound 2, and
+# 0.3-0.7 us each (in process, 2-vCPU VM), so no search runs past
+# about 10 s
+MAX_ENUMERATE_ENTRIES = 15 * 10 ** 6
 
 
 class PeriodicFrieze:
@@ -49,7 +56,7 @@ class PeriodicFrieze:
         n = self.shape.period
         d = a - b
         if d < 0 or d > n:
-            return Fraction(0)
+            return 0
         return self.columns[residue(b, n) - 1][d]
 
     def integer_view(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -59,6 +66,8 @@ class PeriodicFrieze:
         return self._view
 
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
+        """The determinant of the full array on the given rows and
+        columns, as Matrix.minor: a Fraction even when integral."""
         if len(rows) != len(cols):
             raise ValueError("determinant of a non-square matrix")
         window, scale = self.integer_view()
@@ -319,10 +328,9 @@ def check_frieze(c: PeriodicFrieze) -> FriezeReport:
         tame, shift = (report.tame_failures, 0) if a > 1 else (last, n)
         for unit, b, det, t in _interval_walk(c, a, flags[(a - 2) % n]):
             if unit and det != scale ** t:
-                report.frieze_failures.append((a, b, Fraction(det, scale ** t)))
+                report.frieze_failures.append((a, b, ratio(det, scale ** t)))
             elif not unit and det:
-                tame.append((a - 1 + shift, b + shift,
-                             Fraction(det, scale ** t)))
+                tame.append((a - 1 + shift, b + shift, ratio(det, scale ** t)))
     report.tame_failures += last
     return report
 
@@ -392,7 +400,7 @@ def _recurrence_solutions(c: PeriodicFrieze) -> list:
                 raise ValueError(
                     f"not a frieze: dual entry ({b + t}, {b}), the minor on "
                     f"rows {b + 1}..{b + t} and columns {b}..{b + t - 1}, "
-                    f"is {Fraction(d, scale ** t)}, not {fixed}")
+                    f"is {ratio(d, scale ** t)}, not {fixed}")
         found.append([sign_power(t) * d * scale ** (n - 1 - t)
                       for t, d in enumerate(minors)])
     return found
@@ -428,7 +436,7 @@ def dual_frieze(c: PeriodicFrieze) -> PeriodicFrieze:
     cols = []
     for b in range(1, n + 1):
         minors = _dual_column(window, b)
-        col = [Fraction(d, scale ** t) for t, d in enumerate(minors)]
+        col = [ratio(d, scale ** t) for t, d in enumerate(minors)]
         col.append(pi.dual().skeleton()[b - 1][n])
         cols.append(col)
     return PeriodicFrieze(pi.dual(), cols)
@@ -532,7 +540,8 @@ def enumerate_sl2_positive(height: int, entry_bound: int) -> list[PeriodicFrieze
     once more before it backs up from j, it cuts rows 0..min(h, j+1)
     back to their length before position j (row d to j+1-d entries):
     the rows the last step at j touched, and at j = n-1 the leaf's
-    h-1 wrapped steps.
+    h-1 wrapped steps.  Each value tried spends its rows 0..min(h, j+1)
+    of MAX_ENUMERATE_ENTRIES, and a search past it is a ValueError.
     """
     if height < 1:
         raise ValueError("height must be at least 1")
@@ -546,16 +555,21 @@ def enumerate_sl2_positive(height: int, entry_bound: int) -> list[PeriodicFrieze
     rows = [[1]] + [[] for _ in range(height)]
     # tried[j]: the last value tried at position j, 0 before the first
     tried = [0] * n
-    j = 0
+    j = spent = 0
     while j >= 0:
-        # undo the last step at j and all it appended
-        for d in range(min(height, j + 1) + 1):
+        # undo the last step at j and all it appended: rows 0..min(h, j+1)
+        cut = min(height, j + 1) + 1
+        for d in range(cut):
             del rows[d][j + 1 - d:]
         if tried[j] == top:
             tried[j] = 0
             j -= 1
             continue
         tried[j] += 1
+        spent += cut
+        if spent > MAX_ENUMERATE_ENTRIES:
+            raise ValueError(f"height {height} at bound {entry_bound} appends "
+                             f"more than {MAX_ENUMERATE_ENTRIES} row entries")
         if _diamond_step(rows, tried[j]):
             if j < n - 1:
                 j += 1

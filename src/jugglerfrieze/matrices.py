@@ -25,8 +25,10 @@ seven kernels own it, on integer rows:
 - border: det B and adj(B) after B gains one row and one column, by
   the Schur complement.
 
-Fractions are built only for results and "p/q" inputs.  Every value is
-exact; there is no floating point anywhere in this package.
+A result entry is built by ratio, the exact quotient of an integer by
+a scale: an int when it is integral, else one Fraction; only those
+entries and "p/q" inputs are Fractions.  Every value is exact; there
+is no floating point anywhere in this package.
 """
 from __future__ import annotations
 
@@ -91,9 +93,19 @@ def as_grid(rows) -> tuple[tuple[int | Fraction, ...], ...]:
     raise TypeError("expected a list of lists")
 
 
+def ratio(x: int, unit: int) -> int | Fraction:
+    """x / unit for integers x and unit != 0: the int quotient when unit
+    divides x, of either sign, else the Fraction."""
+    q, r = divmod(x, unit)
+    return Fraction(x, unit) if r else q
+
+
 def scaled_ints(grid) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The grid times one common lcm L of its denominators, as ints, and
-    L: a t x t minor of the result is L**t times the grid's."""
+    """The grid, a tuple of tuples, times one common lcm L of its
+    denominators, as ints, and L: a t x t minor of the result is L**t
+    times the grid's.  A grid of ints is its own view, with L = 1."""
+    if all(type(x) is int for row in grid for x in row):
+        return grid, 1
     scale = lcm(*(x.denominator for row in grid for x in row))
     return (tuple(tuple(x.numerator * (scale // x.denominator) for x in row)
                   for row in grid), scale)
@@ -357,6 +369,8 @@ def border(d: int, adj: list[list[int]], u: list[int], v: list[int],
 
 
 def rational_to_json(x: int | Fraction):
+    if type(x) is int:
+        return x
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -426,7 +440,8 @@ class Matrix:
 
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
         """The determinant on the given 0-based rows and columns: the
-        integer view's minor over L**t for t rows."""
+        integer view's minor over L**t for t rows, a Fraction even when
+        integral, so that a quotient of two stays exact."""
         if len(rows) != len(cols):
             raise ValueError("determinant of a non-square matrix")
         ints, scale = self.integer_view()
@@ -443,7 +458,7 @@ class Matrix:
         neither)."""
         rows = [list(row) for row in self.integer_view()[0]]
         pivots, d, _ = integer_eliminate(rows, range(self.ncols))
-        return (Matrix([[Fraction(x, d) for x in row] for row in rows],
+        return (Matrix([[ratio(x, d) for x in row] for row in rows],
                        cols=self.ncols),
                 pivots)
 
@@ -453,10 +468,10 @@ class Matrix:
         the integer view's greedy_chart in natural order (chart_kernel)."""
         order = range(self.ncols)
         chart = greedy_chart(self.integer_view()[0], order, order)
-        return Matrix([[Fraction(x, chart[1]) for x in v]
+        return Matrix([[ratio(x, chart[1]) for x in v]
                        for v in chart_kernel(*chart)], cols=self.ncols)
 
-    def solve(self, rhs: Sequence) -> tuple[Fraction, ...]:
+    def solve(self, rhs: Sequence) -> tuple[int | Fraction, ...]:
         """The unique x with self * x = rhs, from the rref of [self | rhs]."""
         if self.nrows != self.ncols:
             raise ValueError("solve needs a square matrix")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .juggling import as_int, residue, sign_power
-from .matrices import as_grid, as_rational
+from .matrices import as_grid, as_rational, ratio
 from .frieze import (PeriodicFrieze, _recurrence_solutions, columns_from_json,
                      columns_to_json)
 
@@ -58,11 +58,11 @@ class SolutionWindow:
                    columns_from_json(obj["columns"], n))
 
 
-def residual(c: PeriodicFrieze, x: Callable, a: int) -> Fraction:
+def residual(c: PeriodicFrieze, x: Callable, a: int) -> int | Fraction:
     """Row a of C x: the sum of C[a, b] x(b) over the support band."""
     n = c.shape.period
-    return sum((c.entry(a, b) * as_rational(x(b))
-                for b in range(a - n, a + 1)), Fraction(0))
+    return sum(c.entry(a, b) * as_rational(x(b))
+               for b in range(a - n, a + 1))
 
 
 def solution_matrix(c: PeriodicFrieze) -> SolutionWindow:
@@ -73,11 +73,11 @@ def solution_matrix(c: PeriodicFrieze) -> SolutionWindow:
     They are the dual columns whose skeleton decided that c is a frieze
     (see frieze.is_frieze), so a non-frieze raises that decision's
     ValueError.  They come scaled by L**(n-1), L the lcm of c's integer
-    view, divided out once; when L is 1, as on every integral frieze,
-    they stay ints.
+    view, divided out once (matrices.ratio): each entry is an int when
+    integral, as on every integral frieze, else one Fraction.
     """
     n = c.shape.period
     scale = c.integer_view()[1] ** (n - 1)
     return SolutionWindow(n, c.shape.wrap_exponent, tuple(
-        col if scale == 1 else [Fraction(x, scale) for x in col]
+        col if scale == 1 else [ratio(x, scale) for x in col]
         for col in _recurrence_solutions(c)))

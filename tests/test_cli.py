@@ -443,6 +443,19 @@ def test_enumerate(capsys):
     assert run(capsys, "enumerate", "--height", "0", "--bound", "3")[0] == 2
 
 
+def test_enumerate_past_its_budget_exits_2(capsys, monkeypatch):
+    # all 132 strips of height 6 append about 0.35 M row entries; with a
+    # budget of 10,000 the search stops, names the budget and prints
+    # nothing on stdout, as a search at a height far past the budget does
+    monkeypatch.setattr(jugglerfrieze.frieze, "MAX_ENUMERATE_ENTRIES", 10000)
+    code = main(["enumerate", "--height", "6", "--bound", "6", "--dump"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "10000" in captured.err
+    assert "Traceback" not in captured.err
+    assert run(capsys, "enumerate", "--height", "4", "--bound", "4")[0] == 0
+
+
 def test_output_flag_writes_file(capsys, files, tmp_path):
     target = tmp_path / "out.json"
     code, out = run(capsys, "construct", files["matrix"],

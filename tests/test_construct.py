@@ -2,6 +2,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            frieze_entry, build_frieze_det, build_frieze_twist,
                            frieze_to_matrix, is_frieze, dual_frieze,
                            format_siteswap, frieze_from_quiddity,
-                           solution_matrix)
+                           solution_matrix, check_frieze)
 from jugglerfrieze.cli import main
 
 import fixture_data as fx
@@ -21,6 +22,8 @@ from exact_oracles import (exchange_minor, gauss_jordan, identity,
 from samplers import (UNIMODULAR_POOL, grown, random_determinant_one,
                       random_full_rank)
 
+DATA = Path(__file__).parent / "data"
+
 
 def with_entry(m, i, j, value):
     rows = [list(r) for r in m.entries]
@@ -28,21 +31,63 @@ def with_entry(m, i, j, value):
     return Matrix(rows, cols=m.ncols)
 
 
+def _built_values(m, pi):
+    """Every value the package builds from the unimodular (m, pi): the
+    grids of its transforms and friezes, the certificate's minors, the
+    reader's entries in and around the window, the failure values of a
+    near-miss of its frieze and that frieze's entries outside the window."""
+    c = build_frieze_det(m, pi)
+    grids = [m, c, build_frieze_twist(m, pi), twist(m, pi),
+             inverse_twist(m, pi), positive_complement(m),
+             frieze_to_matrix(c), dual_frieze(c), solution_matrix(c)]
+    values = [x for r in grids for row in (
+        r.entries if isinstance(r, Matrix) else r.columns) for x in row]
+    values += [d for _, d in is_pi_unimodular(m, pi).checked_minors]
+    entry, n = construct.frieze_entries(m, pi), pi.period
+    values += [entry(a, b) for b in range(1, n + 1)
+               for a in range(b - 1, b + n + 2)]
+    free = [(a, b) for b, col in enumerate(c.shape.skeleton(), start=1)
+            for a, x in enumerate(col, start=b) if x is None]
+    if free:
+        a, b = free[0]
+        cols = [list(col) for col in c.columns]
+        cols[b - 1][a - b] += 1
+        report = check_frieze(PeriodicFrieze(c.shape, cols))
+        assert not report.ok
+        values += [d for _, _, d in report.frieze_failures
+                   + report.tame_failures]
+    return values + [c.entry(0, 1), c.entry(n + 2, 1)]
+
+
 def test_no_float_leaks_from_int_inputs():
-    # with int inputs every grid the public constructors and transforms
-    # build holds ints and Fractions only: a true division would bring a
-    # float, which no grid accepts, and a bool or other int subclass
-    # would show here
-    exact = {int, Fraction}
-    for m, pi in UNIMODULAR_POOL:
-        m = Matrix([[int(x) for x in row] for row in m.entries], cols=m.ncols)
-        c = build_frieze_det(m, pi)
-        results = [m, c, build_frieze_twist(m, pi), twist(m, pi),
-                   inverse_twist(m, pi), positive_complement(m),
-                   frieze_to_matrix(c), dual_frieze(c), solution_matrix(c)]
-        for r in results:
-            grid = r.entries if isinstance(r, Matrix) else r.columns
-            assert {type(x) for row in grid for x in row} <= exact, (r, pi)
+    # with int inputs every value the public constructors and transforms
+    # build is an int when it is integral and one Fraction when it is
+    # not: a true division would bring a float, which no grid accepts,
+    # and a bool, an int subclass or an integral Fraction would show
+    # here; on the unimodular pool, seeded grown copies of it and the
+    # fan strip S and its dual D at n <= 18 every value is an int
+    rng = random.Random(34)
+    cases = [(Matrix([[int(x) for x in row] for row in m.entries],
+                     cols=m.ncols), pi) for m, pi in UNIMODULAR_POOL]
+    cases += [grown(rng, *rng.choice(cases)) for _ in range(6)]
+    for n in (6, 10, 18):
+        strip = frieze_from_quiddity([n - 2, 1] + [2] * (n - 3) + [1])
+        cases += [(frieze_to_matrix(c), c.shape.dual())
+                  for c in (strip, dual_frieze(strip))]
+    for m, pi in cases:
+        assert {type(x) for x in _built_values(m, pi)} == {int}, pi
+    # the rational fixture, rows scaled by 2 and 1/2: its twist and
+    # inverse twist are not integral, and its strip's solutions hold 2/3
+    rational = DATA / "rational"
+    m = Matrix.from_json(json.loads((rational / "matrix.json").read_text()))
+    values = _built_values(m, fx.PI_23345357)
+    strip = PeriodicFrieze.from_json(json.loads(
+        (rational / "strip.json").read_text()))
+    values += [x for col in (dual_frieze(strip).columns
+                             + solution_matrix(strip).columns) for x in col]
+    assert {type(x) for x in values} == {int, Fraction}
+    for x in values:
+        assert type(x) is (int if x.denominator == 1 else Fraction), x
 
 
 def test_consecutively_unimodular():

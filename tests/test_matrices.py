@@ -10,7 +10,8 @@ import pytest
 from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            SolutionWindow, cyclic_submatrix,
                            frieze_from_quiddity, parse_siteswap, residual)
-from jugglerfrieze.matrices import as_rational
+from jugglerfrieze.matrices import (as_rational, ratio, rational_to_json,
+                                    scaled_ints)
 
 import fixture_data as fx
 from exact_oracles import identity, rank, zero
@@ -250,6 +251,27 @@ def test_as_rational_type_table():
             ("1/0", ValueError, "zero denominator in '1/0'")):
         with pytest.raises(error, match="^" + re.escape(message) + "$"):
             as_rational(x)
+
+
+def test_ratio_type_table():
+    # x / unit is Fraction(x, unit) in value, an int exactly when unit
+    # divides x, of either sign, and one Fraction otherwise
+    big = 10 ** 30
+    for x, unit, kind in ((6, 3, int), (6, -3, int), (-6, 3, int),
+                          (-6, -3, int), (0, 7, int), (0, -7, int),
+                          (5, 1, int), (5, -1, int), (big * 7, big, int),
+                          (7, 3, Fraction), (7, -3, Fraction),
+                          (-7, 3, Fraction), (-7, -3, Fraction),
+                          (2, 4, Fraction), (-2, -4, Fraction),
+                          (big + 1, big, Fraction)):
+        got = ratio(x, unit)
+        assert got == Fraction(x, unit) and type(got) is kind, (x, unit)
+    # a grid of ints is its own integer view, and an int its own JSON
+    grid = ((1, -2), (3, big))
+    assert scaled_ints(grid) == (grid, 1) and scaled_ints(grid)[0] is grid
+    assert rational_to_json(big) is big
+    assert rational_to_json(Fraction(4, 2)) == 2
+    assert rational_to_json(Fraction(-1, 2)) == "-1/2"
 
 
 def _spellings(grid):
