@@ -2,16 +2,21 @@
 
 Subcommands: siteswap, check, construct, transform, solve, render,
 enumerate.  JSON is the only interchange format; the ASCII renderer is
-presentation-only.  Exit codes: 0 success, 1 a mathematical check
-failed, 2 bad input or usage: main reports a ValueError from any layer
-as "error: ..." with exit 2, except that solve on a non-frieze exits 1.
-Results may have integers of any size; a number in an input file may
-have at most MAX_DIGITS digits.
+presentation-only.  A result is written as json.dumps(obj, indent=2,
+sort_keys=True) writes it, plus a newline, by one small writer
+(_to_json); enumerate --dump writes one object per line, as
+json.dumps(obj, sort_keys=True) writes it.  Exit codes: 0 success, 1 a
+mathematical check failed, 2 bad input or usage: main reports a
+ValueError from any layer as "error: ..." with exit 2, except that
+solve on a non-frieze exits 1; 141 when the reader of stdout closed the
+pipe early.  Results may have integers of any size; a number in an
+input file may have at most MAX_DIGITS digits.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .juggling import JugglingFunction, parse_siteswap, format_siteswap, \
@@ -60,8 +65,41 @@ def _load(path: str, cls, kind: str):
                          f"deeply") from None
 
 
+# how json.dumps writes each leaf type of a payload
+_LEAVES = {int: int.__repr__, str: json.encoder.encode_basestring_ascii,
+           bool: {True: "true", False: "false"}.__getitem__,
+           type(None): lambda _: "null"}
+
+
+def _to_json(obj, indent: str) -> str:
+    """The bytes json.dumps(obj, indent=2, sort_keys=True) writes for
+    obj at the given indent, from dicts with str keys, lists and the
+    leaves of _LEAVES; any other key or leaf is a TypeError.  The stdlib
+    falls back to its pure-Python encoder for indent, and a list of
+    plain ints, as a row of entries, is one join here."""
+    kind = type(obj)
+    if kind in _LEAVES:
+        return _LEAVES[kind](obj)
+    inner = indent + "  "
+    if kind is dict:
+        items = [f"{_LEAVES[str](key)}: {_to_json(obj[key], inner)}"
+                 for key in sorted(obj)]
+    elif kind is not list:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON "
+                        f"serializable")
+    elif set(map(type, obj)) == {int}:
+        items = map(int.__repr__, obj)
+    else:
+        items = [_to_json(x, inner) for x in obj]
+    ends = "{}" if kind is dict else "[]"
+    if not obj:
+        return ends
+    sep = ",\n" + inner
+    return f"{ends[0]}\n{inner}{sep.join(items)}\n{indent}{ends[1]}"
+
+
 def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = _to_json(obj, "") + "\n"
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -280,15 +318,26 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     """Run one subcommand; the parser is built once, at import, and
     each call parses into a fresh namespace.  Python's cap on int <-> str
-    conversion is lifted for the call and restored afterwards."""
+    conversion is lifted for the call and restored afterwards.  Output
+    is flushed before the call returns; when its reader has closed the
+    pipe, stdout is pointed at os.devnull, so the interpreter's final
+    flush does not fail again, and the exit code is 141, as for a
+    process killed by SIGPIPE."""
     args = _PARSER.parse_args(argv)
     cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     finally:
         sys.set_int_max_str_digits(cap)
 

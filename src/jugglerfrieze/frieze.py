@@ -26,8 +26,9 @@ from operator import mul
 from typing import Sequence
 
 from .juggling import JugglingFunction, as_int, residue, sign_power
-from .matrices import (as_grid, border, integer_det, integer_exchange,
-                       integer_solve, ratio, rational_to_json, scaled_ints)
+from .matrices import (as_grid, border, grid_to_json, integer_det,
+                       integer_exchange, integer_solve, ratio,
+                       rational_to_json, scaled_ints)
 
 # enumerate_sl2_positive stops past this many row entries appended, at
 # min(height, j + 1) + 1 per value tried at quiddity position j: about
@@ -113,8 +114,8 @@ class PeriodicFrieze:
 
 def columns_to_json(columns: Sequence[Sequence[int | Fraction]]) -> dict:
     """Columns 1..n as the JSON object {"1": [...], ..., "n": [...]}."""
-    return {str(b): [rational_to_json(x) for x in col]
-            for b, col in enumerate(columns, start=1)}
+    return {str(b): col
+            for b, col in enumerate(grid_to_json(columns), start=1)}
 
 
 def columns_from_json(obj: dict, n: int) -> list:

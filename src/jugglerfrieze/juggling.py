@@ -48,20 +48,24 @@ class JugglingFunction:
                  "_signs", "_necklace")
 
     def __init__(self, values: Iterable[int]):
-        vals = tuple(map(as_int, values))
+        vals = tuple(values)
+        # a tuple of plain ints needs no as_int per value
+        if not set(map(type, vals)) <= {int}:
+            vals = tuple(map(as_int, vals))
         n = len(vals)
         if n == 0:
             raise SiteswapError("empty pattern")
+        # one pass: each value in [i, i + n] lands at residue r, and a
+        # slot left empty means two landings collide modulo n
+        inverse = [None] * n
         for i, v in enumerate(vals, start=1):
             if not i <= v <= i + n:
                 raise SiteswapError(
                     f"throw at position {i} has height {v - i}, outside [0, {n}]")
-        if sorted(residue(v, n) for v in vals) != list(range(1, n + 1)):
-            raise SiteswapError("landing times collide modulo the period")
-        inverse = [0] * n
-        for i, v in enumerate(vals, start=1):
-            r = residue(v, n)
+            r = v - n if v > n else v
             inverse[r - 1] = i - (v - r)
+        if None in inverse:
+            raise SiteswapError("landing times collide modulo the period")
         self.period = n
         self.values = vals
         self._inverse = tuple(inverse)

@@ -29,6 +29,12 @@ A result entry is built by ratio, the exact quotient of an integer by
 a scale: an int when it is integral, else one Fraction; only those
 entries and "p/q" inputs are Fractions.  Every value is exact; there
 is no floating point anywhere in this package.
+
+At the JSON boundary one codec reads and writes every grid, row by
+row: as_grid keeps a row of exactly ints and Fractions as it is, and
+grid_to_json copies a row of plain ints, each by one C-level pass over
+the row's types; any other row goes entry by entry through as_rational
+or rational_to_json.
 """
 from __future__ import annotations
 
@@ -61,10 +67,6 @@ def as_rational(x) -> int | Fraction:
     and ASCII digits; any other string, and a zero denominator, is a
     ValueError.
     """
-    # exact type tests first: they skip the ABC dispatch of isinstance
-    # for the common case, and a subclass still meets the checks below
-    if type(x) is int or type(x) is Fraction:
-        return x
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
@@ -85,8 +87,10 @@ def as_grid(rows) -> tuple[tuple[int | Fraction, ...], ...]:
     int); anything else is a TypeError, so a string is never read as a
     row of digits."""
     if isinstance(rows, (list, tuple)):
-        # a row of another type is dropped, which leaves the grid short
-        grid = tuple(tuple(map(as_rational, row)) for row in rows
+        # a row of another type is dropped, which leaves the grid short;
+        # a row of exactly ints and Fractions is kept as it is, in C
+        grid = tuple(tuple(row) if set(map(type, row)) <= {int, Fraction}
+                     else tuple(map(as_rational, row)) for row in rows
                      if isinstance(row, (list, tuple)))
         if len(grid) == len(rows):
             return grid
@@ -369,9 +373,15 @@ def border(d: int, adj: list[list[int]], u: list[int], v: list[int],
 
 
 def rational_to_json(x: int | Fraction):
-    if type(x) is int:
-        return x
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def grid_to_json(rows) -> list[list]:
+    """Rows of exact scalars as JSON lists: a row of plain ints is
+    copied as it is, in C, and any other row goes entry by entry
+    through rational_to_json."""
+    return [list(row) if set(map(type, row)) == {int}
+            else [rational_to_json(x) for x in row] for row in rows]
 
 
 class Matrix:
@@ -495,8 +505,7 @@ class Matrix:
 
     def to_json(self) -> dict:
         return {"rows": self.nrows, "cols": self.ncols,
-                "entries": [[rational_to_json(x) for x in row]
-                            for row in self.entries]}
+                "entries": grid_to_json(self.entries)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Matrix":

@@ -1,4 +1,5 @@
 import argparse
+import enum
 import json
 import os
 import pathlib
@@ -6,18 +7,19 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import jugglerfrieze
 from jugglerfrieze import (Matrix, PeriodicFrieze, build_frieze_det,
-                           format_siteswap, residue)
+                           format_siteswap, frieze_from_quiddity, residue)
 from jugglerfrieze import cli
 from jugglerfrieze.cli import main, render_frieze
 
 import fixture_data as fx
 from exact_oracles import dual_failure
-from samplers import UNIMODULAR_POOL, random_determinant_one
+from samplers import UNIMODULAR_POOL, grown, random_determinant_one
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -667,13 +669,17 @@ def test_matrix_entries_not_a_list_of_lists_exit_2(capsys, tmp_path):
                            ("transform", "--op", "complement"))
 
 
+def _process_env():
+    src = str(pathlib.Path(jugglerfrieze.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONIOENCODING="utf-8",
+                PYTHONPATH=os.pathsep.join(
+                    p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_module_runs_as_a_process(tmp_path):
     # python -m jugglerfrieze goes through __main__ and the process exit
     # status, which the in-process tests above never reach
-    src = str(pathlib.Path(jugglerfrieze.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONIOENCODING="utf-8",
-               PYTHONPATH=os.pathsep.join(
-                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _process_env()
     strrow = tmp_path / "strrow.json"
     strrow.write_text(json.dumps({"rows": 1, "cols": 3, "entries": ["001"]}))
     zero = tmp_path / "zero.json"
@@ -695,3 +701,169 @@ def test_module_runs_as_a_process(tmp_path):
         bad = cli(*argv)
         assert bad.returncode == 2 and bad.stdout == ""
         assert bad.stderr.startswith("error:") and "Traceback" not in bad.stderr
+
+
+def test_closed_pipe_exits_141_without_a_traceback(tmp_path):
+    # a reader that closes stdout before the output ends, as `| head -1`
+    # does: Python ignores SIGPIPE, so the write fails with EPIPE, and
+    # the process exits 141, as one killed by SIGPIPE, with nothing on
+    # stderr, whether the write fails in enumerate's printing, in
+    # _emit's write or in main's flush; with PYTHONUNBUFFERED set, the
+    # text layer writes to the file in one call and drops a short count,
+    # so a pipe closed mid-write would go unseen
+    env = _process_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    n = 128
+    fan = tmp_path / "fanstrip128.json"
+    fan.write_text(json.dumps(frieze_from_quiddity(
+        [n - 2, 1] + [2] * (n - 3) + [1]).to_json()))
+    command = [sys.executable, "-m", "jugglerfrieze"]
+    dual = ["transform", str(fan), "--op", "dual"]
+    for argv in (["enumerate", "--height", "4", "--bound", "4", "--dump"],
+                 ["enumerate", "--height", "6", "--bound", "6", "--dump"],
+                 dual):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(command + argv, stdout=write,
+                                  stderr=subprocess.PIPE, encoding="utf-8",
+                                  env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, ""), argv
+    # the dual of the n = 128 fan strip is larger than a pipe's buffer,
+    # so a reader that takes one line and closes always cuts it short
+    with subprocess.Popen(command + dual, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 141
+
+
+def _random_json(rng, depth=0):
+    """A seeded JSON value: big and negative ints, "p/q", non-ASCII and
+    control-character strings, bools and None, empty containers and
+    dicts whose keys are not in sorted order."""
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice([0, -1, 7, 10 ** 5000 + rng.randint(-9, 9),
+                           -10 ** rng.randint(1, 40),
+                           rng.randint(-2 ** 70, 2 ** 70)])
+    if kind == 1:
+        return f"{rng.randint(-99, 99)}/{rng.randint(1, 99)}"
+    if kind == 2:
+        return "".join(rng.choice("aZ 9\u00e9\u2603\U0001f600\n\t\x00"
+                                  "\x1f\x7f\"\\/")
+                       for _ in range(rng.randint(0, 8)))
+    if kind in (3, 4):
+        return rng.choice([True, False, None, 0, 1])
+    if kind == 5:
+        return [rng.randint(-10 ** 30, 10 ** 30)
+                for _ in range(rng.randint(0, 5))]
+    if kind == 6:
+        return [rng.choice([1, -2, True, False, None, "1/2"])
+                for _ in range(rng.randint(0, 5))]
+    if kind == 7:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    keys = ["10", "2", "1", "b", "a", "\u00e9", "", "B", "\x00", "key"]
+    return {key: _random_json(rng, depth + 1)
+            for key in rng.sample(keys, rng.randint(0, len(keys)))}
+
+
+def test_writer_matches_json_dumps_on_random_payloads():
+    # the bytes of json.dumps(obj, indent=2, sort_keys=True), with the
+    # digit cap lifted as main lifts it for its results
+    rng = random.Random(35)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for _ in range(300):
+            obj = {"payload": _random_json(rng), "z": [], "a": {}}
+            assert cli._to_json(obj, "") == json.dumps(
+                obj, indent=2, sort_keys=True)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, (1, 2), {1: 2}, [1, 2.0], {"a": {"b": Fraction(1, 2)}},
+    enum.IntEnum("Small", "ONE")(1), b"1"], ids=repr)
+def test_writer_refuses_other_types(obj):
+    # json.dumps would write a float, a tuple, an int key or an int
+    # subclass; no payload holds one, and the writer has no fallback
+    with pytest.raises(TypeError):
+        cli._to_json(obj, "")
+
+
+def _argvs(i, m, pi, tmp_path):
+    """The argv lists writing a frieze, a matrix, a solution window with
+    --basis and a passing and a failing check, of a unimodular (m, pi)."""
+    c = build_frieze_det(m, pi)
+    doc = c.to_json()
+    paths = [tmp_path / f"{name}{i}.json" for name in ("m", "c", "bad")]
+    paths[0].write_text(json.dumps(m.to_json()))
+    paths[1].write_text(json.dumps(doc))
+    argvs = [["construct", paths[0], "--siteswap", format_siteswap(pi)],
+             ["transform", paths[0], "--op", "complement"],
+             ["transform", paths[1], "--op", "invert-F"],
+             ["transform", paths[1], "--op", "dual"],
+             ["solve", paths[1], "--basis", "1"], ["check", paths[1]]]
+    free = [(b, a - b) for b, col in enumerate(pi.skeleton(), start=1)
+            for a, x in enumerate(col, start=b) if x is None]
+    if free:
+        b, d = free[0]
+        doc["columns"][str(b)][d] += 1
+        paths[2].write_text(json.dumps(doc))
+        argvs.append(["check", paths[2]])
+    return [[str(x) for x in argv] for argv in argvs]
+
+
+def test_writer_matches_json_dumps_on_cli_payloads(capsys, monkeypatch,
+                                                   tmp_path):
+    # every payload _emit writes for the unimodular pool, seeded grown
+    # copies and the rational goldens ("p/q" entries), against the
+    # stdlib's bytes for the same object
+    seen = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit",
+                        lambda obj, out: (seen.append(obj), emit(obj, out)))
+    rng = random.Random(5)
+    cases = list(UNIMODULAR_POOL)
+    for _ in range(6):
+        m, pi = rng.choice(UNIMODULAR_POOL)
+        for _ in range(rng.randint(1, 4)):
+            m, pi = grown(rng, m, pi)
+        cases.append((m, pi))
+    argvs = [argv for i, (m, pi) in enumerate(cases)
+             for argv in _argvs(i, m, pi, tmp_path)]
+    argvs += [case["argv"] for case in json.loads(
+        (RATIONAL / "cases.json").read_text())]
+    monkeypatch.chdir(RATIONAL)
+    codes = []
+    for argv in argvs:
+        payloads = len(seen)
+        codes.append(main(argv))
+        out = capsys.readouterr().out
+        if len(seen) > payloads:
+            assert out == json.dumps(seen[-1], indent=2,
+                                     sort_keys=True) + "\n"
+    # passing and failing checks among the 117 payloads
+    assert {0, 1} <= set(codes) and len(seen) == 117
+
+
+def test_cli_output_does_not_use_json_dumps(capsys, monkeypatch, files):
+    # a bytes-equality test cannot show which encoder ran; with
+    # json.dumps raising, every JSON-writing subcommand still writes
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    for argv in (["check", files["classic"]],
+                 ["construct", files["matrix"], "--siteswap", "23345357"],
+                 ["transform", files["matrix"], "--op", "complement"],
+                 ["transform", files["frieze"], "--op", "dual"],
+                 ["transform", files["classic"], "--op", "invert-F"],
+                 ["solve", files["classic"], "--basis", "1"]):
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)

@@ -30,6 +30,18 @@ def test_parse_rejects_residue_collision():
         parse_siteswap("53535")
 
 
+def test_range_error_is_named_before_a_collision():
+    # 2, 2, 9 in period 3: moments 1 and 2 land at residue 2, and
+    # moment 3 throws 6; the first throw out of range is named first,
+    # and a collision alone is named as one
+    for values, message in (
+            ([2, 2, 9], "throw at position 3 has height 6, outside [0, 3]"),
+            ([2, 2, 3], "landing times collide modulo the period")):
+        with pytest.raises(SiteswapError) as err:
+            JugglingFunction(values)
+        assert str(err.value) == message
+
+
 def test_parse_rejects_empty_and_garbage():
     for bad in ("", "  ", "3x4", "3,,4", "\u00b2", "3,\u00b2", "-1,2", "+1,1"):
         with pytest.raises(SiteswapError):

@@ -10,8 +10,8 @@ import pytest
 from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            SolutionWindow, cyclic_submatrix,
                            frieze_from_quiddity, parse_siteswap, residual)
-from jugglerfrieze.matrices import (as_rational, ratio, rational_to_json,
-                                    scaled_ints)
+from jugglerfrieze.matrices import (as_grid, as_rational, grid_to_json, ratio,
+                                    rational_to_json, scaled_ints)
 
 import fixture_data as fx
 from exact_oracles import identity, rank, zero
@@ -251,6 +251,41 @@ def test_as_rational_type_table():
             ("1/0", ValueError, "zero denominator in '1/0'")):
         with pytest.raises(error, match="^" + re.escape(message) + "$"):
             as_rational(x)
+
+
+def test_as_grid_row_type_table():
+    # a row of exactly ints and Fractions is kept as it is, and any
+    # other row goes entry by entry through as_rational: the same
+    # values, result types and objects, and the same errors
+    half, sub = Fraction(1, 2), _Half(1, 2)
+    for row in ([1, 2, 10 ** 30], (half, 4, Fraction(6, 3)), [],
+                [1, _Small.TWO], (half, sub), ["1/2", "-3", 4],
+                [1, True], [0, False], [1, 1.5], [2, "1.5"], [1, "1/0"]):
+        try:
+            want = tuple(map(as_rational, row))
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc),
+                               match="^" + re.escape(str(exc)) + "$"):
+                as_grid([[1], row])
+            continue
+        _, got = as_grid([[1], row])
+        assert got == want and type(got) is tuple
+        assert list(map(type, got)) == list(map(type, want))
+        assert [g is x for g, x in zip(got, row)] == \
+            [w is x for w, x in zip(want, row)]
+
+
+def test_grid_to_json_matches_rational_to_json():
+    # a row of plain ints is copied, any other entry by entry: integral
+    # Fractions become ints and the others "p/q" strings
+    rows = ((1, -2, 10 ** 30), (Fraction(1, 3), 2),
+            (Fraction(4, 2), Fraction(-6, 3)), (), (Fraction(-7, 5),),
+            (0, Fraction(0)), [3, 4])
+    got = grid_to_json(rows)
+    want = [[rational_to_json(x) for x in row] for row in rows]
+    assert got == want and all(type(row) is list for row in got)
+    assert [list(map(type, row)) for row in got] == \
+        [list(map(type, row)) for row in want]
 
 
 def test_ratio_type_table():
