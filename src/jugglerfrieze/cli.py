@@ -99,6 +99,12 @@ def _to_json(obj, indent: str) -> str:
 
 
 def _emit(obj: dict, out: str | None) -> None:
+    """Write obj's JSON to the file out, or else to stdout.  On a stdout
+    with a byte layer the encoded text goes through that layer, once the
+    text layer is flushed, in a loop that checks each count.  Under
+    PYTHONUNBUFFERED the byte layer is the raw file: a write into a pipe
+    that its reader closes mid-write returns a short count, which the
+    text layer would drop, and the next write raises BrokenPipeError."""
     text = _to_json(obj, "") + "\n"
     if out:
         try:
@@ -106,8 +112,13 @@ def _emit(obj: dict, out: str | None) -> None:
                 fh.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc}") from None
-    else:
+    elif not hasattr(sys.stdout, "buffer"):
         sys.stdout.write(text)
+    else:
+        sys.stdout.flush()
+        view = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while view:
+            view = view[sys.stdout.buffer.write(view):]
 
 
 def cmd_siteswap(args) -> int:

@@ -33,7 +33,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from itertools import count
+from operator import mul, neg
 
 from .juggling import JugglingFunction, residue, sign_power
 from .matrices import (Matrix, chart_kernel, greedy_chart, integer_cross,
@@ -364,12 +365,14 @@ def _require_unimodular(m: Matrix, pi: JugglingFunction) -> list:
     return cert.exchange_rows
 
 
-def _fill_skeleton(shape: JugglingFunction, entry) -> PeriodicFrieze:
+def _fill_skeleton(shape: JugglingFunction, column) -> PeriodicFrieze:
     """The frieze of the given shape whose fixed entries are its
-    skeleton and whose free entry (a, b) is entry(a, b)."""
+    skeleton and whose free entry (a, b) is read(a, b), for read =
+    column(b) the reader of column b, called once per column."""
     return PeriodicFrieze(shape, [
-        [entry(a, b) if x is None else x for a, x in enumerate(fixed, start=b)]
-        for b, fixed in enumerate(shape.skeleton(), start=1)])
+        [read(a, b) if x is None else x for a, x in enumerate(fixed, start=b)]
+        for b, fixed, read in zip(count(1), shape.skeleton(),
+                                  map(column, count(1)))])
 
 
 def build_frieze_det(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
@@ -384,7 +387,8 @@ def build_frieze_det(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
     which the reader builds once.
     """
     _require_unimodular(m, pi)
-    return _fill_skeleton(pi.dual(), frieze_entries(m, pi))
+    entry = frieze_entries(m, pi)
+    return _fill_skeleton(pi.dual(), lambda b: entry)
 
 
 def build_frieze_twist(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
@@ -396,20 +400,24 @@ def build_frieze_twist(m: Matrix, pi: JugglingFunction) -> PeriodicFrieze:
     the output shape's wrap_exponent is odd.  That pairing is y_b[p]
     over the schedule minor, p the position of a in L_a: entry b of the
     certificate's exchange row of residue(a, n), over L**k, L the scale
-    of m's integer view.  The fixed entries, which that product matches
+    of m's integer view.  So column b, rows b..b+n, is one rotated
+    slice of the exchange rows' entries at b, from row b on and then,
+    wrapped, from row 1.  The fixed entries, which that product matches
     on certified input, are the output shape's skeleton.
     """
     rows = _require_unimodular(m, pi)
-    n = pi.period
     unit = m.integer_view()[1] ** pi.balls
     dual = pi.dual()
     wrap_sign = sign_power(dual.wrap_exponent)
+    by_column = list(zip(*rows))
 
-    def entry(a: int, b: int) -> int | Fraction:
-        x = rows[residue(a, n) - 1][b - 1]
-        return ratio(x * wrap_sign if a > n else x, unit)
+    def column(b: int):
+        x = by_column[b - 1]
+        wrapped = x[:b] if wrap_sign > 0 else tuple(map(neg, x[:b]))
+        rotated = x[b - 1:] + wrapped
+        return lambda a, _: ratio(rotated[a - b], unit)
 
-    return _fill_skeleton(dual, entry)
+    return _fill_skeleton(dual, column)
 
 
 def inverse_twist(m: Matrix, pi: JugglingFunction) -> Matrix:

@@ -10,8 +10,10 @@ computed on the window's integer view (matrices.scaled_ints).
 A frieze is defined by unit and vanishing minors, and is decided by its
 dual: c is a frieze exactly when c and its dual array are both
 prefriezes, of its shape and of the dual shape (is_frieze).  The dual
-columns take O(n**3) operations in all, and their signs make the
-solutions of C x = 0 (_recurrence_solutions).  The minors are evaluated
+columns sum only the nonzero terms within the array's band, O(n**2
+min(w, w*)) operations in all on a frieze whose shape and dual shape
+have largest throws w and w*, and their signs make the solutions of
+C x = 0 (_recurrence_solutions).  The minors are evaluated
 only to explain a failure (check_frieze): one walk per start column a
 keeps the unit minor on [a, b] and its adjugate as b grows, by a
 bordering, a row exchange or no change per step, and reads each
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .juggling import JugglingFunction, as_int, residue, sign_power
@@ -347,54 +349,78 @@ def is_frieze(c: PeriodicFrieze) -> bool:
     reads it off that skeleton).  Columns b at a loop of pi are
     skipped: c is 0 below (b, b) there, so their minors vanish for
     t > 0, and b is a coloop of the dual, whose skeleton fixes only 0s
-    below its diagonal.  The dual columns cost O(n**3) in all, against
-    the O(n**4) of the minors that check_frieze evaluates to explain a
-    failure.
+    below its diagonal.  The dual columns cost O(n**2 min(w, w*)) in
+    all, w and w* the largest throws of pi and its dual (_dual_column),
+    against the O(n**4) of the minors that check_frieze evaluates to
+    explain a failure.
     """
     try:
-        _recurrence_solutions(c)
+        _dual_minors(c)
     except ValueError:
         return False
     return True
 
 
-def _dual_column(window, b: int) -> list[int]:
+def _band(window) -> int:
+    """The largest offset d < n of a nonzero entry below the diagonal,
+    window[b][d] for some column b, or 0 when there is none."""
+    return next((d for d in range(len(window) - 1, 0, -1)
+                 if any(map(itemgetter(d), window))), 0)
+
+
+def _dual_column(window, b: int, band: int) -> list[int]:
     """The minors D_0..D_{n-1} of column b of the dual (see
-    dual_frieze), on the integer view window of a frieze: D_t is L**t
-    times the minor of the frieze."""
+    dual_frieze), on the integer view window of an array whose entries
+    below the diagonal lie within band of it (_band): D_t is L**t times
+    the minor of the array.
+
+    D_t sums only over the earlier D_j that are nonzero, with
+    j >= t - band, since C[b+t, b+j] is 0 further out.  On a frieze of
+    shape pi, C is 0 below the throw of pi and D_j below the throw of
+    the dual, so a column costs O(n min(w, w*)), w and w* their largest
+    throws.  Each kept D_j is held as its weight (-1)**j D_j times the
+    diagonal entries C[b+m, b+m], j < m < t, so that D_t is (-1)**(t-1)
+    times the sum of C[b+t, b+j] times the weights; the pass that sums
+    them also multiplies each by C[b+t, b+t], only where that is not 1.
+    """
     # near[j][d] is the scaled entry C[b+j+d, b+j]
     near = window[b - 1:] + window[:b - 1]
     minors = [1]
+    # the kept j and their weights, ascending in j
+    kept, weights = [0], [1]
     for t in range(1, len(window)):
+        while kept and kept[0] < t - band:
+            del kept[0], weights[0]
+        g = near[t][0]
         total = 0
-        weight = 1  # (-1)**(t-1-j) * prod_{m=j+1}^{t-1} C[b+m, b+m]
-        for j in range(t - 1, -1, -1):
-            x = near[j][t - j]
-            if x:
-                total += weight * x * minors[j]
-            weight = -weight * near[j][0]
-        minors.append(total)
+        for i, j in enumerate(kept):
+            total += near[j][t - j] * weights[i]
+            if g != 1:
+                weights[i] *= g
+        minors.append(total if t % 2 else -total)
+        if total:
+            kept.append(t)
+            weights.append(-total)
     return minors
 
 
-def _recurrence_solutions(c: PeriodicFrieze) -> list:
-    """The solutions x_t = (-1)**t D_t L**(n-1-t), t in [0, n), of C x = 0
-    that decided c (D_t by _dual_column, L the lcm of c's integer view),
-    zero at loops; else a ValueError naming the first entry of c off its
-    skeleton, or the first dual entry, column by column, off the dual
-    shape's skeleton, with the minor that gives it (see is_frieze).
-    """
+def _dual_minors(c: PeriodicFrieze) -> list:
+    """The minors D_0..D_{n-1} of each dual column b (_dual_column) that
+    decided c, None at a loop of the shape; else a ValueError naming the
+    first entry of c off its skeleton, or the first dual entry, column
+    by column, off the dual shape's skeleton, with the minor that gives
+    it (see is_frieze)."""
     for a, b, x, fixed in _off_skeleton(c):
         raise ValueError(f"not a frieze: entry ({a}, {b}) is {x}, not {fixed}")
     pi = c.shape
-    n = pi.period
     window, scale = c.integer_view()
+    band = _band(window)
     found = []
     for b, skeleton in enumerate(pi.dual().skeleton(), start=1):
         if pi(b) == b:
-            found.append([0] * n)
+            found.append(None)
             continue
-        minors = _dual_column(window, b)
+        minors = _dual_column(window, b, band)
         # D_t must be L**t times the dual skeleton's fixed value
         for t, (fixed, d) in enumerate(zip(skeleton, minors)):
             if fixed is not None and d != fixed * scale ** t:
@@ -402,9 +428,20 @@ def _recurrence_solutions(c: PeriodicFrieze) -> list:
                     f"not a frieze: dual entry ({b + t}, {b}), the minor on "
                     f"rows {b + 1}..{b + t} and columns {b}..{b + t - 1}, "
                     f"is {ratio(d, scale ** t)}, not {fixed}")
-        found.append([sign_power(t) * d * scale ** (n - 1 - t)
-                      for t, d in enumerate(minors)])
+        found.append(minors)
     return found
+
+
+def _recurrence_solutions(c: PeriodicFrieze) -> list:
+    """The solutions x_t = (-1)**t D_t L**(n-1-t), t in [0, n), of C x = 0
+    that decided c (D_t by _dual_minors, L the lcm of c's integer view),
+    zero at loops; else _dual_minors' ValueError."""
+    n = c.shape.period
+    scale = c.integer_view()[1]
+    return [[0] * n if minors is None else
+            [sign_power(t) * d * scale ** (n - 1 - t)
+             for t, d in enumerate(minors)]
+            for minors in _dual_minors(c)]
 
 
 def dual_frieze(c: PeriodicFrieze) -> PeriodicFrieze:
@@ -419,8 +456,10 @@ def dual_frieze(c: PeriodicFrieze) -> PeriodicFrieze:
         D_t = sum_{j<t} (-1)**(t-1-j) C[b+t, b+j]
                         * prod_{m=j+1}^{t-1} C[b+m, b+m] * D_j,
 
-    so a column costs O(n**2) operations and no division.  Their fixed
-    entries decide whether c is a frieze (is_frieze), and for a frieze
+    so a column costs no division, and O(n min(w, w*)) operations on a
+    frieze whose shape and dual shape have largest throws w and w*
+    (_dual_column).  Their fixed entries decide whether c is a frieze
+    (is_frieze), and for a frieze
     the columns, signed, are the solutions of the recurrence C x = 0
     (recurrence.solution_matrix).  The diagonal product keeps the
     minors exact on arrays whose diagonal is not all 1.  D_t is
@@ -434,9 +473,10 @@ def dual_frieze(c: PeriodicFrieze) -> PeriodicFrieze:
     pi = c.shape
     n = pi.period
     window, scale = c.integer_view()
+    band = _band(window)
     cols = []
     for b in range(1, n + 1):
-        minors = _dual_column(window, b)
+        minors = _dual_column(window, b, band)
         col = [ratio(d, scale ** t) for t, d in enumerate(minors)]
         col.append(pi.dual().skeleton()[b - 1][n])
         cols.append(col)

@@ -143,54 +143,54 @@ class JugglingFunction:
         return signs[n] * sign_power(d - n - 1 + (self(b) != b + n))
 
     def skeleton(self) -> tuple[tuple[int | None, ...], ...]:
-        """The fixed prefrieze of this shape, built once per object with
-        signs().
+        """The fixed prefrieze of this shape, built once per object.
 
         Column b, for b in [1, n], lists rows b..b+n: 1 on the diagonal,
         the sign twist at a = pi(b), None strictly inside the cone (the
-        free entries) and 0 everywhere else.
+        free entries) and 0 everywhere else.  The cone of a throw h > 0
+        is one slice of the inverse, free where pi^{-1}(a) < b, and the
+        ball landing at each other a in it was thrown after b, so the
+        sign twist is (-1)**(h - 1 - the free count).
 
         >>> pi = parse_siteswap("4130")          # 4 is a loop, 1 a coloop
         >>> pi.skeleton()[0], pi.skeleton()[3]
         ((1, None, 0, 0, 1), (1, 0, 0, 0, 0))
         """
         if self._skeleton is None:
-            self._build_tables()
+            n = self.period
+            back = self._inverse + tuple(x + n for x in self._inverse)
+            columns = []
+            for b, top in enumerate(self.values, start=1):
+                # back[a - 1] is pi^{-1}(a), for a in (b, pi(b))
+                cone = [None if x < b else 0 for x in back[b:top - 1]]
+                h = top - b
+                twist = (sign_power(h - 1 - cone.count(None)),) if h else ()
+                columns.append((1, *cone, *twist) + (0,) * (n - h))
+            self._skeleton = tuple(columns)
         return self._skeleton
 
     def signs(self) -> tuple[tuple[int, ...], ...]:
-        """The sign twist of every window slot, laid out as skeleton():
-        column b lists entry_sign(a, b) for a in b..b+n.
+        """The sign twist of every window slot, laid out as skeleton(),
+        built once per object: column b lists entry_sign(a, b) for a in
+        b..b+n, the sign of slot a + 1 that of slot a, flipped when the
+        ball landing at a was thrown after b.
 
         >>> parse_siteswap("4130").signs()[0]
         (1, 1, 1, -1, 1)
         """
         if self._signs is None:
-            self._build_tables()
+            n = self.period
+            back = self._inverse + tuple(x + n for x in self._inverse)
+            columns = []
+            for b in range(1, n + 1):
+                sign, column = 1, [1]
+                for x in back[b - 1:b + n - 1]:  # pi^{-1}(a), b <= a < b+n
+                    if x > b:
+                        sign = -sign
+                    column.append(sign)
+                columns.append(tuple(column))
+            self._signs = tuple(columns)
         return self._signs
-
-    def _build_tables(self) -> None:
-        """skeleton() and signs() in one O(n**2) pass down each column:
-        the sign of slot a + 1 is that of slot a, flipped when the ball
-        landing at a was thrown after b."""
-        n, values, inverse = self.period, self.values, self._inverse
-        skeleton, signs = [], []
-        for b in range(1, n + 1):
-            top = values[b - 1]
-            fixed, twist = [], []
-            sign = 1
-            for a in range(b, b + n + 1):
-                r = a - n if a > n else a
-                back = inverse[r - 1] + a - r  # pi^{-1}(a)
-                twist.append(sign)
-                fixed.append(1 if a == b else sign if a == top
-                             else None if back < b < a < top else 0)
-                if back > b:
-                    sign = -sign
-            skeleton.append(tuple(fixed))
-            signs.append(tuple(twist))
-        self._skeleton = tuple(skeleton)
-        self._signs = tuple(signs)
 
     def landing_schedule(self, a: int) -> tuple[int, ...]:
         """Landing times of the balls in the air just before moment a.

@@ -27,8 +27,10 @@ the frieze's rows.  The positive complement and the frieze's matrix are
 also built the way the package built them before its integer kernel: a
 Fraction reduced form, the kernel read off it and one more minor.  The
 sign twist of an entry is counted off its s-set, and the skeleton and
-positivity read it from there.  The tests' identity, zero and row-scaled
-matrices are built here, and their rank is the oracle RREF's.
+positivity read it from there; the skeleton and sign tables are also
+built slot by slot, and the dual columns by the full Hessenberg sum.
+The tests' identity, zero and row-scaled matrices are built here, and
+their rank is the oracle RREF's.
 """
 import random
 from fractions import Fraction
@@ -491,6 +493,48 @@ def counted_skeleton(pi: JugglingFunction):
                        else 0
                        for a in range(b, b + n + 1))
                  for b in range(1, n + 1))
+
+
+def slot_tables(pi: JugglingFunction):
+    """JugglingFunction.skeleton and signs as the package built them
+    before it sliced the inverse: one pass down each column, slot by
+    slot, where the sign of slot a + 1 is that of slot a, flipped when
+    the ball landing at a was thrown after b."""
+    n, values = pi.period, pi.values
+    skeleton, signs = [], []
+    for b in range(1, n + 1):
+        top = values[b - 1]
+        fixed, twist = [], []
+        sign = 1
+        for a in range(b, b + n + 1):
+            back = pi.inverse(a)
+            twist.append(sign)
+            fixed.append(1 if a == b else sign if a == top
+                         else None if back < b < a < top else 0)
+            if back > b:
+                sign = -sign
+        skeleton.append(tuple(fixed))
+        signs.append(tuple(twist))
+    return tuple(skeleton), tuple(signs)
+
+
+def dense_dual_column(window, b: int) -> list[int]:
+    """frieze._dual_column as the package ran it before it kept only the
+    nonzero minors within the band: D_t summed over every j < t of the
+    lower Hessenberg recurrence, the diagonal weight updated at each j."""
+    # near[j][d] is the scaled entry C[b+j+d, b+j]
+    near = window[b - 1:] + window[:b - 1]
+    minors = [1]
+    for t in range(1, len(window)):
+        total = 0
+        weight = 1  # (-1)**(t-1-j) * prod_{m=j+1}^{t-1} C[b+m, b+m]
+        for j in range(t - 1, -1, -1):
+            x = near[j][t - j]
+            if x:
+                total += weight * x * minors[j]
+            weight = -weight * near[j][0]
+        minors.append(total)
+    return minors
 
 
 def entry_sign_is_positive(c: PeriodicFrieze) -> bool:

@@ -741,6 +741,25 @@ def test_closed_pipe_exits_141_without_a_traceback(tmp_path):
         assert proc.wait(timeout=60) == 141
 
 
+def test_unbuffered_closed_pipe_exits_141(tmp_path):
+    # under PYTHONUNBUFFERED the byte layer of stdout is the raw pipe,
+    # whose write returns a short count when the reader closes in the
+    # middle of it; the count is checked, so the next write fails and the
+    # process exits 141, not 0 with its output cut
+    env = dict(_process_env(), PYTHONUNBUFFERED="1")
+    n = 128
+    fan = tmp_path / "fanstrip128.json"
+    fan.write_text(json.dumps(frieze_from_quiddity(
+        [n - 2, 1] + [2] * (n - 3) + [1]).to_json()))
+    with subprocess.Popen([sys.executable, "-m", "jugglerfrieze", "transform",
+                           str(fan), "--op", "dual"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 141
+
+
 def _random_json(rng, depth=0):
     """A seeded JSON value: big and negative ints, "p/q", non-ASCII and
     control-character strings, bools and None, empty containers and

@@ -587,7 +587,8 @@ def test_builds_compute_only_the_free_entries(monkeypatch):
     pi = JugglingFunction.uniform(24, 12)
     m = random_full_rank(random.Random(24), 12, 24)
     calls.update(integer_cross=0)
-    c = construct._fill_skeleton(pi.dual(), construct.frieze_entries(m, pi))
+    entry = construct.frieze_entries(m, pi)
+    c = construct._fill_skeleton(pi.dual(), lambda b: entry)
     free = [(a, b) for b, fixed in enumerate(pi.dual().skeleton(), start=1)
             for a, x in enumerate(fixed, start=b) if x is None]
     assert len(free) == 264 and _free_schedules(pi) == 24

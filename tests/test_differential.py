@@ -26,6 +26,7 @@ from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            is_pi_unimodular, is_positive, matrices,
                            parse_siteswap, positive_complement, twist)
 from jugglerfrieze.construct import _necklace_charts, frieze_entries
+from jugglerfrieze import frieze as frieze_module
 from jugglerfrieze.frieze import _exchange_row
 from jugglerfrieze.juggling import residue
 from jugglerfrieze.matrices import (border, chart_kernel, greedy_chart,
@@ -35,7 +36,7 @@ from jugglerfrieze.matrices import (border, chart_kernel, greedy_chart,
 
 import fixture_data as fx
 from exact_oracles import (_minor, adjugate, counted_sign, counted_skeleton,
-                           entry_sign_is_positive, exchange_minor,
+                           dense_dual_column, entry_sign_is_positive, exchange_minor,
                            exhaustive_complement, full_product_frieze,
                            full_window_frieze, gauss_jordan, identity,
                            interval_rank_certificate, kernel_complement,
@@ -43,7 +44,7 @@ from exact_oracles import (_minor, adjugate, counted_sign, counted_skeleton,
                            minor_dual, minor_report, rank,
                            rref_complement, rref_frieze_to_matrix,
                            scale_row, schedule_charts, schedule_twist,
-                           schedules, solutions_kernel_matrix,
+                           schedules, slot_tables, solutions_kernel_matrix,
                            system_kernel_matrix,
                            verify_superperiodic_kernel, zero)
 from samplers import (UNIMODULAR_POOL, grown, random_determinant_one,
@@ -878,6 +879,70 @@ def test_dual_frieze_matches_minor_oracle():
         diagonals.update(col[0] for col in c.columns)
         assert dual_frieze(c) == minor_dual(c)
     assert {0, -1, 2} <= diagonals
+
+
+def _band_cases(rng):
+    """Arrays for the dual recurrence: pool, quiddity and grown friezes
+    and their duals (fan strips up to n = 40, loops and coloops, the
+    rational strip's lcm 3), a +-1 move of a free and of a fixed entry of
+    each, and random arrays with entries anywhere below the diagonal,
+    diagonals among 0, -1, 1, 2, 3 and -2, and rational entries, on
+    random shapes and on both shapes of period 1."""
+    strips = [frieze_from_quiddity([n - 2, 1] + [2] * (n - 3) + [1])
+              for n in (5, 17, 40)]
+    strips += rng.sample(enumerate_sl2_positive(4, 4), 3)
+    friezes = [build_frieze_det(m, pi) for m, pi in UNIMODULAR_POOL]
+    friezes += [d for c in strips for d in (c, dual_frieze(c))]
+    small, large = _grown_friezes(rng)
+    friezes += small + large
+    for c in friezes:
+        yield c
+        for fixed in (None, 0):
+            slots = [(b, d) for b, col in enumerate(c.shape.skeleton())
+                     for d, x in enumerate(col) if (x is None) == (fixed is None)]
+            b, d = rng.choice(slots)
+            cols = [list(col) for col in c.columns]
+            cols[b][d] += rng.choice((1, -1))
+            yield PeriodicFrieze(c.shape, cols)
+    shapes = [JugglingFunction([1]), JugglingFunction([2])]
+    shapes += [random_juggling(rng, 12) for _ in range(30)]
+    for i, shape in enumerate(shapes):
+        yield _array(rng, shape, rational=i % 3 == 1)
+
+
+def test_banded_dual_columns_match_the_dense_recurrence():
+    # the dual recurrence over the nonzero minors within the band of the
+    # integer view, column by column, against the sum over every earlier
+    # minor; the band is the largest offset below n of a nonzero entry
+    seen = {"loop": 0, "coloop": 0, "rational": 0, "n": set(), "diag": set()}
+    for c in _band_cases(random.Random(36)):
+        window, scale = c.integer_view()
+        n = c.shape.period
+        band = frieze_module._band(window)
+        assert band == max((d for col in window for d in range(1, n)
+                            if col[d]), default=0)
+        for b in range(1, n + 1):
+            assert frieze_module._dual_column(window, b, band) == \
+                dense_dual_column(window, b), (c, b)
+        seen["loop"] += bool(c.shape.loops())
+        seen["coloop"] += bool(c.shape.coloops())
+        seen["rational"] += scale > 1
+        seen["n"].add(n)
+        seen["diag"].update(x for col in window for x in col[:1])
+    assert min(seen["loop"], seen["coloop"], seen["rational"]) >= 5, seen
+    assert {1, 40} <= seen["n"] and {0, -1, 2} <= seen["diag"]
+
+
+def test_shape_tables_match_the_slot_by_slot_oracle():
+    # skeleton() from slices of the inverse and signs() as a running
+    # product, against one pass down each column, slot by slot
+    rng = random.Random(37)
+    shapes = [JugglingFunction([1]), JugglingFunction([2])]
+    shapes += [random_juggling(rng, 16) for _ in range(300)]
+    assert sum(bool(pi.loops()) for pi in shapes) > 50
+    assert sum(bool(pi.coloops()) for pi in shapes) > 50
+    for pi in shapes:
+        assert (pi.skeleton(), pi.signs()) == slot_tables(pi), pi
 
 
 def test_dual_shape_is_cached_and_involutive():
