@@ -23,7 +23,7 @@ from .juggling import JugglingFunction, parse_siteswap, format_siteswap, \
     residue
 from .matrices import Matrix
 from .frieze import PeriodicFrieze, check_frieze, dual_frieze, \
-    is_positive, enumerate_sl2_positive, _recurrence_solutions
+    is_positive, enumerate_sl2_positive, _decided_dual
 from .construct import build_frieze_det, build_frieze_twist, twist, \
     inverse_twist, positive_complement, frieze_to_matrix, frieze_entries
 from .recurrence import solution_matrix
@@ -161,7 +161,7 @@ def _disagreement(c: PeriodicFrieze, m: Matrix,
             if skel is None and x != (y := entry(a, b)):
                 return f"entry ({a}, {b}) is {x} by twist and {y} by det"
     try:
-        _recurrence_solutions(c)
+        _decided_dual(c)
     except ValueError as exc:
         return str(exc)
     return None

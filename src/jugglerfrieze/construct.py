@@ -39,7 +39,7 @@ from operator import mul, neg
 from .juggling import JugglingFunction, residue, sign_power
 from .matrices import (Matrix, chart_kernel, greedy_chart, integer_cross,
                        integer_exchange, integer_solve, ratio, sparsest_first)
-from .frieze import PeriodicFrieze, _recurrence_solutions, is_prefrieze
+from .frieze import PeriodicFrieze, _decided_dual, is_prefrieze
 
 
 @dataclass
@@ -475,14 +475,14 @@ def frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
     over L**k, the others over d, and no determinant is taken.  The
     twist route rebuilds the frieze of
     the result, certificate first, and a match decides c.  Where the
-    route fails, c is decided by its dual (_recurrence_solutions), whose
+    route fails, c is decided by its dual (frieze._decided_dual), whose
     message names a non-frieze; on a frieze the route's own error
     stands.  An array off its shape's skeleton is named so before the
     route, whose walk could re-anchor at every schedule of a matrix
     read off it.
     """
     if not is_prefrieze(c):
-        _recurrence_solutions(c)
+        _decided_dual(c)
     pi = c.shape.dual()
     n, first = pi.period, pi.necklace()[0]
     k = len(first)
@@ -507,6 +507,6 @@ def frieze_to_matrix(c: PeriodicFrieze) -> Matrix:
         if build_frieze_twist(result, pi) != c:
             raise ValueError("inversion failed to reproduce the frieze")
     except ValueError:
-        _recurrence_solutions(c)
+        _decided_dual(c)
         raise
     return result

@@ -9,22 +9,26 @@ computed on the window's integer view (matrices.scaled_ints).
 
 A frieze is defined by unit and vanishing minors, and is decided by its
 dual: c is a frieze exactly when c and its dual array are both
-prefriezes, of its shape and of the dual shape (is_frieze).  The dual
-columns sum only the nonzero terms within the array's band, O(n**2
-min(w, w*)) operations in all on a frieze whose shape and dual shape
-have largest throws w and w*, and their signs make the solutions of
-C x = 0 (_recurrence_solutions).  The minors are evaluated
-only to explain a failure (check_frieze): one walk per start column a
-keeps the unit minor on [a, b] and its adjugate as b grows, by a
-bordering, a row exchange or no change per step, and reads each
-vanishing minor off it, O(n**4) in all.  frieze_minor and
+prefriezes, of its shape and of the dual shape (is_frieze).  check,
+solve and construct --verify decide so, and invert-F does when its own
+route fails: one builder makes the dual (_decided_dual, through
+dual_frieze), and each array is compared with its skeleton a whole
+column at a time (_off_skeleton).  The dual columns sum only the
+nonzero terms within the array's band, O(n**2 min(w, w*)) operations
+in all on a frieze whose shape and dual shape have largest throws w
+and w*, and, signed, they are the solutions of C x = 0
+(recurrence.solution_matrix).  The minors are evaluated only to explain
+a failure (check_frieze): one walk per start column a keeps the unit
+minor on [a, b] and its adjugate as b grows, by a bordering, a row
+exchange or no change per step, and reads each vanishing minor off it,
+O(n**4) in all.  frieze_minor and
 tameness_minor stay as the definitions, one determinant each.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import itemgetter, mul, ne
 from typing import Sequence
 
 from .juggling import JugglingFunction, as_int, residue, sign_power
@@ -165,11 +169,17 @@ def is_prefrieze(c: PeriodicFrieze) -> bool:
 
 
 def _off_skeleton(c: PeriodicFrieze):
-    """The entries (a, b, value, fixed value) that leave the skeleton."""
-    return ((a, b, x, fixed) for b, (skel, col)
-            in enumerate(zip(c.shape.skeleton(), c.columns), start=1)
-            for a, (fixed, x) in enumerate(zip(skel, col), start=b)
-            if fixed is not None and x != fixed)
+    """The entries (a, b, value, fixed value) that leave the skeleton,
+    column by column.  A free slot (None) differs from every entry, so
+    a column is on its skeleton exactly when it differs from it at its
+    free slots only, one count in C; only a column that fails that is
+    read slot by slot."""
+    for b, (skel, col) in enumerate(zip(c.shape.skeleton(), c.columns),
+                                    start=1):
+        if sum(map(ne, skel, col)) != skel.count(None):
+            yield from ((a, b, x, fixed) for a, (fixed, x)
+                        in enumerate(zip(skel, col), start=b)
+                        if fixed is not None and x != fixed)
 
 
 def _interval_minor(c: PeriodicFrieze, rows: range, cols: range,
@@ -291,7 +301,7 @@ def _interval_walk(c: PeriodicFrieze, a: int, flags: list[bool]):
             rows.append(nxt)
             cols.append(nxt)
             if adj is not None:
-                d, adj = border(d, adj, x, [0] * t, entry(nxt, nxt))
+                d, adj = border(d, adj, x, entry(nxt, nxt))
         else:
             p = rows.index(i)
             del rows[p]
@@ -346,19 +356,31 @@ def is_frieze(c: PeriodicFrieze) -> bool:
     entry (b+t, b), t in [0, n), the minor of c on rows [b+1, b+t] and
     columns [b, b+t-1], takes the value the dual shape's skeleton fixes
     there, if it fixes one (slot (b+n, b) is no minor: dual_frieze
-    reads it off that skeleton).  Columns b at a loop of pi are
-    skipped: c is 0 below (b, b) there, so their minors vanish for
-    t > 0, and b is a coloop of the dual, whose skeleton fixes only 0s
-    below its diagonal.  The dual columns cost O(n**2 min(w, w*)) in
-    all, w and w* the largest throws of pi and its dual (_dual_column),
+    reads it off that skeleton).  The dual costs O(n**2 min(w, w*)),
+    w and w* the largest throws of pi and its dual (_dual_column),
     against the O(n**4) of the minors that check_frieze evaluates to
     explain a failure.
     """
     try:
-        _dual_minors(c)
+        _decided_dual(c)
     except ValueError:
         return False
     return True
+
+
+def _decided_dual(c: PeriodicFrieze) -> PeriodicFrieze:
+    """The dual of c when c is a frieze (see is_frieze); else a
+    ValueError naming the first entry of c off its skeleton or, when c
+    is a prefrieze, the first entry of its dual, column by column, off
+    the dual shape's skeleton, with the minor that gives it."""
+    for a, b, x, fixed in _off_skeleton(c):
+        raise ValueError(f"not a frieze: entry ({a}, {b}) is {x}, not {fixed}")
+    dual = dual_frieze(c)
+    for a, b, x, fixed in _off_skeleton(dual):
+        raise ValueError(
+            f"not a frieze: dual entry ({a}, {b}), the minor on rows "
+            f"{b + 1}..{a} and columns {b}..{a - 1}, is {x}, not {fixed}")
+    return dual
 
 
 def _band(window) -> int:
@@ -404,46 +426,6 @@ def _dual_column(window, b: int, band: int) -> list[int]:
     return minors
 
 
-def _dual_minors(c: PeriodicFrieze) -> list:
-    """The minors D_0..D_{n-1} of each dual column b (_dual_column) that
-    decided c, None at a loop of the shape; else a ValueError naming the
-    first entry of c off its skeleton, or the first dual entry, column
-    by column, off the dual shape's skeleton, with the minor that gives
-    it (see is_frieze)."""
-    for a, b, x, fixed in _off_skeleton(c):
-        raise ValueError(f"not a frieze: entry ({a}, {b}) is {x}, not {fixed}")
-    pi = c.shape
-    window, scale = c.integer_view()
-    band = _band(window)
-    found = []
-    for b, skeleton in enumerate(pi.dual().skeleton(), start=1):
-        if pi(b) == b:
-            found.append(None)
-            continue
-        minors = _dual_column(window, b, band)
-        # D_t must be L**t times the dual skeleton's fixed value
-        for t, (fixed, d) in enumerate(zip(skeleton, minors)):
-            if fixed is not None and d != fixed * scale ** t:
-                raise ValueError(
-                    f"not a frieze: dual entry ({b + t}, {b}), the minor on "
-                    f"rows {b + 1}..{b + t} and columns {b}..{b + t - 1}, "
-                    f"is {ratio(d, scale ** t)}, not {fixed}")
-        found.append(minors)
-    return found
-
-
-def _recurrence_solutions(c: PeriodicFrieze) -> list:
-    """The solutions x_t = (-1)**t D_t L**(n-1-t), t in [0, n), of C x = 0
-    that decided c (D_t by _dual_minors, L the lcm of c's integer view),
-    zero at loops; else _dual_minors' ValueError."""
-    n = c.shape.period
-    scale = c.integer_view()[1]
-    return [[0] * n if minors is None else
-            [sign_power(t) * d * scale ** (n - 1 - t)
-             for t, d in enumerate(minors)]
-            for minors in _dual_minors(c)]
-
-
 def dual_frieze(c: PeriodicFrieze) -> PeriodicFrieze:
     """The dual array of near-diagonal minors; an involution on friezes.
 
@@ -459,10 +441,10 @@ def dual_frieze(c: PeriodicFrieze) -> PeriodicFrieze:
     so a column costs no division, and O(n min(w, w*)) operations on a
     frieze whose shape and dual shape have largest throws w and w*
     (_dual_column).  Their fixed entries decide whether c is a frieze
-    (is_frieze), and for a frieze
-    the columns, signed, are the solutions of the recurrence C x = 0
-    (recurrence.solution_matrix).  The diagonal product keeps the
-    minors exact on arrays whose diagonal is not all 1.  D_t is
+    (is_frieze), and for a frieze the columns, signed, are the
+    solutions of the recurrence C x = 0 (recurrence.solution_matrix).
+    The diagonal product keeps the minors exact on arrays whose
+    diagonal is not all 1.  D_t is
     homogeneous of degree t in the entries, so the recurrence runs on
     c's integer view L*C and D_t is that result over L**t.  The
     minors cannot see slot (b+n, b), so it is read from the dual shape's
@@ -470,17 +452,18 @@ def dual_frieze(c: PeriodicFrieze) -> PeriodicFrieze:
     of the dual and the slot holds the dual's boundary sign there,
     (-1)**k for the k balls of the shape.
     """
-    pi = c.shape
-    n = pi.period
+    dual = c.shape.dual()
+    n = dual.period
     window, scale = c.integer_view()
     band = _band(window)
     cols = []
-    for b in range(1, n + 1):
-        minors = _dual_column(window, b, band)
-        col = [ratio(d, scale ** t) for t, d in enumerate(minors)]
-        col.append(pi.dual().skeleton()[b - 1][n])
+    for b, skeleton in enumerate(dual.skeleton(), start=1):
+        col = _dual_column(window, b, band)
+        if scale != 1:
+            col = [ratio(d, scale ** t) for t, d in enumerate(col)]
+        col.append(skeleton[n])
         cols.append(col)
-    return PeriodicFrieze(pi.dual(), cols)
+    return PeriodicFrieze(dual, cols)
 
 
 def is_sl_frieze(c: PeriodicFrieze, k: int, h: int) -> bool:

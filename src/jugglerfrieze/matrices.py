@@ -7,7 +7,7 @@ window, keeps one integer view built on first use: the grid times one
 common lcm L of its denominators (scaled_ints), so a t x t minor of the
 view is L**t times the grid's.  Every division below is exact, the
 fraction-free rule of dividing each update by the previous pivot, and
-seven kernels own it, on integer rows:
+six kernels own it, on integer rows:
 
 - integer_det: a determinant by Bareiss elimination;
 - integer_eliminate: fraction-free Gauss-Jordan in a given column
@@ -21,9 +21,10 @@ seven kernels own it, on integer rows:
 - integer_solve: det B and adj(B) X for a column set B, read off one
   greedy_chart of [B | X];
 - integer_exchange: the same pair after one column of B is exchanged,
-  a rank-one update;
-- border: det B and adj(B) after B gains one row and one column, by
-  the Schur complement.
+  a rank-one update.
+
+border gives det B and adj(B) after B gains a zero row and one column,
+with no division.
 
 A result entry is built by ratio, the exact quotient of an integer by
 a scale: an int when it is integral, else one Fraction; only those
@@ -108,7 +109,7 @@ def scaled_ints(grid) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The grid, a tuple of tuples, times one common lcm L of its
     denominators, as ints, and L: a t x t minor of the result is L**t
     times the grid's.  A grid of ints is its own view, with L = 1."""
-    if all(type(x) is int for row in grid for x in row):
+    if all(set(map(type, row)) <= {int} for row in grid):
         return grid, 1
     scale = lcm(*(x.denominator for row in grid for x in row))
     return (tuple(tuple(x.numerator * (scale // x.denominator) for x in row)
@@ -337,39 +338,20 @@ def integer_exchange(d: int, chart: list[list[int]], s: int, p: int,
     return sign * vp, chart if vp else None
 
 
-def border(d: int, adj: list[list[int]], u: list[int], v: list[int],
+def border(d: int, adj: list[list[int]], u: list[int],
            w: int) -> tuple[int, list[list[int]]]:
     """det B' and adj(B') for the (k+1) x (k+1) integer matrix
-    B' = [[B, u], [v, w]], B bordered by column u, row v and corner w,
-    from d = det B != 0 and adj = adj(B) as k rows.
+    B' = [[B, u], [0, w]], B bordered by column u, a zero row and
+    corner w, as when a lower triangular array gains a row and a
+    column, from d = det B and adj = adj(B) as k rows:
 
-    With the column adj(B) u and the row v adj(B), the Schur complement
-    gives det B' = w d - v adj(B) u and
+        det B' = w d,  adj(B') = [[w adj(B), -adj(B) u], [0, d]],
 
-        adj(B') = [[(det B' adj(B) + adj(B) u v adj(B)) / d, -adj(B) u],
-                   [-v adj(B), d]],
-
-    the division exact as in Bareiss.  Both are polynomials in the
-    entries, so they hold when det B' is 0 too.  A zero row v, as when
-    a lower triangular array gains a row and a column, leaves w adj(B)
-    in the top block, with no division.  Returns new lists; the cost is
-    O(k**2), with v adj(B) summed over v's nonzero entries only.
+    with no division.  Returns new lists; the cost is O(k**2).
     """
-    au = [sum(map(mul, row, u)) for row in adj]
-    va = [0] * len(adj)
-    for x, row in zip(v, adj):
-        if x:
-            va = [s + x * y for s, y in zip(va, row)]
-    det = w * d - sum(map(mul, v, au))
-    if any(v):
-        top = [[(det * y + p * q) // d for y, q in zip(row, va)]
-               for row, p in zip(adj, au)]
-    else:
-        top = [[w * y for y in row] for row in adj]
-    for row, p in zip(top, au):
-        row.append(-p)
-    top.append([-q for q in va] + [d])
-    return det, top
+    top = [[w * y for y in row] + [-sum(map(mul, row, u))] for row in adj]
+    top.append([0] * len(adj) + [d])
+    return w * d, top
 
 
 def rational_to_json(x: int | Fraction):

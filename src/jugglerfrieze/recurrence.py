@@ -4,7 +4,8 @@ Read as a doubly infinite unitriangular matrix, a frieze C defines the
 recurrence C x = 0.  Its solutions satisfy x[a+n] = (-1)**s x[a] for a
 fixed sign exponent s exactly when C is a frieze, and a canonical
 spanning set of solutions is carried by the dual frieze: solution_matrix
-returns the signed dual columns by which frieze.is_frieze decided C.
+reads them off the dual array that decided C, each column's entries
+with alternating signs, with no scaling to undo.
 Everything here works on finite windows; the extension rule is total,
 so no infinite object is ever materialized.
 """
@@ -12,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable
 
 from .juggling import as_int, residue, sign_power
-from .matrices import as_grid, as_rational, ratio
-from .frieze import (PeriodicFrieze, _recurrence_solutions, columns_from_json,
+from .matrices import as_grid, as_rational
+from .frieze import (PeriodicFrieze, _decided_dual, columns_from_json,
                      columns_to_json)
 
 
@@ -69,15 +71,15 @@ def solution_matrix(c: PeriodicFrieze) -> SolutionWindow:
     """The canonical solutions of C x = 0, signed dual diagonals.
 
     Column b is zero when b is a loop of the shape; otherwise it is the
-    b-th dual column with alternating signs, extended superperiodically.
-    They are the dual columns whose skeleton decided that c is a frieze
-    (see frieze.is_frieze), so a non-frieze raises that decision's
-    ValueError.  They come scaled by L**(n-1), L the lcm of c's integer
-    view, divided out once (matrices.ratio): each entry is an int when
-    integral, as on every integral frieze, else one Fraction.
+    b-th dual column, entries b..b+n-1, with alternating signs, extended
+    superperiodically.  They are the columns of the dual that decided
+    that c is a frieze (frieze._decided_dual), so a non-frieze raises
+    that decision's ValueError; each entry is an int when integral, as
+    on every integral frieze, else one Fraction.
     """
-    n = c.shape.period
-    scale = c.integer_view()[1] ** (n - 1)
-    return SolutionWindow(n, c.shape.wrap_exponent, tuple(
-        col if scale == 1 else [ratio(x, scale) for x in col]
-        for col in _recurrence_solutions(c)))
+    pi = c.shape
+    n = pi.period
+    signs = [sign_power(t) for t in range(n)]
+    return SolutionWindow(n, pi.wrap_exponent, tuple(
+        [0] * n if pi(b) == b else list(map(mul, signs, col))
+        for b, col in enumerate(_decided_dual(c).columns, start=1)))

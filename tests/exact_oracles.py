@@ -29,6 +29,10 @@ Fraction reduced form, the kernel read off it and one more minor.  The
 sign twist of an entry is counted off its s-set, and the skeleton and
 positivity read it from there; the skeleton and sign tables are also
 built slot by slot, and the dual columns by the full Hessenberg sum.
+The decision by the dual is also made as the package made it before it
+built the dual array to decide: each dual minor compared with L**t
+times its fixed value, loops skipped, the solutions scaled by
+L**(n-1), and each array compared with its skeleton slot by slot.
 The tests' identity, zero and row-scaled matrices are built here, and
 their rank is the oracle RREF's.
 """
@@ -40,12 +44,12 @@ from jugglerfrieze import (FriezeReport, Matrix, JugglingFunction,
                            PeriodicFrieze, SolutionWindow, build_frieze_det,
                            build_frieze_twist, is_prefrieze,
                            residual, solution_matrix, twist)
-from jugglerfrieze.frieze import (_recurrence_solutions, frieze_minor,
+from jugglerfrieze.frieze import (_band, _dual_column, frieze_minor,
                                   is_tameness_pair, tameness_minor)
 from jugglerfrieze.juggling import residue, sign_power
 from jugglerfrieze.matrices import (as_rational, cyclic_columns,
                                     cyclic_submatrix, integer_det,
-                                    integer_eliminate)
+                                    integer_eliminate, ratio)
 
 
 def gauss_jordan(rows, ncols):
@@ -537,6 +541,58 @@ def dense_dual_column(window, b: int) -> list[int]:
     return minors
 
 
+def off_skeleton_slots(c: PeriodicFrieze):
+    """frieze._off_skeleton as the package ran it before it compared
+    whole columns: the entries (a, b, value, fixed value) off the
+    skeleton, one comparison per fixed slot."""
+    return ((a, b, x, fixed) for b, (skel, col)
+            in enumerate(zip(c.shape.skeleton(), c.columns), start=1)
+            for a, (fixed, x) in enumerate(zip(skel, col), start=b)
+            if fixed is not None and x != fixed)
+
+
+def dual_minors(c: PeriodicFrieze) -> list:
+    """The decision by the dual as the package made it before it built
+    the dual array to decide: the minors D_0..D_{n-1} of each dual
+    column b (frieze._dual_column), L**t times the dual's entries, None
+    at a loop of the shape, whose column is skipped; else a ValueError
+    naming the first entry of c off its skeleton, or the first D_t,
+    column by column, that is not L**t times the dual skeleton's fixed
+    value, with the minor that gives it."""
+    for a, b, x, fixed in off_skeleton_slots(c):
+        raise ValueError(f"not a frieze: entry ({a}, {b}) is {x}, not {fixed}")
+    pi = c.shape
+    window, scale = c.integer_view()
+    band = _band(window)
+    found = []
+    for b, skeleton in enumerate(pi.dual().skeleton(), start=1):
+        if pi(b) == b:
+            found.append(None)
+            continue
+        minors = _dual_column(window, b, band)
+        for t, (fixed, d) in enumerate(zip(skeleton, minors)):
+            if fixed is not None and d != fixed * scale ** t:
+                raise ValueError(
+                    f"not a frieze: dual entry ({b + t}, {b}), the minor on "
+                    f"rows {b + 1}..{b + t} and columns {b}..{b + t - 1}, "
+                    f"is {ratio(d, scale ** t)}, not {fixed}")
+        found.append(minors)
+    return found
+
+
+def recurrence_solutions(c: PeriodicFrieze) -> list:
+    """The solutions x_t = (-1)**t D_t L**(n-1-t), t in [0, n), of C x = 0
+    that decided c (D_t by dual_minors, L the lcm of c's integer view),
+    L**(n-1) times solution_matrix's columns, zero at loops; else
+    dual_minors' ValueError."""
+    n = c.shape.period
+    scale = c.integer_view()[1]
+    return [[0] * n if minors is None else
+            [sign_power(t) * d * scale ** (n - 1 - t)
+             for t, d in enumerate(minors)]
+            for minors in dual_minors(c)]
+
+
 def entry_sign_is_positive(c: PeriodicFrieze) -> bool:
     """is_positive with each sign twist taken from its s-set: every
     diagonal entry and every entry strictly inside a cone, times
@@ -639,7 +695,7 @@ def solutions_kernel_matrix(c: PeriodicFrieze) -> Matrix:
     """frieze_to_matrix by the kernel of the solutions, as the package
     inverted a frieze before it read the matrix off the frieze's rows:
     the n x n integer matrix whose row b is the signed dual column that
-    decided c (_recurrence_solutions, wrapped by the superperiodic sign,
+    decided c (recurrence_solutions, wrapped by the superperiodic sign,
     zero at a loop), read at 1..n, its kernel by one integer_kernel, the
     first row divided by the minor on the first landing schedule, and
     the result checked by the twist route; raises with the messages
@@ -648,7 +704,7 @@ def solutions_kernel_matrix(c: PeriodicFrieze) -> Matrix:
     n, k = pi.period, pi.balls
     wrap = sign_power(c.shape.wrap_exponent)
     span = [[wrap * v for v in x[n - b + 1:]] + x[:n - b + 1]
-            for b, x in enumerate(_recurrence_solutions(c), start=1)]
+            for b, x in enumerate(recurrence_solutions(c), start=1)]
     _, d, _, basis = integer_kernel(span, n)
     if len(basis) != k:
         raise ValueError(f"complement of the solutions has {len(basis)}"

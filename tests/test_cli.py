@@ -270,8 +270,8 @@ def test_main_builds_no_parser_per_call(monkeypatch, capsys, files):
 def test_options_do_not_leak_between_calls(monkeypatch, capsys, files,
                                             tmp_path):
     checked = []
-    decide = jugglerfrieze.cli._recurrence_solutions
-    monkeypatch.setattr(jugglerfrieze.cli, "_recurrence_solutions",
+    decide = jugglerfrieze.cli._decided_dual
+    monkeypatch.setattr(jugglerfrieze.cli, "_decided_dual",
                         lambda c: checked.append(c) or decide(c))
     out = tmp_path / "out.json"
     code, stdout = run(capsys, "construct", files["matrix"], "--siteswap",

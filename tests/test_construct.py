@@ -710,7 +710,7 @@ def test_frieze_to_matrix_eliminates_its_rows_once(monkeypatch):
     # frieze, and one dual decision on a non-frieze
     calls = _count_kernels(monkeypatch)
     counts = {"rref": 0, "dual": 0}
-    rref, decide = Matrix.rref, construct._recurrence_solutions
+    rref, decide = Matrix.rref, construct._decided_dual
 
     def counter(name, run):
         def counted(*args):
@@ -719,7 +719,7 @@ def test_frieze_to_matrix_eliminates_its_rows_once(monkeypatch):
         return counted
 
     monkeypatch.setattr(Matrix, "rref", counter("rref", rref))
-    monkeypatch.setattr(construct, "_recurrence_solutions",
+    monkeypatch.setattr(construct, "_decided_dual",
                         counter("dual", decide))
     frieze_to_matrix(fx.SL3_H5)
     assert (calls["eliminate"], calls["solve"], calls["inner"],

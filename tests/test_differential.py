@@ -24,14 +24,15 @@ from jugglerfrieze import (JugglingFunction, Matrix, PeriodicFrieze,
                            frieze_entry, frieze_to_matrix, inverse_twist,
                            is_frieze,
                            is_pi_unimodular, is_positive, matrices,
-                           parse_siteswap, positive_complement, twist)
+                           parse_siteswap, positive_complement,
+                           solution_matrix, twist)
 from jugglerfrieze.construct import _necklace_charts, frieze_entries
 from jugglerfrieze import frieze as frieze_module
 from jugglerfrieze.frieze import _exchange_row
 from jugglerfrieze.juggling import residue
 from jugglerfrieze.matrices import (border, chart_kernel, greedy_chart,
                                     integer_cross, integer_eliminate,
-                                    integer_exchange, integer_solve,
+                                    integer_exchange, integer_solve, ratio,
                                     sparsest_first)
 
 import fixture_data as fx
@@ -41,7 +42,8 @@ from exact_oracles import (_minor, adjugate, counted_sign, counted_skeleton,
                            full_window_frieze, gauss_jordan, identity,
                            interval_rank_certificate, kernel_complement,
                            kernel_rows, left_twist_by_definition,
-                           minor_dual, minor_report, rank,
+                           minor_dual, minor_report, off_skeleton_slots,
+                           rank, recurrence_solutions,
                            rref_complement, rref_frieze_to_matrix,
                            scale_row, schedule_charts, schedule_twist,
                            schedules, slot_tables, solutions_kernel_matrix,
@@ -326,11 +328,12 @@ def test_greedy_chart_matches_gauss_jordan(monkeypatch):
 
 def test_border_and_row_exchange_match_gauss_jordan():
     # the interval walk's two updates on seeded nonsingular B, against
-    # cofactors taken afresh: border appends a column, a row and a
-    # corner, and _exchange_row drops column p and appends a column x,
-    # both into a singular matrix too (a repeated row or column)
+    # cofactors taken afresh: border appends a column, a zero row and a
+    # corner, into a singular matrix when the corner is 0, and
+    # _exchange_row drops column p and appends a column x, into a
+    # singular matrix too (a repeated column)
     rng = random.Random(37)
-    seen = {"k = 0": 0, "zero row": 0, "border into d = 0": 0,
+    seen = {"k = 0": 0, "border into d = 0": 0,
             "exchange into d = 0": 0, "exchange": 0}
     entries = (0, 0, 1, -1, 2, -3, 5)
     for _ in range(150):
@@ -341,17 +344,12 @@ def test_border_and_row_exchange_match_gauss_jordan():
             continue
         adj = adjugate(b)
         u = [rng.choice(entries) for _ in range(k)]
-        v, w = ([0] * k, rng.choice(entries)) if rng.random() < 0.3 else (
-            [rng.choice(entries) for _ in range(k)], rng.choice(entries))
-        if k and rng.random() < 0.2:
-            r = rng.randrange(k)
-            v, w = b[r], u[r]
-        bordered = [row + [x] for row, x in zip(b, u)] + [v + [w]]
-        got = border(d, [list(row) for row in adj], u, v, w)
+        w = rng.choice(entries)
+        bordered = [row + [x] for row, x in zip(b, u)] + [[0] * k + [w]]
+        got = border(d, [list(row) for row in adj], u, w)
         assert got == (_minor(bordered, range(k + 1)), adjugate(bordered)), \
-            (b, u, v, w)
+            (b, u, w)
         seen["k = 0"] += k == 0
-        seen["zero row"] += k > 0 and not any(v)
         seen["border into d = 0"] += got[0] == 0
         if not k:
             continue
@@ -931,6 +929,49 @@ def test_banded_dual_columns_match_the_dense_recurrence():
         seen["diag"].update(x for col in window for x in col[:1])
     assert min(seen["loop"], seen["coloop"], seen["rational"]) >= 5, seen
     assert {1, 40} <= seen["n"] and {0, -1, 2} <= seen["diag"]
+
+
+def _with_fraction_ones(c):
+    """c with each entry that is 1 at a slot its skeleton fixes stored
+    as Fraction(1): equal to the int, but not an int."""
+    return PeriodicFrieze(c.shape, [
+        [Fraction(x) if fixed is not None and x == 1 else x
+         for fixed, x in zip(skel, col)]
+        for skel, col in zip(c.shape.skeleton(), c.columns)])
+
+
+def test_decided_dual_matches_the_decision_by_dual_minors():
+    # the decision by the dual array against the oracle that compares
+    # each dual minor with L**t times its fixed value and skips loops:
+    # the same decision and error text, and on a frieze the signed dual
+    # columns that solution_matrix prints are the oracle's solutions
+    # over L**(n-1); whole-column skeleton checks against the
+    # slot-by-slot scan
+    seen = {"frieze": 0, "dual entry": 0, "entry": 0, "loop": 0,
+            "coloop": 0, "rational": 0, "Fraction(1)": 0}
+    for i, case in enumerate(_band_cases(random.Random(38))):
+        for c in (case, _with_fraction_ones(case)) if i % 3 == 0 else (case,):
+            want = _outcome(recurrence_solutions, c)
+            got = _outcome(frieze_module._decided_dual, c)
+            assert is_frieze(c) == (not isinstance(want, str))
+            if isinstance(want, str):
+                assert got == want, c
+                seen["dual entry" if "dual entry" in want else "entry"] += 1
+            else:
+                assert got == dual_frieze(c)
+                n, scale = c.shape.period, c.integer_view()[1]
+                assert solution_matrix(c).columns == tuple(
+                    tuple(ratio(x, scale ** (n - 1)) for x in col)
+                    for col in want), c
+                seen["frieze"] += 1
+                seen["loop"] += bool(c.shape.loops())
+                seen["coloop"] += bool(c.shape.coloops())
+                seen["rational"] += scale > 1
+            seen["Fraction(1)"] += c is not case
+            for v in (c, dual_frieze(c)):
+                assert list(frieze_module._off_skeleton(v)) == \
+                    list(off_skeleton_slots(v)), v
+    assert min(seen.values()) >= 5, seen
 
 
 def test_shape_tables_match_the_slot_by_slot_oracle():

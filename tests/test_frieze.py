@@ -400,20 +400,21 @@ def _counted(monkeypatch, owner, name):
 
 
 def test_friezes_are_decided_without_minors(monkeypatch):
-    # the decision runs the dual-column kernel once per column that is
-    # not a loop, and solution_matrix solves with the columns it decided by
+    # the decision builds the dual array, one run of the dual-column
+    # kernel per column, loops included, and solution_matrix solves with
+    # the columns of the dual it decided by
     minors = _counted(monkeypatch, PeriodicFrieze, "minor")
     kernel = _counted(monkeypatch, frieze_module, "_dual_column")
     assert any(c.shape.loops() for c in FIXTURE_FRIEZES)
     for c in FIXTURE_FRIEZES:
-        non_loops = c.shape.period - len(c.shape.loops())
+        n = c.shape.period
         kernel.clear()
-        assert check_frieze(c).ok and len(kernel) == non_loops
+        assert check_frieze(c).ok and len(kernel) == n
         kernel.clear()
-        assert is_frieze(c) and len(kernel) == non_loops
+        assert is_frieze(c) and len(kernel) == n
         kernel.clear()
         solution_matrix(c)
-        assert len(kernel) == non_loops
+        assert len(kernel) == n
     assert minors == []
 
 
